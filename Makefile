@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal clean
+.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal clean
 
 all: build lint test test-race
 
@@ -45,6 +45,12 @@ lint-bench:
 
 test:
 	$(GO) test ./...
+
+# The benchmark driver is its own module (perfbench/go.mod replaces
+# ampsched with ../), so the root ./... patterns never build it: vet
+# and test it explicitly against the current tree.
+test-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

@@ -337,10 +337,10 @@ func benchBatchPairs(b *testing.B, fidelity string) {
 	}
 	ctx := context.Background()
 	sweep := func() {
-		_, errs := r.RunPairsBatch(ctx, runs)
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
+		r.RunPairsBatch(ctx, runs)
+		for i := range runs {
+			if runs[i].Err != nil {
+				b.Fatal(runs[i].Err)
 			}
 		}
 	}

@@ -47,7 +47,6 @@ var checkedAPIs = []checkedAPI{
 	{"internal/amp", "System", "RunContext"},
 	{"internal/experiments", "Runner", "RunPair"},
 	{"internal/experiments", "Runner", "RunPairContext"},
-	{"internal/experiments", "Runner", "RunPairOverhead"},
 	{"internal/experiments", "Runner", "Sweep"},
 	{"internal/experiments", "Runner", "SweepContext"},
 	{"internal/telemetry", "*", "Close"},

@@ -4,37 +4,68 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
 	"ampsched/internal/interval"
+	"ampsched/internal/sched"
+	"ampsched/internal/telemetry"
 )
 
-// batchFidelities are the engine fidelities the cross-path identity
-// tests pin: the interleaved batch pass must be invisible to results
-// at every one of them.
+// batchFidelities are the engine fidelities the batch identity tests
+// pin: the interleaved batch pass must be invisible to results at
+// every one of them.
 var batchFidelities = []string{cpu.FidelityDetailed, interval.FidelityInterval, interval.FidelitySampled}
 
-// TestRunPairsBatchMatchesPairAtATime is the cross-path identity
-// contract: every run of a batch — interleaved in small round-robin
-// chunks, with pooled systems reused across runs — is bit-identical
-// to the same run driven alone through RunPairContext.
+// batchRunners returns two fresh Runners over opt: got interleaves its
+// batches in 7-window turns (many round-robin turns per run), ref is
+// the batch-of-one reference.
+func batchRunners(t *testing.T, opt Options) (got, ref *Runner) {
+	t.Helper()
+	got, err := NewRunner(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.batchWindows = 7
+	ref, err = NewRunner(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, ref
+}
+
+// checkAgainstSolo requires every run of a finished batch to match the
+// same run executed alone on ref.
+func checkAgainstSolo(t *testing.T, ref *Runner, runs []PairRun) {
+	t.Helper()
+	for k, pr := range runs {
+		if pr.Err != nil {
+			t.Fatalf("run %d (%s): %v", k, pr.Pair.Label(), pr.Err)
+		}
+		want, err := ref.RunPairContext(context.Background(), pr.Index, pr.Pair, pr.Factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Result != want {
+			t.Fatalf("run %d (%s): batched result diverges from its batch of one\n got %+v\nwant %+v",
+				k, pr.Pair.Label(), pr.Result, want)
+		}
+	}
+}
+
+// TestRunPairsBatchMatchesPairAtATime is the batch identity contract:
+// every run of a batch of N — interleaved in small round-robin chunks,
+// with pooled systems reused across runs — is bit-identical to the
+// same run in a batch of one (RunPairContext).
 func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
 			opt := tinyOptions()
 			opt.Fidelity = fid
-			ref, err := NewRunner(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := NewRunner(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.batchWindows = 7 // many interleave turns per run
+			got, ref := batchRunners(t, opt)
 
 			pairs := RandomPairs(3, opt.Seed)
 			var runs []PairRun
@@ -46,46 +77,26 @@ func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 			// Two batches on the same runner so the second reuses the
 			// pooled systems reset in place by the first.
 			for round := 0; round < 2; round++ {
-				results, errs := got.RunPairsBatch(context.Background(), runs)
-				for k, pr := range runs {
-					if errs[k] != nil {
-						t.Fatalf("round %d run %d: %v", round, k, errs[k])
-					}
-					want, err := ref.RunPairContext(context.Background(), pr.Index, pr.Pair, pr.Factory)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if results[k] != want {
-						t.Fatalf("round %d run %d (%s): batched result diverges\n got %+v\nwant %+v",
-							round, k, pr.Pair.Label(), results[k], want)
-					}
-				}
+				got.RunPairsBatch(context.Background(), runs)
+				checkAgainstSolo(t, ref, runs)
 			}
 		})
 	}
 }
 
-// TestRunPairsBatchEventAndTraceIdentity extends the cross-path
-// contract from results to the full instrumentation surface: at every
-// fidelity, each batched run publishes exactly the event stream — and
-// exactly the canonical trace bytes — that the same run publishes when
-// driven alone. Recorders are installed through Runner.RunObserver,
-// which both paths call once per run in submission order.
+// TestRunPairsBatchEventAndTraceIdentity extends the identity contract
+// from results to the full instrumentation surface: at every fidelity,
+// each run of a batch of N publishes exactly the event stream — and
+// exactly the canonical trace bytes — that the same run publishes in a
+// batch of one. Recorders are installed through Runner.RunObserver,
+// called once per run in submission order.
 func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
 			opt := tinyOptions()
 			opt.Fidelity = fid
-			ref, err := NewRunner(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := NewRunner(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.batchWindows = 7 // many interleave turns per run
+			got, ref := batchRunners(t, opt)
 
 			record := func(into *[]*amp.EventRecorder) func(int, Pair) amp.Observer {
 				return func(int, Pair) amp.Observer {
@@ -105,24 +116,13 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 					PairRun{Index: i, Pair: p, Factory: got.ProposedFactory()},
 					PairRun{Index: i, Pair: p, Factory: got.RRFactory(1)})
 			}
-			results, errs := got.RunPairsBatch(context.Background(), runs)
+			got.RunPairsBatch(context.Background(), runs)
 			if len(gotRecs) != len(runs) {
-				t.Fatalf("batched path created %d recorders for %d runs", len(gotRecs), len(runs))
+				t.Fatalf("batch of %d created %d recorders", len(runs), len(gotRecs))
 			}
-			for k, pr := range runs {
-				if errs[k] != nil {
-					t.Fatalf("run %d: %v", k, errs[k])
-				}
-				want, err := ref.RunPairContext(context.Background(), pr.Index, pr.Pair, pr.Factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if results[k] != want {
-					t.Fatalf("run %d (%s): batched result diverges under observation", k, pr.Pair.Label())
-				}
-			}
+			checkAgainstSolo(t, ref, runs)
 			if len(refRecs) != len(runs) {
-				t.Fatalf("reference path created %d recorders for %d runs", len(refRecs), len(runs))
+				t.Fatalf("batches of one created %d recorders for %d runs", len(refRecs), len(runs))
 			}
 			for k, pr := range runs {
 				ge, re := gotRecs[k].Events(), refRecs[k].Events()
@@ -130,11 +130,11 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 					t.Fatalf("run %d (%s): no events recorded; identity check is vacuous", k, pr.Pair.Label())
 				}
 				if !reflect.DeepEqual(ge, re) {
-					t.Fatalf("run %d (%s): event streams diverge\nbatched: %d events %+v\nserial:  %d events %+v",
+					t.Fatalf("run %d (%s): event streams diverge\nbatch of N: %d events %+v\nbatch of 1: %d events %+v",
 						k, pr.Pair.Label(), len(ge), ge, len(re), re)
 				}
 				if !bytes.Equal(gotRecs[k].TraceBytes(), refRecs[k].TraceBytes()) {
-					t.Fatalf("run %d (%s): trace bytes diverge across paths", k, pr.Pair.Label())
+					t.Fatalf("run %d (%s): trace bytes diverge", k, pr.Pair.Label())
 				}
 			}
 		})
@@ -142,8 +142,8 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesPairAtATime pins the sweep-level contract:
-// the chunk-claiming batched sweep produces byte-identical outcomes to
-// the pair-at-a-time sweep.
+// the chunk-claiming sweep produces byte-identical outcomes to running
+// each pair as its own one-pair chunk.
 func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	opt := tinyOptions()
 	opt.Fidelity = interval.FidelityInterval
@@ -154,63 +154,113 @@ func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.disableBatch = true
-	got, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Batchable() {
-		t.Fatal("sweep should take the batched path at interval fidelity")
-	}
 	// Share the profiling artifacts so the comparison only exercises
 	// the sweep paths.
-	got.profile = ref.Profile()
-
-	want, err := ref.Sweep()
+	got := ref.Derived(opt)
+	got.batchWindows = 7
+	if got.PairsPerPass() < 2 {
+		t.Fatal("interval sweeps should claim multi-pair chunks")
+	}
+	matrix, err := ref.Matrix()
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	pairs := RandomPairs(opt.Pairs, opt.Seed)
+	want := make([]PairOutcome, len(pairs))
+	for i := range pairs {
+		ref.runOutcomeBatch(context.Background(), []int{i}, pairs, matrix, want)
 	}
 	have, err := got.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Outcomes, have.Outcomes) {
-		t.Fatalf("batched sweep diverges from pair-at-a-time sweep")
+	if !reflect.DeepEqual(want, have.Outcomes) {
+		t.Fatalf("chunked sweep diverges from one-pair chunks")
 	}
 }
 
-// TestRunPairsBatchFaultFallback checks that fault-injected batches
-// fall back to the recoverable pair-at-a-time path and still line up
-// with direct runs.
-func TestRunPairsBatchFaultFallback(t *testing.T) {
+// TestRunPairsBatchFaultPlansPerRun checks that fault-injected runs
+// share one interleaved batch, each armed with its own plan, and each
+// equals its batch-of-one run.
+func TestRunPairsBatchFaultPlansPerRun(t *testing.T) {
 	opt := tinyOptions()
 	opt.Fidelity = interval.FidelityInterval
 	opt.FaultRate = 0.2
 	opt.FaultSeed = 9
-	ref, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
+	got, ref := batchRunners(t, opt)
+	tel := telemetry.New()
+	got.Telemetry = tel
+
+	pairs := RandomPairs(3, opt.Seed)
+	var runs []PairRun
+	for i, p := range pairs {
+		runs = append(runs,
+			PairRun{Index: i, Pair: p, Factory: got.ProposedFactory()},
+			PairRun{Index: i, Pair: p, Factory: got.RRFactory(1)})
 	}
-	got, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
+	got.RunPairsBatch(context.Background(), runs)
+	checkAgainstSolo(t, ref, runs)
+	var injected uint64
+	for _, name := range []string{
+		"fault.samples_dropped", "fault.samples_stale",
+		"fault.samples_noised", "fault.swaps_failed", "fault.swaps_delayed",
+	} {
+		injected += tel.Registry().Counter(name).Value()
 	}
-	if got.Batchable() {
-		t.Fatal("fault-injected sweeps must not batch")
+	if injected == 0 {
+		t.Fatal("no faults injected; the per-run plans are untested")
 	}
-	p := RandomPairs(1, opt.Seed)[0]
-	runs := []PairRun{{Index: 0, Pair: p, Factory: got.RRFactory(1)}}
-	results, errs := got.RunPairsBatch(context.Background(), runs)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+}
+
+// viewSched records the system each run hands its scheduler and, when
+// boom is set, panics on its first decision; otherwise it never moves.
+type viewSched struct {
+	views *[]amp.View
+	boom  bool
+}
+
+func (s viewSched) Name() string     { return "view" }
+func (s viewSched) Reset(v amp.View) { *s.views = append(*s.views, v) }
+func (s viewSched) Tick(amp.View) []amp.Move {
+	if s.boom {
+		panic("scheduler bug")
 	}
-	want, err := ref.RunPairContext(context.Background(), 0, p, ref.RRFactory(1))
-	if err != nil {
-		t.Fatal(err)
+	return nil
+}
+
+// TestRunPairsBatchPanicIsolation: a scheduler that panics mid-batch
+// fails only its own run. Its neighbours finish with their batch-of-one
+// results, and a later batch on the same Runner is still identical and
+// never hands out the panicked system again.
+func TestRunPairsBatchPanicIsolation(t *testing.T) {
+	opt := tinyOptions()
+	opt.Fidelity = interval.FidelityInterval
+	got, ref := batchRunners(t, opt)
+
+	var views []amp.View
+	viewing := func(boom bool) SchedFactory {
+		return func(...sched.Option) amp.MoveScheduler { return viewSched{views: &views, boom: boom} }
 	}
-	if results[0] != want {
-		t.Fatalf("fault fallback diverges:\n got %+v\nwant %+v", results[0], want)
+	pairs := RandomPairs(3, opt.Seed)
+	runs := []PairRun{
+		{Index: 0, Pair: pairs[0], Factory: got.ProposedFactory()},
+		{Index: 1, Pair: pairs[1], Factory: viewing(true)},
+		{Index: 2, Pair: pairs[2], Factory: got.RRFactory(1)},
 	}
+	got.RunPairsBatch(context.Background(), runs)
+	if runs[1].Err == nil || !strings.Contains(runs[1].Err.Error(), "panicked") {
+		t.Fatalf("panicking run: err = %v, want a panicked error", runs[1].Err)
+	}
+	checkAgainstSolo(t, ref, []PairRun{runs[0], runs[2]})
+	panicked := views[0]
+
+	runs[1].Factory = viewing(false)
+	got.RunPairsBatch(context.Background(), runs)
+	if views[1] == panicked {
+		t.Fatal("the panicked system re-entered the pool")
+	}
+	checkAgainstSolo(t, ref, runs)
 }
 
 // TestRunPairsBatchEmpty covers the trivial edge.
@@ -219,8 +269,5 @@ func TestRunPairsBatchEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, errs := r.RunPairsBatch(context.Background(), nil)
-	if len(results) != 0 || len(errs) != 0 {
-		t.Fatalf("empty batch returned %d results, %d errs", len(results), len(errs))
-	}
+	r.RunPairsBatch(context.Background(), nil)
 }

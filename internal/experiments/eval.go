@@ -267,27 +267,36 @@ func RunOverhead(r *Runner, w io.Writer) error {
 			"from 1000 cycles to 1M cycles; the third column isolates the proposed " +
 			"scheme's own degradation",
 	}
+	// withOverhead derives a runner (sharing the cached profile) whose
+	// runs pay the given swap overhead.
+	withOverhead := func(oh uint64) *Runner {
+		opt := r.Opt
+		opt.SwapOverhead = oh
+		return r.Derived(opt)
+	}
 	// Reference runs of the proposed scheme at the paper-default
 	// 1000-cycle overhead, one per pair.
+	ref := withOverhead(1_000)
 	refs := make([]amp.Result, len(pairs))
 	for i, p := range pairs {
 		r.progress("overhead ref: pair %d/%d", i+1, len(pairs))
 		var err error
-		refs[i], err = r.RunPairOverhead(i+20_000, p, r.ProposedFactory(), 1_000)
+		refs[i], err = ref.RunPair(i+20_000, p, ref.ProposedFactory())
 		if err != nil {
 			return err
 		}
 	}
 	for _, oh := range overheads {
+		ro := withOverhead(oh)
 		var imps, selfs []float64
 		var swP, swH uint64
 		for i, p := range pairs {
 			r.progress("overhead %d: pair %d/%d", oh, i+1, len(pairs))
-			resP, err := r.RunPairOverhead(i+20_000, p, r.ProposedFactory(), oh)
+			resP, err := ro.RunPair(i+20_000, p, ro.ProposedFactory())
 			if err != nil {
 				return err
 			}
-			resH, err := r.RunPairOverhead(i+20_000, p, r.HPEFactory(matrix), oh)
+			resH, err := ro.RunPair(i+20_000, p, ro.HPEFactory(matrix))
 			if err != nil {
 				return err
 			}

@@ -22,10 +22,8 @@ import (
 
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
-	"ampsched/internal/fault"
 	"ampsched/internal/interval"
 	"ampsched/internal/metrics"
-	"ampsched/internal/monitor"
 	"ampsched/internal/profilegen"
 	"ampsched/internal/rng"
 	"ampsched/internal/sched"
@@ -235,26 +233,19 @@ type Runner struct {
 	schedOpts     []sched.Option
 	ampOpts       []amp.Option
 
-	// scratch pools per-worker run state (threads and, at poolable
-	// fidelities, whole systems) across pairs; see pairScratch.
-	scratch sync.Pool
 	// batchPool pools per-worker batched-run state; see batchScratch.
 	batchPool sync.Pool
 	// batchWindows overrides the interleaved pass's per-run chunk
 	// (0 = interval.DefaultBatchWindows); tests shrink it to force many
 	// round-robin turns.
 	batchWindows int
-	// disableBatch forces the sweep onto the pair-at-a-time path; the
-	// cross-path identity tests use it as the reference side.
-	disableBatch bool
 
 	// Progress, if non-nil, receives one-line status updates.
 	Progress func(string)
 
 	// RunObserver, if non-nil, supplies one amp event observer per
-	// pair run (nil return = that run unobserved). Both the
-	// pair-at-a-time and batched paths install it, called once per run
-	// in submission order, so the cross-path identity suite can compare
+	// pair run (nil return = that run unobserved), called once per run
+	// in submission order, so the batch identity suite can compare
 	// event streams. Observed runs never reuse pooled systems — the
 	// observer is per-run construction state — making this a
 	// test/diagnostics seam, not a hot path.
@@ -361,7 +352,7 @@ func (r *Runner) Surface() (*profilegen.Surface, error) {
 // a server can derive on its submit path without blocking on a
 // profiling pass. Runner contains sync state and must not be copied;
 // callers that vary one option (the resilience fault sweep, the
-// server's differential re-simulation tier) derive instead. opt must
+// overhead sweep, the server's runner dedup) derive instead. opt must
 // agree with the base on every profiling input — SharesProfile reports
 // that agreement — or the shared artifacts would be wrong for it.
 func (r *Runner) Derived(opt Options) *Runner {
@@ -403,8 +394,8 @@ func (r *Runner) faultSeed(i int) uint64 {
 }
 
 // runOpts resolves the cached engine factory and option slices shared
-// by every run. The slices never carry per-run state (fault plans are
-// appended onto copies by the fault path).
+// by every run. The slices never carry per-run state (fault plans and
+// observers are appended onto copies; see Runner.arm).
 func (r *Runner) runOpts() (cpu.EngineFactory, []sched.Option, []amp.Option, error) {
 	r.optsOnce.Do(func() {
 		r.engineFactory, r.optsErr = interval.FactoryFor(r.Opt.Fidelity)
@@ -420,131 +411,20 @@ func (r *Runner) runOpts() (cpu.EngineFactory, []sched.Option, []amp.Option, err
 	return r.engineFactory, r.schedOpts, r.ampOpts, r.optsErr
 }
 
-// pairScratch is one worker's reusable run state: two threads (their
-// generators re-seeded in place per run) and, once constructed, a
-// whole system whose engines are pooled via amp.System.Reset. sys
-// stays nil at fidelities whose engines keep persistent state (the
-// detailed core); those runs rebuild the system but still reuse the
-// threads.
-type pairScratch struct {
-	threads [2]amp.Thread
-	sys     *amp.System
-}
-
-// RunPair executes one pair under the scheduler made by factory. A
-// wedged run (watchdog or cycle budget) or a panicking scheduler comes
-// back as an error, never as a crash.
+// RunPair executes one pair under the scheduler made by factory, as a
+// batch of one. A wedged run (watchdog or cycle budget) or a panicking
+// scheduler comes back as an error, never as a crash.
 func (r *Runner) RunPair(i int, p Pair, factory SchedFactory) (amp.Result, error) {
-	return r.runPair(r.baseCtx(), i, p, factory, r.Opt.SwapOverhead)
+	return r.RunPairContext(r.baseCtx(), i, p, factory)
 }
 
 // RunPairContext is RunPair bounded by ctx: a canceled context stops
 // the simulation at the next check point and surfaces ctx's error
 // (wrapped; errors.Is-matchable) with the partial result.
 func (r *Runner) RunPairContext(ctx context.Context, i int, p Pair, factory SchedFactory) (amp.Result, error) {
-	return r.runPair(ctx, i, p, factory, r.Opt.SwapOverhead)
-}
-
-// RunPairOverhead is RunPair with an explicit swap overhead (§VI-C).
-func (r *Runner) RunPairOverhead(i int, p Pair, factory SchedFactory, overhead uint64) (amp.Result, error) {
-	return r.runPair(r.baseCtx(), i, p, factory, overhead)
-}
-
-// runPair is the single execution path behind every RunPair variant.
-// The run is wired to the runner's telemetry and — when fault
-// injection is on — given a per-index deterministic fault plan via the
-// option API.
-//
-// Run state is pooled: the two threads are always reused (generators
-// re-seeded in place), and at fidelities whose engines implement
-// cpu.StateResetter the whole system is too (amp.System.Reset). Both
-// resets are bit-identical to fresh construction, so pooling is
-// invisible to results — including under the parallel sweep, where
-// pool reuse order is scheduling-dependent.
-func (r *Runner) runPair(ctx context.Context, i int, p Pair, factory SchedFactory, overhead uint64) (res amp.Result, err error) {
-	start := time.Now() //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("experiments: pair %s panicked: %v", p.Label(), rec)
-		}
-		r.observeRun(p, time.Since(start), err) //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	}()
-	_, schedOpts, ampOpts, oerr := r.runOpts()
-	if oerr != nil {
-		return amp.Result{}, fmt.Errorf("experiments: pair %s: %w", p.Label(), oerr)
-	}
-	if r.Opt.FaultRate > 0 {
-		// Fault plans are per-run state: append them onto copies of the
-		// cached option slices. This path allocates freely — fault
-		// sweeps are not the hot benchmark.
-		plan := fault.MustNew(fault.Uniform(r.Opt.FaultRate, r.faultSeed(i)))
-		plan.SetTelemetry(r.Telemetry)
-		ampOpts = append(append([]amp.Option{}, ampOpts...), amp.WithFaultPlan(plan))
-		var tag uint64
-		schedOpts = append(append([]sched.Option{}, schedOpts...),
-			sched.WithObserverFactory(func(window uint64) monitor.Observer {
-				tag++
-				return plan.Observer(monitor.NewWindowTracker(window), tag)
-			}))
-	}
-
-	observed := false
-	if r.RunObserver != nil {
-		if o := r.RunObserver(i, p); o != nil {
-			ampOpts = append(append([]amp.Option{}, ampOpts...), amp.WithObserver(o))
-			observed = true
-		}
-	}
-
-	sc, _ := r.scratch.Get().(*pairScratch)
-	if sc == nil {
-		sc = &pairScratch{}
-	}
-	if sc.sys != nil {
-		// Flush the previous run's deferred engine state into the old
-		// threads before recycling them (see System.Detach).
-		sc.sys.Detach()
-	}
-	sc.threads[0].Reset(0, p.A, r.pairSeed(i, 0), 0)
-	sc.threads[1].Reset(1, p.B, r.pairSeed(i, 1), 1<<40)
-	threads := [2]*amp.Thread{&sc.threads[0], &sc.threads[1]}
-
-	var s amp.MoveScheduler
-	if factory != nil {
-		s = factory(schedOpts...)
-	}
-	cfg := amp.Config{
-		SwapOverheadCycles: overhead,
-		CycleBudget:        r.Opt.CycleBudget,
-	}
-	sys := sc.sys
-	if observed {
-		// An observed run's system carries per-run construction state
-		// (the observer), so it neither reuses the pooled system nor
-		// re-enters the pool.
-		sys = nil
-		sc.sys = nil
-	}
-	if sys != nil && r.Opt.FaultRate == 0 {
-		err = sys.Reset(threads, s, cfg)
-	} else {
-		// First run on this scratch, or a fault-injected or observed
-		// run (its options differ from the pooled system's
-		// construction set).
-		sys, err = amp.NewSystem([2]*cpu.Config{r.IntCfg, r.FPCfg}, threads, s, cfg, ampOpts...)
-	}
-	if err != nil {
-		return amp.Result{}, fmt.Errorf("experiments: pair %s: %w", p.Label(), err)
-	}
-	res, err = sys.RunContext(ctx, r.Opt.InstrLimit)
-	if r.Opt.FaultRate == 0 && !observed && sys.Poolable() {
-		sc.sys = sys
-	}
-	r.scratch.Put(sc)
-	if err != nil {
-		return res, fmt.Errorf("experiments: pair %s: %w", p.Label(), err)
-	}
-	return res, nil
+	run := [1]PairRun{{Index: i, Pair: p, Factory: factory}}
+	r.RunPairsBatch(ctx, run[:])
+	return run[0].Result, run[0].Err
 }
 
 // observeRun publishes one run's wall time and outcome.
@@ -678,14 +558,9 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		workers = len(pairs)
 	}
 
-	// Interval-fidelity sweeps claim pair chunks and advance each
-	// chunk's runs through one interleaved batch pass; everything else
-	// claims single pairs. Either way the per-pair bookkeeping
-	// (checkpointing, telemetry, progress) is identical.
-	chunk := 1
-	if r.Batchable() {
-		chunk = sweepBatchPairs
-	}
+	// Workers claim chunks of PairsPerPass pairs and advance each
+	// chunk's runs through one interleaved batch pass.
+	chunk := r.PairsPerPass()
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
@@ -721,13 +596,7 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 					}
 					idxs = append(idxs, i)
 				}
-				if len(idxs) > 1 {
-					r.runOutcomeBatch(ctx, idxs, pairs, matrix, out.Outcomes)
-				} else {
-					for _, i := range idxs {
-						out.Outcomes[i] = r.runOutcome(ctx, i, pairs[i], matrix)
-					}
-				}
+				r.runOutcomeBatch(ctx, idxs, pairs, matrix, out.Outcomes)
 				for _, i := range idxs {
 					r.observeOutcome(&out.Outcomes[i])
 					ckpt.complete(i)
@@ -763,34 +632,6 @@ func (r *Runner) observeOutcome(po *PairOutcome) {
 	} else {
 		r.Telemetry.Counter("experiments.pairs_done").Inc()
 	}
-}
-
-// runOutcome executes one pair under the three schemes, downgrading
-// any failure to a flagged outcome.
-func (r *Runner) runOutcome(ctx context.Context, i int, p Pair, matrix *profilegen.RatioMatrix) PairOutcome {
-	po := PairOutcome{Pair: p}
-	fail := func(err error) PairOutcome {
-		po.Failed = true
-		po.Err = err.Error()
-		return po
-	}
-	var err error
-	if po.Proposed, err = r.RunPairContext(ctx, i, p, r.ProposedFactory()); err != nil {
-		return fail(err)
-	}
-	if po.HPE, err = r.RunPairContext(ctx, i, p, r.HPEFactory(matrix)); err != nil {
-		return fail(err)
-	}
-	if po.RR, err = r.RunPairContext(ctx, i, p, r.RRFactory(1)); err != nil {
-		return fail(err)
-	}
-	if po.VsHPE, err = metrics.Compare(po.Proposed, po.HPE); err != nil {
-		return fail(err)
-	}
-	if po.VsRR, err = metrics.Compare(po.Proposed, po.RR); err != nil {
-		return fail(err)
-	}
-	return po
 }
 
 // WeightedVsHPE extracts the per-pair weighted improvements over HPE,

@@ -1,20 +1,19 @@
-// Pair batching: the server-side feeder of the interleaved batch
-// engine. Queue workers running jobs against the same Runner — the
-// grouping that guarantees identical core digest, options and
-// fidelity, since runners are deduplicated on exactly those — hand
-// their pair computations to a shared pairBatcher instead of running
-// them one at a time. The batcher coalesces requests across jobs (and
+// Pair batching: the server's only pair compute path. Queue workers
+// running jobs against the same Runner — the grouping that guarantees
+// identical core digest, options and fidelity, since runners are
+// deduplicated on exactly those — hand their pair computations to a
+// shared pairBatcher. The batcher coalesces requests across jobs (and
 // across one job's own in-flight window) and executes each group as a
-// single experiments.RunPairsBatch interleaved pass, which shares
-// calibration tables and pooled systems across every run in the
-// group. Results are byte-identical to the pair-at-a-time path — the
-// batch engine's cross-path identity suite pins that — so batching is
-// invisible to the cache and the API.
+// single experiments.RunPairsBatch interleaved pass of up to
+// Runner.PairsPerPass pairs. A run's result does not depend on its
+// batchmates — the batch engine's identity suite pins that — so
+// batching is invisible to the cache and the API.
 package server
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ampsched/internal/amp"
@@ -22,15 +21,11 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// defaultBatchPairs is the flush high-water mark in pairs (three
-// scheduler runs each), matching the sweep's own chunk size.
-const defaultBatchPairs = 8
-
-// defaultBatchLinger is how long the first request in an empty batch
-// waits for companions before flushing anyway. Two milliseconds is
-// invisible next to a simulation run but long enough for a job's
-// in-flight window (launched together) to land in one group.
-const defaultBatchLinger = 2 * time.Millisecond
+// batchLinger is how long the first request in an empty batch waits
+// for companions before flushing anyway. Two milliseconds is invisible
+// next to a simulation run but long enough for a job's in-flight
+// window (launched together) to land in one group.
+const batchLinger = 2 * time.Millisecond
 
 // pairResp is one request's share of a finished batch.
 type pairResp struct {
@@ -40,6 +35,7 @@ type pairResp struct {
 
 // pairReq is one queued pair-compute request.
 type pairReq struct {
+	ctx  context.Context // the requesting job's
 	idx  int
 	pair experiments.Pair
 	resp chan pairResp // buffered; the flusher never blocks on delivery
@@ -50,9 +46,8 @@ type pairReq struct {
 // linger timer fires, then flush as one interleaved pass.
 type pairBatcher struct {
 	runner   *experiments.Runner
-	ctx      context.Context // server lifetime, NOT any one job's: a shared batch must not die with one requester
+	ctx      context.Context // server lifetime: Close ends every batch
 	maxPairs int
-	linger   time.Duration
 
 	batches *telemetry.Counter
 	pairs   *telemetry.Counter
@@ -62,15 +57,11 @@ type pairBatcher struct {
 	timer *time.Timer
 }
 
-func newPairBatcher(ctx context.Context, runner *experiments.Runner, linger time.Duration, tel *telemetry.Telemetry) *pairBatcher {
-	if linger <= 0 {
-		linger = defaultBatchLinger
-	}
+func newPairBatcher(ctx context.Context, runner *experiments.Runner, tel *telemetry.Telemetry) *pairBatcher {
 	return &pairBatcher{
 		runner:   runner,
 		ctx:      ctx,
-		maxPairs: defaultBatchPairs,
-		linger:   linger,
+		maxPairs: runner.PairsPerPass(),
 		batches:  tel.Counter("server.pair_batches"),
 		pairs:    tel.Counter("server.batched_pairs"),
 	}
@@ -78,10 +69,10 @@ func newPairBatcher(ctx context.Context, runner *experiments.Runner, linger time
 
 // run submits one pair's three-scheduler comparison and blocks until
 // its batch completes or ctx ends. An abandoned request (ctx canceled
-// while waiting) still computes with its batch; only the caller stops
-// listening.
+// while waiting) still computes with its batch unless every request in
+// the batch is abandoned; only the caller stops listening.
 func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) (proposed, hpe, rr amp.Result, err error) {
-	req := &pairReq{idx: i, pair: p, resp: make(chan pairResp, 1)}
+	req := &pairReq{ctx: ctx, idx: i, pair: p, resp: make(chan pairResp, 1)}
 	b.mu.Lock()
 	b.reqs = append(b.reqs, req)
 	var full []*pairReq
@@ -91,7 +82,7 @@ func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) (propo
 		// The linger timer bounds how long a lone request waits for
 		// batchmates; it schedules RPC-level work and never touches
 		// simulation state.
-		b.timer = time.AfterFunc(b.linger, b.flushLinger) //ampvet:allow determinism batching latency only; results are byte-identical on every path
+		b.timer = time.AfterFunc(batchLinger, b.flushLinger) //ampvet:allow determinism batching latency only; results are byte-identical on every path
 	}
 	b.mu.Unlock()
 	if full != nil {
@@ -99,6 +90,11 @@ func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) (propo
 	}
 	select {
 	case r := <-req.resp:
+		if r.err != nil && ctx.Err() != nil {
+			// The batch stopped because its requests were abandoned:
+			// report this request's own reason (a deadline, say).
+			r.err = ctx.Err()
+		}
 		return r.proposed, r.hpe, r.rr, r.err
 	case <-ctx.Done():
 		return amp.Result{}, amp.Result{}, amp.Result{}, ctx.Err()
@@ -129,6 +125,10 @@ func (b *pairBatcher) flushLinger() {
 // flush executes one group as a single interleaved pass and delivers
 // each request's three results. Runs fail independently inside the
 // pass, so one wedged pair degrades only its own request.
+//
+// A batch serves many jobs, so no one job's cancellation may end it:
+// it runs until the server closes or every request in it has been
+// abandoned. A one-pair batch therefore stops with its job.
 func (b *pairBatcher) flush(reqs []*pairReq) {
 	if len(reqs) == 0 {
 		return
@@ -140,6 +140,19 @@ func (b *pairBatcher) flush(reqs []*pairReq) {
 		}
 		return
 	}
+	ctx, cancel := context.WithCancel(b.ctx)
+	defer cancel()
+	var live atomic.Int64
+	live.Store(int64(len(reqs)))
+	for _, rq := range reqs {
+		stop := context.AfterFunc(rq.ctx, func() {
+			if live.Add(-1) == 0 {
+				cancel()
+			}
+		})
+		defer stop()
+	}
+
 	runs := make([]experiments.PairRun, 0, 3*len(reqs))
 	for _, rq := range reqs {
 		runs = append(runs,
@@ -148,18 +161,18 @@ func (b *pairBatcher) flush(reqs []*pairReq) {
 			experiments.PairRun{Index: rq.idx, Pair: rq.pair, Factory: b.runner.RRFactory(1)},
 		)
 	}
-	results, errs := b.runner.RunPairsBatch(b.ctx, runs)
+	b.runner.RunPairsBatch(ctx, runs)
 	b.batches.Inc()
 	b.pairs.Add(uint64(len(reqs)))
 	for k, rq := range reqs {
 		resp := pairResp{
-			proposed: results[3*k],
-			hpe:      results[3*k+1],
-			rr:       results[3*k+2],
+			proposed: runs[3*k].Result,
+			hpe:      runs[3*k+1].Result,
+			rr:       runs[3*k+2].Result,
 		}
-		for _, e := range errs[3*k : 3*k+3] {
-			if e != nil {
-				resp.err = e
+		for j := 3 * k; j < 3*k+3; j++ {
+			if runs[j].Err != nil {
+				resp.err = runs[j].Err
 				break
 			}
 		}
@@ -167,30 +180,15 @@ func (b *pairBatcher) flush(reqs []*pairReq) {
 	}
 }
 
-// batcherFor returns the shared batcher for runner, or nil when
-// batching does not apply (disabled by config, or the runner's options
-// are not batchable — wrong fidelity, fault injection on).
+// batcherFor returns the shared batcher for runner, creating it on
+// first use.
 func (s *Server) batcherFor(runner *experiments.Runner) *pairBatcher {
-	if s.cfg.BatchLinger < 0 || !runner.Batchable() {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.batchers[runner]
 	if !ok {
-		b = newPairBatcher(s.batchCtx, runner, s.cfg.BatchLinger, s.tel)
+		b = newPairBatcher(s.batchCtx, runner, s.tel)
 		s.batchers[runner] = b
 	}
 	return b
-}
-
-// computePairBatched is computePair routed through the shared batcher:
-// same three runs, same comparison record, produced by the interleaved
-// pass instead of three solo calls.
-func (s *Server) computePairBatched(ctx context.Context, b *pairBatcher, i int, p experiments.Pair, key string) ([]byte, error) {
-	proposed, hpe, rr, err := b.run(ctx, i, p)
-	if err != nil {
-		return nil, err
-	}
-	return marshalPairResult(i, p, key, proposed, hpe, rr)
 }

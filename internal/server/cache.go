@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -178,17 +179,24 @@ func (c *Cache) put(key string, data []byte) {
 // computes, populates the cache, and returns hit=false.
 //
 // ctx bounds only this caller's wait on a joined flight — the
-// computation itself belongs to the caller that started it.
+// computation itself belongs to the caller that started it. A flight
+// that ends in a context error says only that its leader gave up, so a
+// joiner whose own ctx is live tries again: it joins a newer flight or
+// leads one.
 func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits.Inc()
-		data = el.Value.(*centry).data
-		c.mu.Unlock()
-		return data, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.hits.Inc()
+			data = el.Value.(*centry).data
+			c.mu.Unlock()
+			return data, true, nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break // still holding c.mu: lead a new flight
+		}
 		c.joined.Inc()
 		c.mu.Unlock()
 		select {
@@ -196,11 +204,14 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		if f.err != nil {
+		if f.err == nil {
+			c.hits.Inc()
+			return f.data, true, nil
+		}
+		leaderGaveUp := errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)
+		if !leaderGaveUp || ctx.Err() != nil {
 			return nil, false, f.err
 		}
-		c.hits.Inc()
-		return f.data, true, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f

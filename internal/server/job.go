@@ -35,8 +35,7 @@ type JobSpec struct {
 	// explicit 0 turns injection off for this job).
 	FaultRate *float64 `json:"fault_rate,omitempty"`
 	// FaultSeed overrides the fault-plan seed (0 = inherit). At zero
-	// fault rate the seed is dead configuration — jobs differing only
-	// in it are served from the cache's near-hit tier.
+	// fault rate the simulation never reads it.
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
 	// NXM switches the job from a pair sweep to the nxm manycore
 	// scaling sweep: one result per core count, each comparing every

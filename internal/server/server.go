@@ -70,11 +70,6 @@ type Config struct {
 	// torn writes, slow I/O, worker stalls, panics) into the journal,
 	// cache and job execution — the chaos harness's hook.
 	Chaos *fault.ServicePlan
-	// BatchLinger tunes the pair batcher: how long a pair computation
-	// waits for companions before its batch flushes (0 = 2ms). A
-	// negative value disables batching entirely — every pair runs
-	// pair-at-a-time, the identity tests' reference path.
-	BatchLinger time.Duration
 	// FlushEvery, when positive, runs a background durability flusher
 	// that persists dirty cache entries and fsyncs the journal on that
 	// cadence (completion already flushes; this bounds the exposure of
@@ -123,11 +118,6 @@ type Server struct {
 	batchCtx    context.Context
 	batchCancel context.CancelFunc
 
-	// nearIndex maps near-hit families (KeySpec digests with one knob
-	// normalized out) to a cached key in that family; see resim.go.
-	nearMu    sync.Mutex
-	nearIndex map[string]string
-
 	idPrefix string // from Config.JobIDSpace; "" in single-node mode
 	nextID   atomic.Uint64
 	draining atomic.Bool
@@ -143,7 +133,6 @@ type Server struct {
 	jobsRejected      *telemetry.Counter
 	jobsRecovered     *telemetry.Counter
 	checkpointResumes *telemetry.Counter
-	cacheNearHits     *telemetry.Counter
 	profileShares     *telemetry.Counter
 	journalErrors     *telemetry.Counter
 	pairsServed       *telemetry.Counter
@@ -234,7 +223,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(map[string]*jobEntry),
 		runners:    make(map[string]*experiments.Runner),
 		batchers:   make(map[*experiments.Runner]*pairBatcher),
-		nearIndex:  make(map[string]string),
 		coreDigest: CoreDigest(cpu.IntCoreConfig(), cpu.FPCoreConfig()),
 		idPrefix:   jobIDPrefix(cfg.JobIDSpace),
 
@@ -245,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 		jobsRejected:      tel.Counter("server.jobs_rejected"),
 		jobsRecovered:     tel.Counter("server.jobs_recovered"),
 		checkpointResumes: tel.Counter("server.checkpoint_resumes"),
-		cacheNearHits:     tel.Counter("server.cache_near_hits"),
 		profileShares:     tel.Counter("server.profile_shares"),
 		journalErrors:     tel.Counter("server.journal_errors"),
 		pairsServed:       tel.Counter("server.pairs_served"),
@@ -258,8 +245,8 @@ func New(cfg Config) (*Server, error) {
 	s.batchCtx, s.batchCancel = context.WithCancel(context.Background()) //ampvet:allow ctxcheck server-lifetime root for cross-job batches, canceled in Close
 	// The interval engine's process-global calibration ledger reports
 	// through the same registry ("interval.calibrations",
-	// "interval.cal_cache_hits"): its cross-run reuse is one of the
-	// differential re-simulation tiers, so the server surfaces it.
+	// "interval.cal_cache_hits"): its cross-run reuse saves every cold
+	// pair the calibration, so the server surfaces it.
 	interval.SetTelemetry(tel)
 	if cfg.Chaos != nil {
 		cfg.Chaos.SetTelemetry(tel)
@@ -366,10 +353,10 @@ func (s *Server) optionsFor(sp JobSpec) (experiments.Options, error) {
 // profiling inputs match an existing runner's — a single-knob delta in
 // swap overhead, fault rate/seed, instruction limit, cycle budget or
 // fidelity — derives from it instead of re-profiling: the §V profile
-// is the expensive upstream stage differential re-simulation reuses
-// (counted on "server.profile_shares"); only the dependent pair runs
-// are recomputed. The derivation is lazy, so the submit path never
-// blocks on a profiling pass.
+// is the expensive upstream stage (shares count on
+// "server.profile_shares"); only the dependent pair runs are
+// recomputed. The derivation is lazy, so the submit path never blocks
+// on a profiling pass.
 func (s *Server) runnerFor(opt experiments.Options) (*experiments.Runner, error) {
 	b, err := json.Marshal(opt)
 	if err != nil {
@@ -642,16 +629,14 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 		return err
 	}
 
-	// Pairs are served through a bounded in-flight window: up to
-	// `window` pair computations run concurrently (so one job's pairs
-	// co-batch in the shared pairBatcher, and with other jobs'), while
-	// outcomes are emitted strictly in pair order — append order is the
-	// streaming API's contract. Non-batchable runners keep a window of
-	// one, which is exactly the old serial loop.
-	window := 1
-	if s.batcherFor(runner) != nil {
-		window = defaultBatchPairs
-	}
+	// Pairs are served through a bounded in-flight window of one pass
+	// (Runner.PairsPerPass): that many pair computations run
+	// concurrently, so one job's pairs co-batch in the shared
+	// pairBatcher, and with other jobs', while outcomes are emitted
+	// strictly in pair order — append order is the streaming API's
+	// contract.
+	batcher := s.batcherFor(runner)
+	window := batcher.maxPairs
 	type pairServe struct {
 		key    string
 		data   []byte
@@ -677,9 +662,6 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 				spec := pairKeySpec(s.coreDigest, opt, i, p)
 				key := CacheKey(spec)
 				data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-					if adapted, ok := s.tryNearHit(spec, key); ok {
-						return adapted, nil
-					}
 					// Remote lookup before local compute: a fleet peer
 					// may already hold (or be computing, via a steal
 					// claim) this record. Byte-identity across nodes
@@ -690,21 +672,16 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 							return rdata, nil
 						}
 					}
-					var cdata []byte
-					var cerr error
-					if b := s.batcherFor(runner); b != nil {
-						cdata, cerr = s.computePairBatched(ctx, b, i, p, key)
-					} else {
-						cdata, cerr = s.computePair(ctx, runner, i, p, key)
+					proposed, hpe, rr, cerr := batcher.run(ctx, i, p)
+					if cerr != nil {
+						return nil, cerr
 					}
+					cdata, cerr := marshalPairResult(i, p, key, proposed, hpe, rr)
 					if cerr == nil && publish != nil {
 						publish(key, cdata)
 					}
 					return cdata, cerr
 				})
-				if err == nil {
-					s.registerNear(spec, key)
-				}
 				serves[i] = pairServe{key: key, data: data, cached: cached, err: err}
 			}(i, p)
 		}
@@ -760,33 +737,8 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 	return nil
 }
 
-// computePair runs one pair under the three schedulers and marshals
-// the comparison record. A wedged or panicking run surfaces as an
-// error (never cached).
-func (s *Server) computePair(ctx context.Context, runner *experiments.Runner, i int, p experiments.Pair, key string) ([]byte, error) {
-	proposed, err := runner.RunPairContext(ctx, i, p, runner.ProposedFactory())
-	if err != nil {
-		return nil, err
-	}
-	m, err := runner.Matrix()
-	if err != nil {
-		return nil, err
-	}
-	hpe, err := runner.RunPairContext(ctx, i, p, runner.HPEFactory(m))
-	if err != nil {
-		return nil, err
-	}
-	rr, err := runner.RunPairContext(ctx, i, p, runner.RRFactory(1))
-	if err != nil {
-		return nil, err
-	}
-	return marshalPairResult(i, p, key, proposed, hpe, rr)
-}
-
 // marshalPairResult builds the canonical comparison record from one
-// pair's three runs — the single encoding behind both the
-// pair-at-a-time and batched compute paths, so the cache bytes cannot
-// depend on which path produced them.
+// pair's three runs.
 func marshalPairResult(i int, p experiments.Pair, key string, proposed, hpe, rr amp.Result) ([]byte, error) {
 	vsHPE, err := metrics.Compare(proposed, hpe)
 	if err != nil {
