@@ -13,9 +13,10 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (internal/analysis via cmd/ampvet):
-# determinism, hotpathalloc, deprecatedapi, obserrcheck, plus the
-# dataflow-aware lockcheck, unitcheck and ctxcheck. Findings are cached
-# per package content hash; use -nocache to force a full re-analysis.
+# determinism, hotpathalloc, obserrcheck, plus the dataflow-aware
+# lockcheck, unitcheck and ctxcheck; the full suite also reports stale
+# //ampvet:allow directives. Findings are cached per package content
+# hash; use -nocache to force a full re-analysis.
 ampvet:
 	$(GO) run ./cmd/ampvet ./...
 

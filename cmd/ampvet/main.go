@@ -1,6 +1,6 @@
 // Command ampvet runs ampsched's custom static-analysis suite (see
 // internal/analysis) over the repository: determinism, hotpathalloc,
-// deprecatedapi, obserrcheck, lockcheck, unitcheck and ctxcheck.
+// obserrcheck, lockcheck, unitcheck and ctxcheck.
 //
 // Usage:
 //
@@ -12,17 +12,15 @@
 // is 1 when there are findings, 2 on a loading or internal error, 0 on
 // a clean tree.
 //
-// Each check can be disabled individually (-determinism=false) or the
-// suite narrowed to an explicit list (-checks determinism,obserrcheck).
+// -checks narrows the suite to an explicit list
+// (-checks determinism,obserrcheck). Only a full-suite run reports
+// stale //ampvet:allow directives: a narrowed run cannot tell an allow
+// that suppresses nothing from one whose check did not run.
 //
 // Per-package verdicts are cached on disk keyed by package content
 // (see internal/analysis FindingsCache), so a warm run costs one
 // `go list` plus hashing. -cachedir overrides the location,
 // -nocache disables it entirely.
-//
-// A findings baseline supports gradual adoption: -writebaseline
-// records the current findings into -baseline's file, and later runs
-// with -baseline fail only on findings not in the file.
 package main
 
 import (
@@ -53,13 +51,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	verbose := fs.Bool("v", false, "report packages as they are analyzed")
 	cacheDir := fs.String("cachedir", "", "findings-cache directory (default: user cache dir)")
 	noCache := fs.Bool("nocache", false, "disable the findings cache")
-	baselinePath := fs.String("baseline", "", "findings-baseline file: entries in it do not fail the run")
-	writeBaseline := fs.Bool("writebaseline", false, "write current findings to -baseline and exit 0")
-
-	enabled := map[string]*bool{}
-	for _, a := range analysis.All() {
-		enabled[a.Name] = fs.Bool(a.Name, true, "run the "+a.Name+" check")
-	}
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ampvet [flags] [packages]\n\nChecks:\n")
 		for _, a := range analysis.All() {
@@ -72,7 +63,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	var suite []*analysis.Analyzer
+	suite := analysis.All()
 	if *checks != "" {
 		var err error
 		suite, err = analysis.ByName(*checks)
@@ -80,19 +71,9 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stderr, "ampvet:", err)
 			return 2
 		}
-	} else {
-		for _, a := range analysis.All() {
-			if *enabled[a.Name] {
-				suite = append(suite, a)
-			}
-		}
 	}
 	if len(suite) == 0 {
 		fmt.Fprintln(stderr, "ampvet: no checks enabled")
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "ampvet: -writebaseline needs -baseline <file>")
 		return 2
 	}
 
@@ -197,36 +178,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	// Emit paths relative to the working directory so editor links,
-	// baseline entries and the CI problem matcher's PR-diff annotations
-	// all resolve against the repo root, and cached absolute paths from
-	// other checkouts normalize the same way.
+	// Emit paths relative to the working directory so editor links and
+	// the CI problem matcher's PR-diff annotations both resolve against
+	// the repo root, and cached absolute paths from other checkouts
+	// normalize the same way.
 	if wd, err := os.Getwd(); err == nil {
 		for i := range diags {
 			if rel, err := filepath.Rel(wd, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
 				diags[i].File = rel
 			}
-		}
-	}
-
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(*baselinePath, diags); err != nil {
-			fmt.Fprintln(stderr, "ampvet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "ampvet: wrote %d finding(s) to baseline %s\n", len(diags), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "ampvet:", err)
-			return 2
-		}
-		var suppressed int
-		diags, suppressed = base.Filter(diags)
-		if suppressed > 0 && *verbose {
-			fmt.Fprintf(stderr, "ampvet: %d finding(s) suppressed by baseline\n", suppressed)
 		}
 	}
 

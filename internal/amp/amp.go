@@ -107,7 +107,7 @@ func (t *Thread) Reset(id int, bench *workload.Benchmark, seed, addrBase uint64)
 	t.EnergyNJ = 0
 }
 
-// View is the read-only interface a Scheduler uses to observe the
+// View is the read-only interface a MoveScheduler uses to observe the
 // system. It is implemented by *System.
 type View interface {
 	// Cycle returns the current global cycle.
@@ -154,20 +154,6 @@ type View interface {
 	// CorePool returns the pool index a core belongs to. Pools group
 	// cores of one flavor (e.g. INT vs FP, or big vs small).
 	CorePool(core int) int
-}
-
-// Scheduler is the original dual-core scheduling interface: Tick
-// returns true to request an immediate swap of the two threads.
-//
-// Deprecated: implement MoveScheduler (Tick returning []Move) instead;
-// wrap existing implementations with Legacy. The interface remains
-// accepted for one release via the Legacy adapter.
-type Scheduler interface {
-	Name() string
-	// Reset prepares the scheduler for a new run over v.
-	Reset(v View)
-	// Tick observes the system and returns true to swap now.
-	Tick(v View) bool
 }
 
 // SchedulerStats are optional bookkeeping counters a scheduler can
@@ -226,13 +212,6 @@ type Config struct {
 	// Result, so batch layers can report the pair as degraded instead
 	// of spinning forever.
 	CycleBudget uint64
-	// SwapInjector, when non-nil, is consulted on every swap request
-	// (fault injection: failed or delayed reconfigurations).
-	//
-	// Deprecated: pass WithFaultPlan to NewSystem instead. The field
-	// remains functional for one release; a WithFaultPlan option takes
-	// precedence when both are set.
-	SwapInjector SwapInjector
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -284,6 +263,9 @@ type System struct {
 	// engineFactory builds the two engines (WithEngine); nil means
 	// cpu.DetailedFactory.
 	engineFactory cpu.EngineFactory
+	// injector, when non-nil, is consulted on every swap request
+	// (WithFaultPlan: failed or delayed reconfigurations).
+	injector SwapInjector
 	// stride is the cycles-per-iteration of the run loop: the largest
 	// Stride() of the two engines (1 for detailed cores, preserving
 	// the original cycle-interleaved loop bit for bit).
@@ -374,9 +356,9 @@ func NewSystem(coreCfgs [2]*cpu.Config, threads [2]*Thread, sched MoveScheduler,
 //
 // A reset system is bit-identical to a freshly constructed one with
 // the same construction-time options: observers, telemetry and the
-// engine factory persist. The whole Config is replaced — including any
-// SwapInjector a WithFaultPlan option installed — and a timeline is
-// discarded (re-enable per run).
+// engine factory persist. The Config is replaced, any injector a
+// WithFaultPlan option installed is dropped (fault plans are stateful
+// and per run), and a timeline is discarded (re-enable per run).
 func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) error {
 	if threads[0] == nil || threads[1] == nil {
 		return fmt.Errorf("amp: Reset needs two threads")
@@ -414,6 +396,7 @@ func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) erro
 	s.binding = [2]int{0, 1}
 	s.sched = sched
 	s.cfg = cfg
+	s.injector = nil
 	s.cycle, s.swaps, s.swapFailures, s.morphs = 0, 0, 0, 0
 	s.lastSwapCycle, s.stallUntil = 0, 0
 	s.lastAct = [2]cpu.Activity{}
@@ -564,8 +547,8 @@ func (s *System) flushEnergy() {
 // advances, nothing else happens) or delayed (overhead multiplied).
 func (s *System) requestSwap() {
 	factor := 1.0
-	if s.cfg.SwapInjector != nil {
-		out := s.cfg.SwapInjector.SwapOutcome(s.cycle)
+	if s.injector != nil {
+		out := s.injector.SwapOutcome(s.cycle)
 		if out.Fail {
 			s.swapFailures++
 			s.emit(Event{Kind: EventSwapFailed, Cycle: s.cycle})

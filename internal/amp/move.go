@@ -41,68 +41,6 @@ type MoveScheduler interface {
 	Tick(v View) []Move
 }
 
-// legacyAdapter lifts a deprecated bool-Tick Scheduler into the Move
-// API. It forwards the optional StatsReporter and MorphPolicy
-// capabilities unconditionally: a zero SchedulerStats and MorphNone
-// are value-identical to the capability being absent.
-type legacyAdapter struct {
-	inner Scheduler
-	buf   [2]Move
-}
-
-// Legacy adapts a deprecated amp.Scheduler (Tick reporting "swap now"
-// as a bool) to the MoveScheduler interface: a true Tick becomes the
-// two moves that exchange the threads of a dual-core system.
-//
-// It exists for out-of-tree schedulers written against the old
-// interface; everything in-tree implements MoveScheduler directly.
-func Legacy(s Scheduler) MoveScheduler {
-	if s == nil {
-		return nil
-	}
-	return &legacyAdapter{inner: s}
-}
-
-// Name implements MoveScheduler.
-func (l *legacyAdapter) Name() string { return l.inner.Name() }
-
-// Reset implements MoveScheduler.
-func (l *legacyAdapter) Reset(v View) { l.inner.Reset(v) }
-
-// Tick implements MoveScheduler.
-//
-//ampvet:hotpath
-func (l *legacyAdapter) Tick(v View) []Move {
-	if !l.inner.Tick(v) {
-		return nil
-	}
-	l.buf[0] = Move{Thread: v.ThreadOnCore(0), Core: 1}
-	l.buf[1] = Move{Thread: v.ThreadOnCore(1), Core: 0}
-	return l.buf[:]
-}
-
-// SchedStats implements StatsReporter by forwarding to the wrapped
-// scheduler (zero stats when it does not report).
-func (l *legacyAdapter) SchedStats() SchedulerStats {
-	if sr, ok := l.inner.(StatsReporter); ok {
-		return sr.SchedStats()
-	}
-	return SchedulerStats{}
-}
-
-// MorphTick implements MorphPolicy by forwarding to the wrapped
-// scheduler (MorphNone when it has no morph policy).
-func (l *legacyAdapter) MorphTick(v View) (MorphAction, int) {
-	if mp, ok := l.inner.(MorphPolicy); ok {
-		return mp.MorphTick(v)
-	}
-	return MorphNone, -1
-}
-
-var _ MoveScheduler = (*legacyAdapter)(nil)
-var _ StatsReporter = (*legacyAdapter)(nil)
-var _ MorphPolicy = (*legacyAdapter)(nil)
-
 // movesSwap reports whether a move batch asks the dual-core system to
 // exchange its threads: any well-formed move that places a thread on a
 // core it does not currently occupy. Parks and out-of-range moves are

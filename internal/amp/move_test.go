@@ -2,54 +2,6 @@ package amp
 
 import "testing"
 
-// boolSwapEvery is the deprecated-interface twin of swapEvery: the
-// designated shim regression for the Legacy adapter.
-type boolSwapEvery struct {
-	period uint64
-	next   uint64
-	stats  SchedulerStats
-}
-
-func (s *boolSwapEvery) Name() string { return "swapEvery" }
-func (s *boolSwapEvery) Reset(v View) { s.next = v.Cycle() + s.period }
-func (s *boolSwapEvery) Tick(v View) bool {
-	if v.Cycle() < s.next {
-		return false
-	}
-	s.next = v.Cycle() + s.period
-	s.stats.DecisionPoints++
-	s.stats.SwapRequests++
-	return true
-}
-func (s *boolSwapEvery) SchedStats() SchedulerStats { return s.stats }
-
-// TestLegacyAdapterMatchesMoveScheduler pins the migration contract: a
-// deprecated bool-Tick scheduler wrapped with Legacy must reproduce the
-// MoveScheduler run bit for bit, including the forwarded stats.
-func TestLegacyAdapterMatchesMoveScheduler(t *testing.T) {
-	run := func(s MoveScheduler) Result {
-		sys := MustSystem(coreCfgs(), newPair(t, "gcc", "ammp", 77), s,
-			Config{SwapOverheadCycles: 100})
-		return sys.MustRun(25_000)
-	}
-	want := run(&swapEvery{period: 5000})
-	got := run(Legacy(&boolSwapEvery{period: 5000}))
-	if got.Cycles != want.Cycles || got.Swaps != want.Swaps {
-		t.Fatalf("legacy run diverged: got %d cycles/%d swaps, want %d/%d",
-			got.Cycles, got.Swaps, want.Cycles, want.Swaps)
-	}
-	if got.Threads != want.Threads {
-		t.Fatalf("legacy thread results diverged:\n got %+v\nwant %+v",
-			got.Threads, want.Threads)
-	}
-	if got.Sched.SwapRequests == 0 {
-		t.Fatal("legacy adapter dropped the wrapped scheduler's stats")
-	}
-	if Legacy(nil) != nil {
-		t.Fatal("Legacy(nil) must stay nil")
-	}
-}
-
 func TestViewTopologyDualCore(t *testing.T) {
 	sys := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 78), nil, Config{})
 	if sys.NumCores() != 2 || sys.NumThreads() != 2 {

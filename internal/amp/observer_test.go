@@ -84,31 +84,6 @@ func TestWithFaultPlanOption(t *testing.T) {
 	}
 }
 
-// passInjector lets every swap through (marker for precedence test).
-type passInjector struct{ calls int }
-
-func (p *passInjector) SwapOutcome(uint64) SwapOutcome { p.calls++; return SwapOutcome{} }
-
-// TestWithFaultPlanPrecedenceOverConfigField is the designated shim
-// regression test: the one audited in-repo use of the deprecated
-// Config.SwapInjector field, kept so the precedence contract holds
-// until the shim is deleted.
-func TestWithFaultPlanPrecedenceOverConfigField(t *testing.T) {
-	deprecated := &passInjector{}
-	preferred := &passInjector{}
-	sys := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 23),
-		&swapEvery{period: 5000},
-		Config{SwapInjector: deprecated}, //ampvet:allow deprecatedapi designated shim regression test
-		WithFaultPlan(preferred))
-	sys.MustRun(40_000)
-	if preferred.calls == 0 {
-		t.Error("WithFaultPlan injector never consulted")
-	}
-	if deprecated.calls != 0 {
-		t.Error("deprecated Config.SwapInjector consulted despite WithFaultPlan")
-	}
-}
-
 func TestWithTelemetryMetrics(t *testing.T) {
 	tel := telemetry.New()
 	sys := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 24),

@@ -5,12 +5,10 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// Option customizes a System at construction. Options are the new
-// instrumentation surface: where earlier releases assigned hook fields
-// on Config (SwapInjector) or reached into the System afterwards,
-// callers now pass WithObserver / WithFaultPlan / WithTelemetry to
-// NewSystem. The old Config.SwapInjector field still works but is
-// deprecated; an option takes precedence when both are set.
+// Option customizes a System at construction: observers, fault plans,
+// the simulation engine and telemetry are attached by passing
+// WithObserver / WithFaultPlan / WithEngine / WithTelemetry to
+// NewSystem.
 type Option func(*System)
 
 // WithObserver installs an event observer. Multiple WithObserver (and
@@ -25,12 +23,11 @@ func WithObserver(o Observer) Option {
 }
 
 // WithFaultPlan routes every swap request through the injector
-// (typically a *fault.Plan). It replaces the deprecated
-// Config.SwapInjector field.
+// (typically a *fault.Plan). Reset drops it.
 func WithFaultPlan(inj SwapInjector) Option {
 	return func(s *System) {
 		if inj != nil {
-			s.cfg.SwapInjector = inj
+			s.injector = inj
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package analysis is ampsched's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools
-// go/analysis model (Analyzer, Pass, Diagnostic) plus the seven
+// go/analysis model (Analyzer, Pass, Diagnostic) plus the six
 // project-specific analyzers run by `make lint` via cmd/ampvet.
 //
-// The syntactic four turn the simulator's load-bearing invariants —
+// The syntactic three turn the simulator's load-bearing invariants —
 // bit-reproducible runs under a seed, and an allocation-free per-cycle
 // hot path — from comments and one benchmark into compile-time checks:
 //
@@ -13,9 +13,6 @@
 //   - hotpathalloc: functions annotated //ampvet:hotpath must avoid
 //     allocation-forcing constructs (fmt calls, interface boxing,
 //     capturing closures, append in loops, defer in loops).
-//   - deprecatedapi: the pre-options instrumentation surface
-//     (amp.Config.SwapInjector, sched ObserverInjectable.SetObserver)
-//     must not gain new callers during its deprecation window.
 //   - obserrcheck:  errors from amp.NewSystem / Run / RunContext, the
 //     experiments runner entry points and telemetry/trace sink
 //     Close/Flush must not be silently discarded.
@@ -40,7 +37,8 @@
 //
 // on the flagged line, the line above it, or in the doc comment of the
 // enclosing function. The reason is mandatory: an allow without one is
-// itself a finding.
+// itself a finding, and so, when the full suite runs, is an allow that
+// suppresses nothing.
 package analysis
 
 import (
@@ -49,6 +47,7 @@ import (
 	"go/token"
 	"go/types"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,7 +116,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		HotPathAllocAnalyzer,
-		DeprecatedAPIAnalyzer,
 		ObsErrCheckAnalyzer,
 		LockCheckAnalyzer,
 		UnitCheckAnalyzer,
@@ -183,8 +181,23 @@ func runOne(pkg *Package, analyzers []*Analyzer, sum *Summaries) ([]Diagnostic, 
 		}
 		diags = append(diags, pass.diags...)
 	}
+	if isFullSuite(analyzers) {
+		diags = append(diags, dirs.stale()...)
+	}
 	sortDiags(diags)
 	return diags, nil
+}
+
+// isFullSuite reports whether analyzers include every check of All():
+// only then does an allow that suppressed nothing prove stale, rather
+// than belong to a check that did not run.
+func isFullSuite(analyzers []*Analyzer) bool {
+	for _, a := range All() {
+		if !slices.Contains(analyzers, a) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunSuite applies the analyzers to every package of a load under one

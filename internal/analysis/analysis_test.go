@@ -1,6 +1,8 @@
 package analysis_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,7 +10,7 @@ import (
 	"ampsched/internal/analysis/analysistest"
 )
 
-// The four analyzers against their testdata fixtures: each must catch
+// The analyzers against their testdata fixtures: each must catch
 // every planted violation, honor //ampvet:allow, and stay quiet on the
 // clean/out-of-scope packages.
 
@@ -34,16 +36,6 @@ func TestDeterminismOutOfScope(t *testing.T) {
 
 func TestHotPathAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPathAllocAnalyzer, "hotpathalloc")
-}
-
-func TestDeprecatedAPI(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/app")
-}
-
-func TestDeprecatedAPIDefiningPackagesExempt(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/amp")
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/sched")
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/manycore")
 }
 
 func TestObsErrCheck(t *testing.T) {
@@ -110,6 +102,45 @@ func TestMalformedDirectives(t *testing.T) {
 	if len(diags) != len(wantSubstrings) {
 		t.Errorf("got %d findings, want exactly the %d malformed directives: %v",
 			len(diags), len(wantSubstrings), got)
+	}
+}
+
+// TestStaleAllows loads the staleallow fixture directly: under the
+// full suite every allow that covers no finding is reported, in line
+// and doc-comment form, while a narrowed run reports none of them.
+func TestStaleAllows(t *testing.T) {
+	const dir = "testdata/src/staleallow"
+	loader := analysis.NewLoader(".")
+	pkg, err := loader.LoadDir(dir, "staleallow", nil)
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	src, err := os.ReadFile(filepath.Join(dir, "fixture.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(src), "\n")
+
+	diags, err := analysis.RunAnalyzers(pkg, analysis.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 2 {
+		t.Fatalf("got %d findings, want the 2 stale allows: %v", len(diags), diags)
+	}
+	for _, d := range diags {
+		if d.Check != "ampvet" || !strings.Contains(d.Message, "suppresses no finding") ||
+			!strings.Contains(lines[d.Line-1], "stale:") {
+			t.Errorf("unexpected finding %s", d)
+		}
+	}
+
+	narrowed, err := analysis.RunAnalyzers(pkg, []*analysis.Analyzer{analysis.CtxCheckAnalyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(narrowed) != 0 {
+		t.Errorf("narrowed run reported %v, want nothing", narrowed)
 	}
 }
 

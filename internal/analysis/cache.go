@@ -27,9 +27,9 @@ import (
 //     dependents. Standard-library content is pinned by the go
 //     version in the salt.
 //
-// The cached value is the package's full (pre-baseline) diagnostic
-// list; an empty list — the common case — is cached too, which is
-// what makes the warm path fast.
+// The cached value is the package's full diagnostic list; an empty
+// list — the common case — is cached too, which is what makes the
+// warm path fast.
 type FindingsCache struct {
 	dir  string
 	salt string

@@ -17,7 +17,9 @@ import (
 //	    line below a standalone directive, or — when the directive
 //	    sits in a function's doc comment — the whole function. The
 //	    reason is mandatory; ampvet reports reason-less or unknown
-//	    directives as findings of check "ampvet".
+//	    directives as findings of check "ampvet". When the full suite
+//	    runs, an allow that suppressed no finding of its check is a
+//	    stale exception and is reported the same way.
 //
 //	//ampvet:unit <dim>
 //	//ampvet:unit <param> <dim>
@@ -30,6 +32,9 @@ import (
 // Any other //ampvet:<verb> spelling is a malformed directive: a
 // misspelled marker that silently suppresses nothing is worse than a
 // loud error.
+//
+// The loader reads only a package's non-test files, so directives in
+// _test.go files are never parsed and suppress nothing.
 const (
 	directivePrefix = "//ampvet:"
 	allowPrefix     = "//ampvet:allow"
@@ -37,35 +42,40 @@ const (
 	unitPrefix      = "//ampvet:unit"
 )
 
-// lineKey identifies one source line.
-type lineKey struct {
-	file string
-	line int
-}
-
-// lineRange is a file-scoped inclusive line span (a function body
-// covered by a doc-comment allow).
+// lineRange is a file-scoped inclusive line span.
 type lineRange struct {
 	file       string
 	start, end int
 }
 
+// allowDirective is one well-formed //ampvet:allow: the lines it
+// covers, and whether a finding of its check fell inside them.
+type allowDirective struct {
+	check string
+	pos   token.Position
+	span  lineRange
+	used  bool
+}
+
 // directiveIndex holds a package's parsed //ampvet: directives.
 type directiveIndex struct {
-	// lines maps check name -> source lines an allow covers.
-	lines map[string]map[lineKey]bool
-	// ranges maps check name -> function spans an allow covers.
-	ranges map[string][]lineRange
+	allows []*allowDirective
 	// malformed collects invalid directives as findings.
 	malformed []Diagnostic
 }
 
+// directiveDiag is a finding of check "ampvet" about the directive at
+// pos.
+func directiveDiag(pos token.Position, msg string) Diagnostic {
+	return Diagnostic{
+		Pos: pos, File: pos.Filename, Line: pos.Line,
+		Column: pos.Column, Check: "ampvet", Message: msg,
+	}
+}
+
 // indexDirectives scans every comment in the files.
 func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
-	idx := &directiveIndex{
-		lines:  map[string]map[lineKey]bool{},
-		ranges: map[string][]lineRange{},
-	}
+	idx := &directiveIndex{}
 	valid := map[string]bool{}
 	for _, a := range All() {
 		valid[a.Name] = true
@@ -94,10 +104,7 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 				}
 				pos := fset.Position(c.Pos())
 				bad := func(msg string) {
-					idx.malformed = append(idx.malformed, Diagnostic{
-						Pos: pos, File: pos.Filename, Line: pos.Line,
-						Column: pos.Column, Check: "ampvet", Message: msg,
-					})
+					idx.malformed = append(idx.malformed, directiveDiag(pos, msg))
 				}
 				switch {
 				case strings.HasPrefix(text, allowPrefix):
@@ -138,18 +145,13 @@ func (idx *directiveIndex) indexAllow(text string, pos token.Position, span line
 		bad("ampvet:allow " + check + " needs a reason — audited exceptions must say why")
 		return
 	}
-	if inFuncDoc {
-		idx.ranges[check] = append(idx.ranges[check], span)
-		return
+	if !inFuncDoc {
+		// The directive's own line and the next one: a trailing
+		// comment allows its statement, a standalone comment allows
+		// the line below it.
+		span = lineRange{file: pos.Filename, start: pos.Line, end: pos.Line + 1}
 	}
-	if idx.lines[check] == nil {
-		idx.lines[check] = map[lineKey]bool{}
-	}
-	// The directive's own line and the next one: a trailing comment
-	// allows its statement, a standalone comment allows the line
-	// below it.
-	idx.lines[check][lineKey{pos.Filename, pos.Line}] = true
-	idx.lines[check][lineKey{pos.Filename, pos.Line + 1}] = true
+	idx.allows = append(idx.allows, &allowDirective{check: check, pos: pos, span: span})
 }
 
 // validateUnitDirective checks an //ampvet:unit spelling: one or two
@@ -168,20 +170,33 @@ func validateUnitDirective(text string, bad func(string)) {
 }
 
 // allowed reports whether a finding of check at position is covered by
-// an allow directive.
+// an allow directive, marking every covering directive used.
 func (idx *directiveIndex) allowed(check string, pos token.Position) bool {
 	if idx == nil {
 		return false
 	}
-	if idx.lines[check][lineKey{pos.Filename, pos.Line}] {
-		return true
-	}
-	for _, r := range idx.ranges[check] {
-		if r.file == pos.Filename && r.start <= pos.Line && pos.Line <= r.end {
-			return true
+	covered := false
+	for _, a := range idx.allows {
+		r := a.span
+		if a.check == check && r.file == pos.Filename && r.start <= pos.Line && pos.Line <= r.end {
+			a.used = true
+			covered = true
 		}
 	}
-	return false
+	return covered
+}
+
+// stale reports every allow that suppressed no finding of its check.
+// It is meaningful only after every check of the suite has run.
+func (idx *directiveIndex) stale() []Diagnostic {
+	var out []Diagnostic
+	for _, a := range idx.allows {
+		if !a.used {
+			out = append(out, directiveDiag(a.pos,
+				"ampvet:allow "+a.check+" suppresses no finding; delete the stale exception"))
+		}
+	}
+	return out
 }
 
 // isHotPath reports whether the function declaration carries the

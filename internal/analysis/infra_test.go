@@ -168,25 +168,3 @@ func TestFindingsCacheRoundTrip(t *testing.T) {
 		t.Fatal("salt change did not invalidate the cache")
 	}
 }
-
-func TestBaselineRoundTripAndFilter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	known := analysis.Diagnostic{File: "a.go", Line: 10, Column: 2, Check: "lockcheck", Message: "old debt"}
-	if err := analysis.WriteBaseline(path, []analysis.Diagnostic{known, known}); err != nil {
-		t.Fatal(err)
-	}
-	base, err := analysis.LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := analysis.Diagnostic{File: "b.go", Line: 3, Column: 1, Check: "unitcheck", Message: "new bug"}
-	moved := known
-	moved.Line = 99 // baseline matching is line-insensitive
-	out, suppressed := base.Filter([]analysis.Diagnostic{moved, fresh})
-	if suppressed != 1 {
-		t.Fatalf("suppressed %d, want 1", suppressed)
-	}
-	if len(out) != 1 || out[0] != fresh {
-		t.Fatalf("Filter kept %v, want only the fresh finding", out)
-	}
-}

@@ -479,7 +479,7 @@ func (q *Queue) run(j *Job) {
 	ctx := j.ctx
 	cancelDeadline := func() {}
 	if j.deadline > 0 {
-		ctx, cancelDeadline = context.WithTimeout(ctx, j.deadline) //ampvet:allow determinism job deadlines are wall-clock by contract
+		ctx, cancelDeadline = context.WithTimeout(ctx, j.deadline)
 	}
 	defer cancelDeadline()
 

@@ -106,11 +106,6 @@ func (p *Proposed) Name() string { return "proposed" }
 // Config returns the scheduler's configuration.
 func (p *Proposed) Config() ProposedConfig { return p.cfg }
 
-// SetObserver implements ObserverInjectable.
-func (p *Proposed) SetObserver(factory func(window uint64) monitor.Observer) {
-	p.obsFactory = factory
-}
-
 // Reset implements amp.MoveScheduler.
 func (p *Proposed) Reset(v amp.View) {
 	p.intCore, p.fpCore = coreIndexes(v)
@@ -204,4 +199,3 @@ func (p *Proposed) requestSwap() {
 }
 
 var _ amp.MoveScheduler = (*Proposed)(nil)
-var _ ObserverInjectable = (*Proposed)(nil)

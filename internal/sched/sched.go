@@ -17,22 +17,8 @@ package sched
 
 import (
 	"ampsched/internal/amp"
-	"ampsched/internal/monitor"
 	"ampsched/internal/telemetry"
 )
-
-// ObserverInjectable is implemented by schedulers whose hardware
-// monitors can be replaced — typically wrapped by a fault.Plan so the
-// scheduler sees noisy, dropped or stale samples. SetObserver must be
-// called before the scheduler's Reset (i.e. before amp.NewSystem); the
-// factory is invoked once per thread, in thread order.
-//
-// Deprecated: pass WithObserverFactory to the scheduler constructor
-// instead. The interface remains implemented for one release; a
-// SetObserver call overrides a WithObserverFactory option.
-type ObserverInjectable interface {
-	SetObserver(factory func(window uint64) monitor.Observer)
-}
 
 // DefaultRetryBackoffCycles is the initial hold-off after a scheduler
 // observes its swap request dropped by the reconfiguration controller.

@@ -35,10 +35,9 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 }
 
 // WithObserverFactory replaces the scheduler's hardware monitors, one
-// observer per thread in thread order — the fault-injection seam. It
-// replaces the deprecated ObserverInjectable.SetObserver method; a
-// later SetObserver call still overrides it during the deprecation
-// window.
+// observer per thread in thread order — the fault-injection seam
+// (typically a fault.Plan wrapper, so the scheduler sees noisy,
+// dropped or stale samples).
 func WithObserverFactory(f func(window uint64) monitor.Observer) Option {
 	return func(o *options) { o.obsFactory = f }
 }
