@@ -8,14 +8,16 @@
 // Phases:
 //
 //  1. Boot: three ampserve processes on one machine, each given the
-//     full peer list (-peers), fast heartbeats, and work stealing
-//     enabled.
+//     full peer list (-peers) and fast heartbeats.
 //  2. Load: spray a batch of jobs round-robin across all nodes with a
 //     skewed key distribution (half pin the hottest seed), wait for
 //     every job, and record each pair's result bytes. Every key is
 //     also fetched from a node that did not run the job — the remote
 //     result lookup path. Requires cluster.forwards > 0 somewhere:
-//     the ring actually routed work between nodes.
+//     the ring actually routed work between nodes. Exactly-once: if
+//     no node saw a ring rebuild or a forward fallback, the fleet's
+//     server.batched_pairs (pairs handed to the simulator) must equal
+//     the number of distinct pair keys.
 //  3. Chaos: submit another batch across all three nodes and SIGKILL
 //     node 3 while it is in flight. Jobs stranded on the dead node
 //     (submitted or forwarded to it) are resubmitted to a survivor —
@@ -25,8 +27,8 @@
 //     SIGTERM (exit 0).
 //  4. Oracle: a fresh single node (no -peers, no cluster layer) runs
 //     the same specs; every recorded pair result must be
-//     byte-identical. Compute location — owner, forward fallback,
-//     stealer — must be unobservable in the bytes.
+//     byte-identical. Compute location — owner or forward fallback —
+//     must be unobservable in the bytes.
 //
 // Usage (see `make fleet-smoke`):
 //
@@ -106,7 +108,6 @@ func main() {
 		fleet[i], err = startServer(dir, name, a,
 			"-peers", peerList,
 			"-heartbeat", "200ms",
-			"-stealinterval", "100ms",
 			"-workers", "2",
 		)
 		if err != nil {
@@ -166,11 +167,24 @@ func main() {
 			}
 		}
 	}
-	forwards, steals, remoteHits := fleetCounters(fleet)
-	logf("phase 2: forwards=%.0f steals=%.0f remote_hits=%.0f over %d keys",
-		forwards, steals, remoteHits, len(results))
+	c, err := fleetSums(fleet, "cluster.forwards", "cluster.remote_hits", "server.batched_pairs",
+		"cluster.ring_rebuilds", "cluster.forward_fallbacks")
+	if err != nil {
+		fatal(fmt.Errorf("phase 2: %w", err))
+	}
+	forwards, sims, keys := c["cluster.forwards"], c["server.batched_pairs"], len(results)
+	logf("phase 2: forwards=%.0f remote_hits=%.0f simulations=%.0f over %d keys (ring_rebuilds=%.0f forward_fallbacks=%.0f)",
+		forwards, c["cluster.remote_hits"], sims, keys, c["cluster.ring_rebuilds"], c["cluster.forward_fallbacks"])
 	if forwards < 1 {
 		fatal(fmt.Errorf("phase 2: cluster.forwards = 0 — the ring never routed work between nodes"))
+	}
+	if c["cluster.ring_rebuilds"] == 0 && c["cluster.forward_fallbacks"] == 0 {
+		if sims != float64(keys) {
+			fatal(fmt.Errorf("phase 2: %.0f simulations for %d distinct pair keys with no failures — each key must be simulated exactly once", sims, keys))
+		}
+		logf("phase 2: exactly-once holds")
+	} else {
+		logf("phase 2: exactly-once check skipped: a ring rebuild or forward fallback may legitimately re-simulate")
 	}
 
 	// ---- Phase 3: kill one node mid-load -------------------------------
@@ -294,8 +308,8 @@ func main() {
 		fatal(fmt.Errorf("phase 4 graceful stop: %w", err))
 	}
 
-	fmt.Printf("fleet-smoke PASS: %d jobs across 3 nodes, %.0f forwards, %.0f steals, 1 node killed, %d pair results byte-identical to single-node oracle\n",
-		len(load)+nB+2, forwards, steals, checked)
+	fmt.Printf("fleet-smoke PASS: %d jobs across 3 nodes, %.0f forwards, %.0f phase-2 simulations for %d keys, 1 node killed, %d pair results byte-identical to single-node oracle\n",
+		len(load)+nB+2, forwards, sims, keys, checked)
 }
 
 // waitResult pairs a terminal status with the base URL it came from,
@@ -363,20 +377,20 @@ func recordResults(base string, st jobStatus, seed uint64, results map[string][]
 	return nil
 }
 
-// fleetCounters sums the cross-node counters over reachable nodes.
-func fleetCounters(fleet []*proc) (forwards, steals, remoteHits float64) {
+// fleetSums sums each named counter over every node; all nodes must
+// answer.
+func fleetSums(fleet []*proc, names ...string) (map[string]float64, error) {
+	sums := make(map[string]float64, len(names))
 	for _, p := range fleet {
-		if f, err := metricValue(p.base, "cluster.forwards"); err == nil {
-			forwards += f
-		}
-		if s, err := metricValue(p.base, "cluster.steals"); err == nil {
-			steals += s
-		}
-		if h, err := metricValue(p.base, "cluster.remote_hits"); err == nil {
-			remoteHits += h
+		for _, name := range names {
+			v, err := metricValue(p.base, name)
+			if err != nil {
+				return nil, fmt.Errorf("reading %s from %s: %w", name, p.base, err)
+			}
+			sums[name] += v
 		}
 	}
-	return
+	return sums, nil
 }
 
 // freeAddrs reserves n distinct loopback ports by binding and

@@ -21,10 +21,10 @@
 // submissions round-robin across it, so every node sees every spec
 // and the cluster layer's forwarding/singleflight does the
 // deduplication. -skew pins a fraction of jobs to the hottest spec to
-// provoke imbalance (and therefore work stealing). The report gains a
-// per-node balance table — jobs completed, pairs simulated locally,
-// forwards, steals granted/run — plus the fleet-wide cross-node
-// cache-hit rate, all scraped from each node's /metrics endpoint.
+// provoke imbalance. The report gains a per-node balance table — jobs
+// completed, pairs simulated, forwards, ring rebuilds — plus the
+// fleet-wide cross-node cache-hit rate, all scraped from each node's
+// /metrics endpoint.
 package main
 
 import (
@@ -220,13 +220,13 @@ func fleetNodes(fleet, addr string) []string {
 }
 
 // fleetReport scrapes each node's /metrics and prints the per-node
-// balance table: how work landed (jobs completed, pairs simulated
-// locally = cache misses), how it moved (forwards, steals), and the
-// fleet-wide cross-node cache-hit rate — remote lookups that found
-// the pair already computed elsewhere.
+// balance table: how work landed (jobs completed, pairs handed to the
+// simulator = server.batched_pairs), how it moved (forwards, ring
+// rebuilds), and the fleet-wide cross-node cache-hit rate — remote
+// lookups that found the pair already computed elsewhere.
 func fleetReport(nodes, bases []string) {
-	fmt.Printf("fleet:      %-21s %8s %8s %8s %8s %8s %8s\n",
-		"node", "jobs", "simmed", "fwd", "stolen", "granted", "rebuilds")
+	fmt.Printf("fleet:      %-21s %8s %8s %8s %8s\n",
+		"node", "jobs", "simmed", "fwd", "rebuilds")
 	var remoteHits, remoteMisses float64
 	for i, base := range bases {
 		m, err := scrapeMetrics(base)
@@ -234,10 +234,9 @@ func fleetReport(nodes, bases []string) {
 			fmt.Printf("fleet:      %-21s unreachable: %v\n", nodes[i], err)
 			continue
 		}
-		fmt.Printf("fleet:      %-21s %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f\n",
-			nodes[i], m["server.jobs_completed"], m["server.cache_misses"],
-			m["cluster.forwards"], m["cluster.steals"],
-			m["cluster.steals_granted"], m["cluster.ring_rebuilds"])
+		fmt.Printf("fleet:      %-21s %8.0f %8.0f %8.0f %8.0f\n",
+			nodes[i], m["server.jobs_completed"], m["server.batched_pairs"],
+			m["cluster.forwards"], m["cluster.ring_rebuilds"])
 		remoteHits += m["cluster.remote_hits"]
 		remoteMisses += m["cluster.remote_misses"]
 	}

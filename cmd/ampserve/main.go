@@ -27,9 +27,8 @@
 // an ampserve fleet. Submissions route to their canonical owner on a
 // consistent-hash ring (so concurrent identical jobs collapse into
 // one simulation fleet-wide), cached results are shared node-to-node,
-// idle nodes steal pending pair jobs from overloaded peers, and a
-// heartbeat marks unreachable peers dead and re-routes around them
-// (internal/cluster).
+// and a heartbeat marks unreachable peers dead and re-routes around
+// them (internal/cluster).
 package main
 
 import (
@@ -80,13 +79,11 @@ func main() {
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "graceful drain budget after SIGTERM")
 		verbose      = flag.Bool("v", false, "log requests-in-progress details to stderr")
 
-		peers         = flag.String("peers", "", "fleet mode: comma-separated peer addresses (host:port), including this node")
-		peersFile     = flag.String("peersfile", "", "fleet mode: file with one peer address per line (alternative to -peers)")
-		advertise     = flag.String("advertise", "", "fleet mode: this node's address as peers spell it (default: the bound address)")
-		vnodes        = flag.Int("vnodes", 0, "fleet mode: virtual nodes per peer on the hash ring (0 = 64)")
-		heartbeat     = flag.Duration("heartbeat", 0, "fleet mode: peer liveness probe cadence (0 = 500ms)")
-		stealInterval = flag.Duration("stealinterval", 0, "fleet mode: idle work-stealing poll cadence (0 = 250ms, negative disables)")
-		claimTTL      = flag.Duration("claimttl", 0, "fleet mode: stolen-work claim TTL before local re-dispatch (0 = 20s)")
+		peers     = flag.String("peers", "", "fleet mode: comma-separated peer addresses (host:port), including this node")
+		peersFile = flag.String("peersfile", "", "fleet mode: file with one peer address per line (alternative to -peers)")
+		advertise = flag.String("advertise", "", "fleet mode: this node's address as peers spell it (default: the bound address)")
+		vnodes    = flag.Int("vnodes", 0, "fleet mode: virtual nodes per peer on the hash ring (0 = 64)")
+		heartbeat = flag.Duration("heartbeat", 0, "fleet mode: peer liveness probe cadence (0 = 500ms)")
 	)
 	flag.Parse()
 
@@ -216,19 +213,17 @@ func main() {
 
 	// Fleet mode: wrap the server in a cluster node. The node's
 	// handler layers consistent-hash routing, peer endpoints and
-	// forwarding over the plain API; its background loops (heartbeat,
-	// work stealing) run until the drain path closes them.
+	// forwarding over the plain API; its heartbeat runs until the drain
+	// path closes it.
 	handler := srv.Handler()
 	var node *cluster.Node
 	if len(peerList) > 0 {
 		node, err = cluster.New(srv, cluster.Config{
-			Self:          self,
-			Peers:         peerList,
-			VNodes:        *vnodes,
-			Heartbeat:     *heartbeat,
-			StealInterval: *stealInterval,
-			ClaimTTL:      *claimTTL,
-			Telemetry:     tel,
+			Self:      self,
+			Peers:     peerList,
+			VNodes:    *vnodes,
+			Heartbeat: *heartbeat,
+			Telemetry: tel,
 		})
 		if err != nil {
 			fatal(err)
@@ -266,9 +261,9 @@ func main() {
 
 	exit := 0
 	if node != nil {
-		// Stop forwarding/stealing before the queue drains: a claim
-		// voided here re-dispatches on its owner, and peers' heartbeats
-		// re-route new work away once the listener is gone.
+		// Stop the heartbeat and unhook remote lookup and replication
+		// before the queue drains; peers' heartbeats re-route new work
+		// away once the listener is gone.
 		if err := node.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "ampserve: cluster:", err)
 			exit = 1

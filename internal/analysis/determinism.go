@@ -21,10 +21,10 @@ var simCoreSuffixes = []string{
 	"internal/jobqueue",
 	"internal/server",
 	"internal/wal",
-	// The fleet layer routes by content address: placement and claim
-	// bookkeeping must be pure functions of membership and spec bytes,
-	// so the wall-clock pieces (heartbeats, leases) carry audited
-	// allows instead of exempting the package.
+	// The fleet layer routes by content address: placement must be a
+	// pure function of membership and spec bytes, so the one
+	// wall-clock piece (the heartbeat ticker) carries an audited allow
+	// instead of exempting the package.
 	"internal/cluster",
 }
 

@@ -74,8 +74,8 @@ var checkedAPIs = []checkedAPI{
 	{"internal/experiments", "DirCheckpointer", "Save"},
 	{"internal/experiments", "DirCheckpointer", "Load"},
 	// Fleet layer: a dropped error here boots a node that silently
-	// never joined the ring (New/Start) or leaks heartbeat and steal
-	// goroutines past shutdown (Close).
+	// never joined the ring (New/Start) or leaks the heartbeat and
+	// replication goroutines past shutdown (Close).
 	{"internal/cluster", "", "New"},
 	{"internal/cluster", "Node", "Start"},
 	{"internal/cluster", "Node", "Close"},

@@ -1,7 +1,7 @@
 // Package cluster is a determinism fixture: its import path ends in
-// internal/cluster, so the fleet layer's routing and claim bookkeeping
-// are held to the same no-wall-clock rules as the simulation core —
-// placement must be a pure function of membership and spec bytes.
+// internal/cluster, so the fleet layer's routing is held to the same
+// no-wall-clock rules as the simulation core — placement must be a
+// pure function of membership and spec bytes.
 package cluster
 
 import "time"
@@ -16,13 +16,13 @@ func Heartbeat() *time.Ticker {
 	return time.NewTicker(time.Second) // want `time\.NewTicker reads the wall clock`
 }
 
-// Allowed documents the audited exception the real node uses for its
-// claim leases and heartbeat cadence.
+// Allowed documents the audited exception form the real node uses for
+// its heartbeat cadence.
 func Allowed() time.Time {
-	return time.Now() //ampvet:allow determinism claim leases are inherently wall-clock
+	return time.Now() //ampvet:allow determinism peer liveness is inherently wall-clock
 }
 
-// VoidAll observes map iteration order over live claims.
+// VoidAll observes map iteration order over live waiters.
 func VoidAll(claims map[string]chan struct{}) {
 	for key, done := range claims { // want `map iteration order is randomized`
 		_ = key
@@ -30,10 +30,10 @@ func VoidAll(claims map[string]chan struct{}) {
 	}
 }
 
-// VoidAllAudited mirrors the real fan-out, where the order is
-// unobservable and carries an audited allow.
+// VoidAllAudited is the audited form of a fan-out whose order is
+// unobservable.
 func VoidAllAudited(claims map[string]chan struct{}) {
-	for _, done := range claims { //ampvet:allow determinism claim-void fan-out order is unobservable
+	for _, done := range claims { //ampvet:allow determinism fan-out order is unobservable
 		close(done)
 	}
 }

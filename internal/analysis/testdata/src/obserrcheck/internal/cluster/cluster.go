@@ -13,7 +13,7 @@ type Node struct{}
 // New mirrors node construction's (node, error) shape.
 func New(cfg Config) (*Node, error) { return &Node{}, nil }
 
-// Start mirrors the heartbeat/steal-loop launch error.
+// Start mirrors the heartbeat launch error.
 func (n *Node) Start(ctx context.Context) error { return nil }
 
 // Close mirrors the shutdown error (leaked loops on drop).

@@ -42,7 +42,7 @@ func BenchmarkClusterJobRouteKey(b *testing.B) {
 }
 
 func BenchmarkClusterPeerResultFetch(b *testing.B) {
-	fleet := startFleet(b, 2, nil, nil)
+	fleet := startFleet(b, 2, nil)
 	const key = "benchmark-pair-record"
 	data := []byte(`{"pair":["gcc","swim"],"speedup":1.25}`)
 	fleet[0].srv.Cache().Put(key, data)

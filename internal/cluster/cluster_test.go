@@ -39,10 +39,8 @@ type testNode struct {
 	tel  *telemetry.Telemetry
 }
 
-// startFleet boots n nodes that all know each other. Work stealing is
-// disabled by default (StealInterval < 0) so routing tests are
-// deterministic; the steal test turns it back on.
-func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config), mutateCl func(int, *Config)) []*testNode {
+// startFleet boots n nodes that all know each other.
+func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config)) []*testNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -71,17 +69,12 @@ func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config), mutate
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccfg := Config{
-			Self:          addrs[i],
-			Peers:         addrs,
-			Heartbeat:     100 * time.Millisecond,
-			StealInterval: -1,
-			Telemetry:     tel,
-		}
-		if mutateCl != nil {
-			mutateCl(i, &ccfg)
-		}
-		node, err := New(srv, ccfg)
+		node, err := New(srv, Config{
+			Self:      addrs[i],
+			Peers:     addrs,
+			Heartbeat: 100 * time.Millisecond,
+			Telemetry: tel,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +187,7 @@ func fetchResult(t *testing.T, base, key string) []byte {
 // the same canonical key, forward to the same owner, and the owner's
 // cache singleflight collapses the two submissions into one compute.
 func TestCrossNodeSingleflight(t *testing.T) {
-	fleet := startFleet(t, 2, nil, nil)
+	fleet := startFleet(t, 2, nil)
 	const pairs = 3
 	seed := seedOwnedBy(t, fleet, 0, pairs, 1000)
 	spec := server.JobSpec{Pairs: pairs, Seed: seed}
@@ -268,7 +261,7 @@ func TestForwardPropagatesRetryAfter(t *testing.T) {
 			if i == 0 { // the owner: one worker, one pending slot
 				cfg.Queue = jobqueue.Config{Workers: 1, Capacity: 1}
 			}
-		}, nil)
+		})
 
 	// Slow distinct jobs, all owned by node 0, all submitted through
 	// node 1: the first runs, the second fills the only pending slot,
@@ -305,72 +298,11 @@ func TestForwardPropagatesRetryAfter(t *testing.T) {
 	}
 }
 
-// TestWorkStealing backs up one node and requires the idle peer to
-// pull pending jobs over the claim protocol and return the records —
-// observable in the cluster counters, invisible in the results.
-func TestWorkStealing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping fleet backlog test in short mode")
-	}
-	fleet := startFleet(t, 2,
-		func(i int, cfg *server.Config) {
-			if i == 0 { // the victim: a single worker builds a backlog
-				cfg.Queue = jobqueue.Config{Workers: 1, Capacity: 16}
-			}
-		},
-		func(i int, cfg *Config) {
-			cfg.StealInterval = 20 * time.Millisecond
-			// Long claim leases and a lazy heartbeat: under the race
-			// detector a stolen job can outlive the default TTL, and a
-			// stealer saturated by race-instrumented compute can miss
-			// enough probes to be declared dead — either way the victim
-			// voids or expires the claims and the returned bytes land
-			// with nothing to fulfill, losing exactly the steal_returns
-			// signal this test pins. Peers start alive, so a 10 s cadence
-			// never completes a death within the test.
-			cfg.ClaimTTL = 2 * time.Minute
-			cfg.Heartbeat = 10 * time.Second
-		})
-
-	// Six slow jobs, every one owned by (and submitted to) node 0, so
-	// forwarding never spreads them: only stealing can. Modest pairs —
-	// if stealing kicks in late, the victim's single worker must still
-	// drain the whole backlog inside the waitDone budget under -race.
-	const jobs, pairs = 6, 8
-	var ids []string
-	from := uint64(3000)
-	for i := 0; i < jobs; i++ {
-		seed := seedOwnedBy(t, fleet, 0, pairs, from)
-		from = seed + 1
-		st, resp := postJob(t, fleet[0].base, server.JobSpec{Pairs: pairs, Seed: seed})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST %d = %d, want 202", i, resp.StatusCode)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		waitDone(t, fleet[0].base, id)
-	}
-
-	for _, name := range []string{"cluster.steals", "cluster.steals_granted", "cluster.steal_returns", "cluster.redispatches", "cluster.replicas", "cluster.peer_suspects", "cluster.peer_deaths", "server.cache_misses", "server.jobs_completed"} {
-		t.Logf("node0 %s=%d node1 %s=%d", name, fleet[0].tel.Counter(name).Value(), name, fleet[1].tel.Counter(name).Value())
-	}
-	if got := fleet[1].tel.Counter("cluster.steals").Value(); got < 1 {
-		t.Errorf("idle peer ran %d stolen jobs, want >= 1", got)
-	}
-	if got := fleet[0].tel.Counter("cluster.steals_granted").Value(); got < 1 {
-		t.Errorf("victim granted %d claims, want >= 1", got)
-	}
-	if got := fleet[0].tel.Counter("cluster.steal_returns").Value(); got < 1 {
-		t.Errorf("victim saw %d returned claim keys, want >= 1", got)
-	}
-}
-
 // TestRemoteResultLookup computes a job on its owner and reads a pair
 // record through the other node, which must fetch it from the peer
 // (counted as a remote hit) rather than 404ing.
 func TestRemoteResultLookup(t *testing.T) {
-	fleet := startFleet(t, 2, nil, nil)
+	fleet := startFleet(t, 2, nil)
 	const pairs = 2
 	seed := seedOwnedBy(t, fleet, 0, pairs, 4000)
 	st, resp := postJob(t, fleet[0].base, server.JobSpec{Pairs: pairs, Seed: seed})
@@ -383,50 +315,6 @@ func TestRemoteResultLookup(t *testing.T) {
 		b := fetchResult(t, fleet[1].base, r.Key)
 		if !bytes.Equal(a, b) {
 			t.Errorf("key %s: bytes differ across nodes", r.Key)
-		}
-	}
-}
-
-// TestJobIDNamespace pins the fleet-mode id format: distinct id
-// spaces mint non-colliding ids, the single-node format stays bare.
-func TestJobIDNamespace(t *testing.T) {
-	mk := func(space string) *server.Server {
-		srv, err := server.New(server.Config{
-			BaseOptions: testOptions(),
-			Queue:       jobqueue.Config{Workers: 1, Capacity: 4},
-			Cache:       server.CacheConfig{ByteBudget: 1 << 20},
-			JobIDSpace:  space,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv
-	}
-	a := mk("127.0.0.1:1111")
-	b := mk("127.0.0.1:2222")
-	bare := mk("")
-	idA, err := a.SubmitSpec(server.JobSpec{Pairs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := b.SubmitSpec(server.JobSpec{Pairs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idBare, err := bare.SubmitSpec(server.JobSpec{Pairs: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idA == idB {
-		t.Fatalf("two id spaces minted the same id %q", idA)
-	}
-	if idBare != "1" {
-		t.Fatalf("single-node first id = %q, want \"1\"", idBare)
-	}
-	for _, id := range []string{idA, idB} {
-		if len(id) < 10 || id[8] != '-' {
-			t.Fatalf("namespaced id %q does not match <8 hex>-<n>", id)
 		}
 	}
 }

@@ -23,16 +23,21 @@ const (
 	peerDead
 )
 
+// suspectAfter / deadAfter are the consecutive missed probes before a
+// peer is marked suspect / dead.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
 // membership tracks static fleet membership plus dynamic liveness,
 // and owns the live ring rebuilt on every alive<->dead transition.
 // Static membership means the peer set never grows or shrinks; nodes
 // only move between alive, suspect and dead.
 type membership struct {
-	self         string
-	peers        []string // sorted, includes self
-	vnodes       int
-	suspectAfter int // consecutive missed probes → suspect
-	deadAfter    int // consecutive missed probes → dead
+	self   string
+	peers  []string // sorted, includes self
+	vnodes int
 
 	mu     sync.Mutex
 	misses map[string]int
@@ -42,23 +47,17 @@ type membership struct {
 	rebuilds *telemetry.Counter
 	suspects *telemetry.Counter
 	deaths   *telemetry.Counter
-
-	// onDeath runs (outside the lock) when a peer transitions to dead,
-	// so the node layer can void that stealer's outstanding claims.
-	onDeath func(peer string)
 }
 
-func newMembership(self string, peers []string, vnodes, suspectAfter, deadAfter int, tel *telemetry.Telemetry) *membership {
+func newMembership(self string, peers []string, vnodes int, tel *telemetry.Telemetry) *membership {
 	m := &membership{
-		self:         self,
-		vnodes:       vnodes,
-		suspectAfter: suspectAfter,
-		deadAfter:    deadAfter,
-		misses:       make(map[string]int),
-		states:       make(map[string]peerState),
-		rebuilds:     tel.Counter("cluster.ring_rebuilds"),
-		suspects:     tel.Counter("cluster.peer_suspects"),
-		deaths:       tel.Counter("cluster.peer_deaths"),
+		self:     self,
+		vnodes:   vnodes,
+		misses:   make(map[string]int),
+		states:   make(map[string]peerState),
+		rebuilds: tel.Counter("cluster.ring_rebuilds"),
+		suspects: tel.Counter("cluster.peer_suspects"),
+		deaths:   tel.Counter("cluster.peer_deaths"),
 	}
 	seen := map[string]bool{self: true}
 	m.peers = []string{self}
@@ -112,13 +111,8 @@ func (m *membership) lookupOrder(key string) []string {
 	return out
 }
 
-// livePeers returns every non-dead peer except self, sorted.
-func (m *membership) livePeers() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.livePeersLocked()
-}
-
+// livePeersLocked returns every non-dead peer except self, sorted.
+// Callers hold m.mu.
 func (m *membership) livePeersLocked() []string {
 	out := make([]string, 0, len(m.peers))
 	for _, p := range m.peers {
@@ -158,11 +152,10 @@ func (m *membership) observe(peer string, ok bool) {
 	if peer == m.self {
 		return
 	}
-	var died bool
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	prev, known := m.states[peer]
 	if !known {
-		m.mu.Unlock()
 		return
 	}
 	if ok {
@@ -173,23 +166,17 @@ func (m *membership) observe(peer string, ok bool) {
 				m.rebuildLocked()
 			}
 		}
-		m.mu.Unlock()
 		return
 	}
 	m.misses[peer]++
 	switch {
-	case m.misses[peer] >= m.deadAfter && prev != peerDead:
+	case m.misses[peer] >= deadAfter && prev != peerDead:
 		m.states[peer] = peerDead
 		m.deaths.Inc()
 		m.rebuildLocked()
-		died = true
-	case m.misses[peer] >= m.suspectAfter && prev == peerAlive:
+	case m.misses[peer] >= suspectAfter && prev == peerAlive:
 		m.states[peer] = peerSuspect
 		m.suspects.Inc()
-	}
-	m.mu.Unlock()
-	if died && m.onDeath != nil {
-		m.onDeath(peer)
 	}
 }
 

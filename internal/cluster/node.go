@@ -31,69 +31,23 @@ type Config struct {
 	// Heartbeat is the liveness probe cadence and per-probe timeout
 	// (0 = 500ms).
 	Heartbeat time.Duration
-	// SuspectAfter / DeadAfter are consecutive missed probes before a
-	// peer is marked suspect / dead (0 = 2 / 4).
-	SuspectAfter int
-	DeadAfter    int
-	// ForwardTimeout bounds one submission forward to the owner
-	// (0 = 5s); on timeout or transport error the node falls back to
-	// computing locally.
-	ForwardTimeout time.Duration
-	// RemoteTimeout bounds one peer cache lookup or result return
-	// (0 = 2s).
-	RemoteTimeout time.Duration
-	// ClaimTTL is how long a work-stealing claim shields a pair key
-	// from local compute before the owner speculatively re-dispatches
-	// it (0 = 20s).
-	ClaimTTL time.Duration
-	// StealInterval is the idle node's steal poll cadence (0 = 250ms;
-	// negative disables stealing).
-	StealInterval time.Duration
-	// StealMax caps jobs claimed per poll (0 = 2).
-	StealMax int
-	// StealMinCost is the minimum victim backlog cost worth stealing
-	// from (jobqueue cost units; 0 = any backlog).
-	StealMinCost float64
-	// Probe overrides the liveness probe (tests); nil probes
-	// GET /v1/peer/health over HTTP.
-	Probe func(ctx context.Context, peer string) error
 	// Telemetry receives cluster metrics; nil disables them.
 	Telemetry *telemetry.Telemetry
 }
 
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 4
-	}
-	if c.ForwardTimeout <= 0 {
-		c.ForwardTimeout = 5 * time.Second
-	}
-	if c.RemoteTimeout <= 0 {
-		c.RemoteTimeout = 2 * time.Second
-	}
-	if c.ClaimTTL <= 0 {
-		c.ClaimTTL = 20 * time.Second
-	}
-	if c.StealInterval == 0 {
-		c.StealInterval = 250 * time.Millisecond
-	}
-	if c.StealMax <= 0 {
-		c.StealMax = 2
-	}
-	return c
-}
+const (
+	// forwardTimeout bounds one submission forward to the owner; on
+	// timeout or transport error the node falls back to computing
+	// locally.
+	forwardTimeout = 5 * time.Second
+	// remoteTimeout bounds one peer cache lookup or result replication.
+	remoteTimeout = 2 * time.Second
+)
 
 // Node is one fleet member: it wraps a server.Server, owns the
 // node-to-node protocol, and installs the remote-lookup / publish
 // hooks on the server's pair compute path. Create with New, serve
-// Handler, call Start for the background loops, Close to stop.
+// Handler, call Start for the heartbeat, Close to stop.
 type Node struct {
 	srv    *server.Server
 	inner  http.Handler
@@ -101,15 +55,13 @@ type Node struct {
 	mem    *membership
 	client *http.Client
 
-	mu        sync.Mutex
-	fwd       map[string]string    // forwarded job id -> owner address
-	claims    map[string]*claim    // pair key -> outstanding steal claim (owner side)
-	jobClaims map[string]time.Time // job id -> claim expiry (owner side)
-	runCtx    context.Context
-	wg        sync.WaitGroup
-	stop      chan struct{}
-	stopOnce  sync.Once
-	started   bool
+	mu       sync.Mutex
+	fwd      map[string]string // forwarded job id -> owner address
+	runCtx   context.Context
+	wg       sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	started  bool
 
 	forwards         *telemetry.Counter
 	forwardFallbacks *telemetry.Counter
@@ -117,31 +69,27 @@ type Node struct {
 	remoteHits       *telemetry.Counter
 	remoteMisses     *telemetry.Counter
 	replicas         *telemetry.Counter
-	steals           *telemetry.Counter
-	stealsGranted    *telemetry.Counter
-	stealReturns     *telemetry.Counter
-	redispatches     *telemetry.Counter
 }
 
 // New wraps srv as a fleet node and installs the cluster hooks on its
 // compute path. The node is routable immediately; Start launches the
-// heartbeat and steal loops.
+// heartbeat.
 func New(srv *server.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: Config.Self required")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Heartbeat <= 0 {
+		cfg.Heartbeat = 500 * time.Millisecond
+	}
 	tel := cfg.Telemetry
 	n := &Node{
-		srv:       srv,
-		inner:     srv.Handler(),
-		cfg:       cfg,
-		mem:       newMembership(cfg.Self, cfg.Peers, cfg.VNodes, cfg.SuspectAfter, cfg.DeadAfter, tel),
-		client:    &http.Client{},
-		fwd:       make(map[string]string),
-		claims:    make(map[string]*claim),
-		jobClaims: make(map[string]time.Time),
-		stop:      make(chan struct{}),
+		srv:    srv,
+		inner:  srv.Handler(),
+		cfg:    cfg,
+		mem:    newMembership(cfg.Self, cfg.Peers, cfg.VNodes, tel),
+		client: &http.Client{},
+		fwd:    make(map[string]string),
+		stop:   make(chan struct{}),
 
 		forwards:         tel.Counter("cluster.forwards"),
 		forwardFallbacks: tel.Counter("cluster.forward_fallbacks"),
@@ -149,17 +97,12 @@ func New(srv *server.Server, cfg Config) (*Node, error) {
 		remoteHits:       tel.Counter("cluster.remote_hits"),
 		remoteMisses:     tel.Counter("cluster.remote_misses"),
 		replicas:         tel.Counter("cluster.replicas"),
-		steals:           tel.Counter("cluster.steals"),
-		stealsGranted:    tel.Counter("cluster.steals_granted"),
-		stealReturns:     tel.Counter("cluster.steal_returns"),
-		redispatches:     tel.Counter("cluster.redispatches"),
 	}
-	n.mem.onDeath = n.voidClaimsFrom
 	srv.SetCluster(n.remotePair, n.publishPair)
 	return n, nil
 }
 
-// Start launches the heartbeat and work-stealing loops under ctx.
+// Start launches the heartbeat loop under ctx.
 func (n *Node) Start(ctx context.Context) error {
 	n.mu.Lock()
 	if n.started {
@@ -172,21 +115,15 @@ func (n *Node) Start(ctx context.Context) error {
 
 	n.wg.Add(1)
 	go n.heartbeatLoop(ctx)
-	if n.cfg.StealInterval > 0 {
-		n.wg.Add(1)
-		go n.stealLoop(ctx)
-	}
 	return nil
 }
 
-// Close stops the background loops, removes the server hooks, and
-// voids every outstanding claim so no compute path waits on a claim
-// that can no longer be fulfilled.
+// Close stops the heartbeat, waits for in-flight replications, and
+// removes the server hooks.
 func (n *Node) Close() error {
 	n.stopOnce.Do(func() { close(n.stop) })
 	n.wg.Wait()
 	n.srv.SetCluster(nil, nil)
-	n.voidAllClaims()
 	return nil
 }
 
@@ -200,10 +137,6 @@ func (n *Node) Ring() *Ring {
 // heartbeatLoop probes every peer each Heartbeat tick.
 func (n *Node) heartbeatLoop(ctx context.Context) {
 	defer n.wg.Done()
-	probe := n.cfg.Probe
-	if probe == nil {
-		probe = n.probePeer
-	}
 	t := time.NewTicker(n.cfg.Heartbeat) //ampvet:allow determinism peer liveness is inherently wall-clock
 	defer t.Stop()
 	for {
@@ -213,13 +146,13 @@ func (n *Node) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			n.mem.heartbeat(ctx, probe)
+			n.mem.heartbeat(ctx, n.probePeer)
 		}
 	}
 }
 
-// probePeer is the default liveness probe: GET /v1/peer/health with
-// the heartbeat interval as its timeout.
+// probePeer is the liveness probe: GET /v1/peer/health with the
+// heartbeat interval as its timeout; any 200 counts as alive.
 func (n *Node) probePeer(ctx context.Context, peer string) error {
 	rctx, cancel := context.WithTimeout(ctx, n.cfg.Heartbeat)
 	defer cancel()
@@ -299,8 +232,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/peer/results/{key}", n.handlePeerResult)
 	mux.HandleFunc("PUT /v1/peer/results/{key}", n.handlePeerPut)
 	mux.HandleFunc("GET /v1/peer/health", n.handlePeerHealth)
-	mux.HandleFunc("POST /v1/peer/claims", n.handlePeerClaims)
-	mux.HandleFunc("POST /v1/peer/claims/release", n.handlePeerRelease)
 	mux.Handle("/", n.inner)
 	return mux
 }
@@ -344,7 +275,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // compute: byte-identical results make the detour invisible, and the
 // missed probe feeds the liveness state machine.
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner string, body []byte) {
-	ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peerURL(owner, "/v1/peer/jobs"), bytes.NewReader(body))
 	if err != nil {
@@ -475,7 +406,7 @@ func (n *Node) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, peer := range n.mem.lookupOrder(key) {
-		rctx, cancel := context.WithTimeout(r.Context(), n.cfg.RemoteTimeout)
+		rctx, cancel := context.WithTimeout(r.Context(), remoteTimeout)
 		data, err := n.getPeerResult(rctx, peer, key)
 		cancel()
 		if err != nil {
@@ -518,11 +449,8 @@ func (n *Node) handlePeerResult(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// handlePeerPut accepts a pair record from a peer — a stealer
-// returning claimed work, or a publisher replicating to this node as
-// the key's rendezvous owner. The bytes are cached and any
-// outstanding claim on the key is fulfilled, waking the compute path
-// blocked on it.
+// handlePeerPut accepts a pair record a publisher replicates to this
+// node as the key's rendezvous owner, and caches it.
 func (n *Node) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	data, err := io.ReadAll(r.Body)
@@ -531,52 +459,30 @@ func (n *Node) handlePeerPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.srv.Cache().Put(key, data)
-	n.fulfillClaim(key, data)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// PeerHealth is the GET /v1/peer/health body: liveness plus the queue
-// census stealers pick victims by.
+// PeerHealth is the GET /v1/peer/health body. The heartbeat probe
+// reads only the 200 status; the body names the answering node.
 type PeerHealth struct {
-	Self        string  `json:"self"`
-	State       string  `json:"state"` // "ready" | "draining"
-	Pending     int     `json:"pending"`
-	Running     int     `json:"running"`
-	PendingCost float64 `json:"pending_cost"`
+	Self string `json:"self"`
 }
 
 // handlePeerHealth serves the heartbeat probe.
 func (n *Node) handlePeerHealth(w http.ResponseWriter, r *http.Request) {
-	st := n.srv.Queue().Stats()
-	h := PeerHealth{
-		Self:        n.cfg.Self,
-		State:       "ready",
-		Pending:     st.Pending,
-		Running:     st.Running,
-		PendingCost: st.PendingCost,
-	}
-	if n.srv.Draining() {
-		h.State = "draining"
-	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = json.NewEncoder(w).Encode(h)
+	_ = json.NewEncoder(w).Encode(PeerHealth{Self: n.cfg.Self})
 }
 
 // remotePair is the server's RemoteLookup hook, tried on every pair
-// cache miss before local compute, in claim-then-rendezvous order:
-// an outstanding steal claim on the key means a peer is already
-// simulating it — wait for the returned bytes (bounded by the claim
-// TTL, then speculatively re-dispatch locally); otherwise ask the
-// key's ring owner for a cached copy.
+// cache miss before local compute: ask the key's ring owner (the
+// rendezvous every publisher replicates to) for a cached copy.
 func (n *Node) remotePair(ctx context.Context, key string) ([]byte, bool) {
-	if data, ok := n.waitClaim(ctx, key); ok {
-		return data, true
-	}
 	owner := n.mem.owner(key)
 	if owner == "" || owner == n.cfg.Self {
 		return nil, false
 	}
-	rctx, cancel := context.WithTimeout(ctx, n.cfg.RemoteTimeout)
+	rctx, cancel := context.WithTimeout(ctx, remoteTimeout)
 	defer cancel()
 	data, err := n.getPeerResult(rctx, owner, key)
 	if err != nil {
@@ -605,7 +511,7 @@ func (n *Node) publishPair(key string, data []byte) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		rctx, cancel := context.WithTimeout(ctx, n.cfg.RemoteTimeout)
+		rctx, cancel := context.WithTimeout(ctx, remoteTimeout)
 		defer cancel()
 		if n.putPeerResult(rctx, owner, key, data) == nil {
 			n.replicas.Inc()

@@ -1,22 +1,19 @@
 // Package cluster turns ampserve into a fleet: a consistent-hash
 // ring routes every canonical job key to an owner node, a small
 // node-to-node HTTP protocol (/v1/peer/...) forwards submissions to
-// the owner and shares cached results, idle nodes steal pending pair
-// jobs from overloaded peers, and a heartbeat layer marks unreachable
-// peers suspect/dead and re-routes around them.
+// the owner and shares cached results, and a heartbeat layer marks
+// unreachable peers suspect/dead and re-routes around them.
 //
 // The design leans entirely on the server's content-addressed cache:
 // a pair record's bytes are a pure function of its KeySpec, so it
-// does not matter which node simulates a pair — owner, forwarder
-// fallback, or stealer — the bytes are identical and any copy is
-// authoritative. Cross-node singleflight follows from routing: both
-// receivers of one job key forward to the same owner, whose cache
-// singleflight collapses the concurrent computations into one
-// simulation.
+// does not matter which node simulates a pair — owner or forwarder
+// fallback — the bytes are identical and any copy is authoritative.
+// Cross-node singleflight follows from routing: both receivers of one
+// job key forward to the same owner, whose cache singleflight
+// collapses the concurrent computations into one simulation.
 //
 // Telemetry (under "cluster."): forwards, forward_fallbacks,
-// peer_jobs, remote_hits, remote_misses, replicas, steals,
-// steals_granted, steal_returns, redispatches, ring_rebuilds,
+// peer_jobs, remote_hits, remote_misses, replicas, ring_rebuilds,
 // peer_suspects, peer_deaths.
 package cluster
 

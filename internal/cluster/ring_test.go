@@ -125,15 +125,13 @@ func TestJobRouteKeyCanonical(t *testing.T) {
 }
 
 // TestMembershipLifecycle drives the alive -> suspect -> dead ->
-// resurrected state machine and checks its ring and callback effects.
+// resurrected state machine and checks its ring effects.
 func TestMembershipLifecycle(t *testing.T) {
 	tel := telemetry.New()
-	m := newMembership("a:1", []string{"b:1", "c:1"}, 8, 2, 4, tel)
-	var died []string
-	m.onDeath = func(p string) { died = append(died, p) }
+	m := newMembership("a:1", []string{"b:1", "c:1"}, 8, tel)
 
-	if got := m.livePeers(); len(got) != 2 {
-		t.Fatalf("livePeers = %v, want b and c", got)
+	if got := m.lookupOrder("key"); len(got) != 2 {
+		t.Fatalf("lookupOrder = %v, want b and c", got)
 	}
 
 	// Two misses: suspect. Still a routing target (stays on the ring).
@@ -142,8 +140,8 @@ func TestMembershipLifecycle(t *testing.T) {
 	if got := m.state("b:1"); got != peerSuspect {
 		t.Fatalf("after 2 misses state = %v, want suspect", got)
 	}
-	if got := m.livePeers(); len(got) != 2 {
-		t.Fatalf("suspect peer fell off livePeers: %v", got)
+	if got := m.lookupOrder("key"); len(got) != 2 {
+		t.Fatalf("suspect peer fell out of lookupOrder: %v", got)
 	}
 	ownsSomething := func(peer string) bool {
 		for i := 0; i < 200; i++ {
@@ -157,7 +155,7 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatal("suspect peer lost its ring share")
 	}
 
-	// Two more misses: dead. Off the ring, claims voided via onDeath.
+	// Two more misses: dead. Off the ring and out of lookupOrder.
 	m.observe("b:1", false)
 	m.observe("b:1", false)
 	if got := m.state("b:1"); got != peerDead {
@@ -166,8 +164,8 @@ func TestMembershipLifecycle(t *testing.T) {
 	if ownsSomething("b:1") {
 		t.Fatal("dead peer still owns keys")
 	}
-	if len(died) != 1 || died[0] != "b:1" {
-		t.Fatalf("onDeath fired %v, want [b:1]", died)
+	if got := m.lookupOrder("key"); len(got) != 1 || got[0] != "c:1" {
+		t.Fatalf("lookupOrder with b dead = %v, want [c:1]", got)
 	}
 	if got := tel.Counter("cluster.peer_deaths").Value(); got != 1 {
 		t.Fatalf("cluster.peer_deaths = %d, want 1", got)

@@ -139,11 +139,6 @@ type Job struct {
 // ID returns the queue-unique job id.
 func (j *Job) ID() uint64 { return j.id }
 
-// Cost returns the submit-time cost estimate (SubmitOptions.Cost) —
-// the unit the queue's cost accounting and the cluster layer's
-// work-stealing claims are denominated in.
-func (j *Job) Cost() float64 { return j.cost }
-
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()

@@ -1,20 +1,16 @@
 // Fleet seams: the narrow surface internal/cluster builds on. The
-// cluster layer wraps a Server without reaching into its internals —
+// cluster layer wraps a Server without reaching into its internals:
 // it installs two hooks on the pair compute path (SetCluster) and
-// drives jobs through a handful of exported accessors. Everything
-// here preserves the server's core invariant: cache bytes are a pure
-// function of the KeySpec, so a record fetched from a peer, returned
-// by a stealer, or computed locally is byte-identical.
+// namespaces minted job ids (Config.JobIDSpace). Both preserve the
+// server's core invariant: cache bytes are a pure function of the
+// KeySpec, so a record fetched from a peer or computed locally is
+// byte-identical.
 package server
 
 import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
-
-	"ampsched/internal/jobqueue"
 )
 
 // jobIDPrefix derives the minted-id namespace from Config.JobIDSpace:
@@ -32,10 +28,9 @@ func jobIDPrefix(space string) string {
 
 // RemoteLookup is consulted on a pair cache miss before local
 // compute: given the pair's content address it may return the record
-// bytes obtained elsewhere (a peer's cache, or a work-stealing claim
-// being fulfilled). Returning ok=false falls through to local
-// compute. It runs inside the cache's singleflight, so concurrent
-// requests for one key cost one lookup.
+// bytes from a peer's cache. Returning ok=false falls through to
+// local compute. It runs inside the cache's singleflight, so
+// concurrent requests for one key cost one lookup.
 type RemoteLookup func(ctx context.Context, key string) ([]byte, bool)
 
 // ResultPublish receives every locally simulated pair record (never
@@ -60,125 +55,4 @@ func (s *Server) clusterHooks() (RemoteLookup, ResultPublish) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.remote, s.publish
-}
-
-// Draining reports whether the server has stopped accepting jobs —
-// surfaced to peers through the cluster health endpoint so stealers
-// skip a node that is shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// SubmitSpec is Submit for callers outside the package (the cluster
-// layer's work-stealing executor): it enqueues sp and returns the new
-// job's id.
-func (s *Server) SubmitSpec(sp JobSpec) (string, error) {
-	j, err := s.Submit(sp)
-	if err != nil {
-		return "", err
-	}
-	return j.id, nil
-}
-
-// Status returns the API status of a submitted job, with results.
-func (s *Server) Status(id string) (JobStatus, bool) {
-	j, ok := s.job(id)
-	if !ok {
-		return JobStatus{}, false
-	}
-	return j.status(true), true
-}
-
-// WaitJob blocks until job id reaches a terminal state or ctx ends,
-// returning the job's final status (with results).
-func (s *Server) WaitJob(ctx context.Context, id string) (JobStatus, error) {
-	j, ok := s.job(id)
-	if !ok {
-		return JobStatus{}, fmt.Errorf("server: unknown job %q", id)
-	}
-	for {
-		j.mu.Lock()
-		done := terminal(j.state)
-		ch := j.notify
-		j.mu.Unlock()
-		if done {
-			return j.status(true), nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
-	}
-}
-
-// PairKeys resolves a pair job spec to its content addresses in pair
-// order — the identity a stealer needs to return records to the
-// owner's cache. NXM jobs have no pair keys here (they are not
-// stealable; their units are machine-wide, not per-pair).
-func (s *Server) PairKeys(sp JobSpec) ([]string, error) {
-	if sp.NXM != nil {
-		return nil, fmt.Errorf("server: nxm jobs have no pair keys")
-	}
-	opt, err := s.optionsFor(sp)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := sp.resolvePairs(opt)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(pairs))
-	for i, p := range pairs {
-		keys[i] = CacheKey(pairKeySpec(s.coreDigest, opt, i, p))
-	}
-	return keys, nil
-}
-
-// StealableJob describes one pending pair job a peer may claim: the
-// spec to re-run, the content addresses its results must land under,
-// and the queue's cost estimate (jobqueue cost accounting, so
-// stealers can weigh a claim like admission control does).
-type StealableJob struct {
-	ID   string
-	Spec JobSpec
-	Keys []string
-	Cost float64
-}
-
-// StealableJobs lists still-pending pair jobs in steal order:
-// least-urgent first (lowest priority, then newest submission), so
-// claims take from the back of the priority queue and the owner keeps
-// the jobs it will reach soonest. NXM jobs are excluded.
-func (s *Server) StealableJobs(max int) []StealableJob {
-	if max <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	entries := make([]*jobEntry, 0, len(s.jobs))
-	for _, j := range s.jobs { //ampvet:allow determinism entries are sorted below before any observable effect
-		entries = append(entries, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(entries, func(a, b int) bool {
-		ja, jb := entries[a], entries[b]
-		pa, pb := ja.spec.Priority, jb.spec.Priority
-		if pa != pb {
-			return pa < pb
-		}
-		return ja.qjob.ID() > jb.qjob.ID()
-	})
-	var out []StealableJob
-	for _, j := range entries {
-		if len(out) == max {
-			break
-		}
-		if j.spec.NXM != nil || j.qjob == nil || j.qjob.State() != jobqueue.StatePending {
-			continue
-		}
-		keys, err := s.PairKeys(j.spec)
-		if err != nil {
-			continue
-		}
-		out = append(out, StealableJob{ID: j.id, Spec: j.spec, Keys: keys, Cost: j.qjob.Cost()})
-	}
-	return out
 }

@@ -296,9 +296,6 @@ func (s *Server) stopFlusher() {
 // Cache exposes the result cache (tests, warm-up, persistence).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// Queue exposes the work queue (tests, stats).
-func (s *Server) Queue() *jobqueue.Queue { return s.queue }
-
 // optionsFor resolves a spec against the base options.
 func (s *Server) optionsFor(sp JobSpec) (experiments.Options, error) {
 	opt := s.baseOpt
@@ -663,9 +660,8 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 				key := CacheKey(spec)
 				data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
 					// Remote lookup before local compute: a fleet peer
-					// may already hold (or be computing, via a steal
-					// claim) this record. Byte-identity across nodes
-					// makes the source indistinguishable.
+					// may already hold this record. Byte-identity across
+					// nodes makes the source indistinguishable.
 					remote, publish := s.clusterHooks()
 					if remote != nil {
 						if rdata, ok := remote(ctx, key); ok {
