@@ -89,16 +89,16 @@ bench-core-check:
 	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
 
-# Snapshot the service hot-path benchmarks (cache-key hashing, warm
-# cache lookups, queue round trip) into BENCH_server.json.
+# Snapshot the service hot-path benchmarks (pair-store key hashing,
+# warm cache lookups, queue round trip) into BENCH_server.json.
 bench-server:
-	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/server ./internal/jobqueue \
+	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/pairstore ./internal/jobqueue \
 		| $(GO) run ./cmd/benchsnap -o BENCH_server.json
 
 # Regression gate for the service hot paths against the committed
 # baseline (fails past +10% ns/op or any allocs/op increase).
 bench-server-check:
-	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/server ./internal/jobqueue \
+	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/pairstore ./internal/jobqueue \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_server.json
 
 # Snapshot the N×M scheduler decision-loop benchmarks (O(1) off-quantum

@@ -15,14 +15,15 @@
 // partial pairs are flagged, sinks are flushed — and a second one
 // kills the process.
 //
-// Crash safety: -checkpointdir snapshots main-sweep progress every
-// -checkpointevery completed pairs (CRC-framed, atomically written),
-// so a killed or interrupted run re-invoked with the same options
-// resumes from its last snapshot instead of pair zero.
+// Crash safety: -cachedir keeps a content-addressed pair store, one
+// atomically written file per sweep pair. A killed or interrupted run
+// re-invoked on the same directory simulates only the pairs it lacks;
+// fig7full resumes the same way.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"ampsched/internal/experiments"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 )
 
@@ -55,8 +57,7 @@ func main() {
 		nxmCycles    = flag.Uint64("nxmcycles", 0, "nxm per-run cycle horizon (default 200000)")
 		nxmQuantum   = flag.Uint64("nxmquantum", 0, "nxm scheduler decision quantum in cycles (default 10000)")
 		verbose      = flag.Bool("v", false, "print progress lines to stderr")
-		ckptDir      = flag.String("checkpointdir", "", "snapshot sweep progress to this directory and resume interrupted sweeps from it")
-		ckptEvery    = flag.Int("checkpointevery", 0, "checkpoint save cadence in completed pairs (0 = 8)")
+		cacheDir     = flag.String("cachedir", "", "store every sweep pair's outcome in this directory and resume interrupted sweeps from it")
 		telemetryOut = flag.String("telemetry", "", "write a JSONL event stream plus a final metrics summary to this file")
 		telemetryCSV = flag.String("telemetrycsv", "", "write a CSV metrics summary to this file")
 		httpAddr     = flag.String("http", "", "serve /metrics and /debug/pprof on this address while experiments run")
@@ -121,9 +122,15 @@ func main() {
 	if *verbose {
 		r.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  ..", s) }
 	}
-	if *ckptDir != "" {
-		r.Checkpoint = experiments.NewDirCheckpointer(*ckptDir)
-		r.CheckpointEvery = *ckptEvery
+	if *cacheDir != "" {
+		store, err := pairstore.NewCache(pairstore.CacheConfig{Dir: *cacheDir, Validate: json.Valid})
+		if err != nil {
+			fatal(err)
+		}
+		if err := store.Load(); err != nil {
+			fatal(err)
+		}
+		r.Store = store
 	}
 
 	var sinks []telemetry.Sink

@@ -48,6 +48,7 @@ import (
 	"ampsched/internal/experiments"
 	"ampsched/internal/fault"
 	"ampsched/internal/jobqueue"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/server"
 	"ampsched/internal/telemetry"
 )
@@ -170,7 +171,7 @@ func main() {
 		BaseOptions:    opt,
 		MaxPairsPerJob: *maxPairs,
 		Queue:          jobqueue.Config{Workers: *workers, Capacity: *queueCap},
-		Cache:          server.CacheConfig{ByteBudget: *cacheBytes, Dir: *cacheDir},
+		Cache:          pairstore.CacheConfig{ByteBudget: *cacheBytes, Dir: *cacheDir},
 		JournalDir:     *journalDir,
 		FlushEvery:     *flushEvery,
 		Admission: server.AdmissionConfig{

@@ -18,6 +18,7 @@ var simCoreSuffixes = []string{
 	"internal/workload",
 	"internal/manycore",
 	"internal/experiments",
+	"internal/pairstore",
 	"internal/jobqueue",
 	"internal/server",
 	"internal/wal",

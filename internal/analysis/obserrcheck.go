@@ -17,12 +17,12 @@ import (
 //	telemetry and trace Close / Flush (sinks buffer; only Close
 //	reports the final write),
 //	the service layer: jobqueue Submit/TrySubmit/Drain, server
-//	Submit/Drain and cache Save/Load, and http.Server.Shutdown
+//	Submit/Drain, pairstore Cache Save/Load, and http.Server.Shutdown
 //	(a dropped error loses jobs, strands a drain, or forgets
-//	computed sweeps),
-//	the durability layer: wal Log Append/Sync/Close, server
-//	Recover, and experiments DirCheckpointer Save/Load (a dropped
-//	error here silently voids the crash-safety contract).
+//	computed pairs),
+//	the durability layer: wal Log Append/Sync/Close and server
+//	Recover (a dropped error here silently voids the crash-safety
+//	contract).
 //
 // A call is flagged when its error result is discarded: the call used
 // as a bare statement, deferred, launched with go, or assigned to the
@@ -54,25 +54,23 @@ var checkedAPIs = []checkedAPI{
 	{"internal/trace", "*", "Close"},
 	{"internal/trace", "*", "Flush"},
 	// Service layer: a dropped error here loses jobs (submission), strands
-	// a drain (Shutdown/Drain), or silently forgets computed sweeps
-	// (cache persistence).
+	// a drain (Shutdown/Drain), or silently forgets computed pairs
+	// (pair store persistence, which the server and sweeps share).
 	{"net/http", "Server", "Shutdown"},
 	{"internal/jobqueue", "Queue", "Submit"},
 	{"internal/jobqueue", "Queue", "TrySubmit"},
 	{"internal/jobqueue", "Queue", "Drain"},
 	{"internal/server", "Server", "Submit"},
 	{"internal/server", "Server", "Drain"},
-	{"internal/server", "Cache", "Save"},
-	{"internal/server", "Cache", "Load"},
+	{"internal/pairstore", "Cache", "Save"},
+	{"internal/pairstore", "Cache", "Load"},
 	// Durability layer: a dropped error here breaks the crash-safety
-	// contract — an unjournaled ack, an unsynced frame, or a silently
-	// failed checkpoint all lose acknowledged work on the next crash.
+	// contract — an unjournaled ack or an unsynced frame loses
+	// acknowledged work on the next crash.
 	{"internal/server", "Server", "Recover"},
 	{"internal/wal", "Log", "Append"},
 	{"internal/wal", "Log", "Sync"},
 	{"internal/wal", "Log", "Close"},
-	{"internal/experiments", "DirCheckpointer", "Save"},
-	{"internal/experiments", "DirCheckpointer", "Load"},
 	// Fleet layer: a dropped error here boots a node that silently
 	// never joined the ring (New/Start) or leaks the heartbeat and
 	// replication goroutines past shutdown (Close).

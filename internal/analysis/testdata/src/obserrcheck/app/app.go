@@ -8,8 +8,8 @@ import (
 
 	"obserrcheck/internal/amp"
 	"obserrcheck/internal/cluster"
-	"obserrcheck/internal/experiments"
 	"obserrcheck/internal/jobqueue"
+	"obserrcheck/internal/pairstore"
 	"obserrcheck/internal/server"
 	"obserrcheck/internal/telemetry"
 	"obserrcheck/internal/wal"
@@ -25,7 +25,7 @@ func Leak(tel *telemetry.Telemetry) {
 }
 
 // LeakService drops errors across the service layer.
-func LeakService(ctx context.Context, q *jobqueue.Queue, s *server.Server, c *server.Cache, hs *http.Server) {
+func LeakService(ctx context.Context, q *jobqueue.Queue, s *server.Server, c *pairstore.Cache, hs *http.Server) {
 	q.Submit(ctx, nil, jobqueue.SubmitOptions{})       // want `error from Queue\.Submit discarded`
 	j, _ := q.TrySubmit(nil, jobqueue.SubmitOptions{}) // want `error from Queue\.TrySubmit assigned to blank identifier`
 	_ = j
@@ -38,18 +38,15 @@ func LeakService(ctx context.Context, q *jobqueue.Queue, s *server.Server, c *se
 }
 
 // LeakDurability drops errors across the crash-safety layer.
-func LeakDurability(l *wal.Log, s *server.Server, d *experiments.DirCheckpointer) {
-	l.Append(wal.Record{})                      // want `error from Log\.Append discarded`
-	l.Sync()                                    // want `error from Log\.Sync discarded`
-	defer l.Close()                             // want `deferred Log\.Close discards its error`
-	s.Recover()                                 // want `error from Server\.Recover discarded`
-	d.Save("k", &experiments.SweepCheckpoint{}) // want `error from DirCheckpointer\.Save discarded`
-	snap, _ := d.Load("k")                      // want `error from DirCheckpointer\.Load assigned to blank identifier`
-	_ = snap
+func LeakDurability(l *wal.Log, s *server.Server) {
+	l.Append(wal.Record{}) // want `error from Log\.Append discarded`
+	l.Sync()               // want `error from Log\.Sync discarded`
+	defer l.Close()        // want `deferred Log\.Close discards its error`
+	s.Recover()            // want `error from Server\.Recover discarded`
 }
 
 // HandledDurability checks every durability error: nothing to flag.
-func HandledDurability(l *wal.Log, s *server.Server, d *experiments.DirCheckpointer) error {
+func HandledDurability(l *wal.Log, s *server.Server) error {
 	if err := l.Append(wal.Record{}); err != nil {
 		return err
 	}
@@ -59,14 +56,11 @@ func HandledDurability(l *wal.Log, s *server.Server, d *experiments.DirCheckpoin
 	if _, err := s.Recover(); err != nil {
 		return err
 	}
-	if _, err := d.Load("k"); err != nil {
-		return err
-	}
 	return l.Close()
 }
 
 // HandledService checks every service-layer error: nothing to flag.
-func HandledService(ctx context.Context, q *jobqueue.Queue, c *server.Cache, hs *http.Server) error {
+func HandledService(ctx context.Context, q *jobqueue.Queue, c *pairstore.Cache, hs *http.Server) error {
 	if _, err := q.Submit(ctx, nil, jobqueue.SubmitOptions{}); err != nil {
 		return err
 	}

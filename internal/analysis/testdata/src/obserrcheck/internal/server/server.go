@@ -21,12 +21,3 @@ type RecoveryStats struct{}
 
 // Recover mirrors journal replay's (stats, error) shape.
 func (s *Server) Recover() (RecoveryStats, error) { return RecoveryStats{}, nil }
-
-// Cache mirrors the result cache's persistence API.
-type Cache struct{}
-
-// Save mirrors disk persistence's error result.
-func (c *Cache) Save() error { return nil }
-
-// Load mirrors cache warm-up's error result.
-func (c *Cache) Load() error { return nil }

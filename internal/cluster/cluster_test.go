@@ -13,6 +13,7 @@ import (
 
 	"ampsched/internal/experiments"
 	"ampsched/internal/jobqueue"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/server"
 	"ampsched/internal/telemetry"
 )
@@ -58,7 +59,7 @@ func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config)) []*tes
 		scfg := server.Config{
 			BaseOptions: testOptions(),
 			Queue:       jobqueue.Config{Workers: 4, Capacity: 16},
-			Cache:       server.CacheConfig{ByteBudget: 1 << 20},
+			Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 			Telemetry:   tel,
 			JobIDSpace:  addrs[i],
 		}

@@ -24,6 +24,7 @@ import (
 	"ampsched/internal/cpu"
 	"ampsched/internal/interval"
 	"ampsched/internal/metrics"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/profilegen"
 	"ampsched/internal/rng"
 	"ampsched/internal/sched"
@@ -262,13 +263,12 @@ type Runner struct {
 	// not handed an explicit context (RunPairContext/SweepContext).
 	BaseContext context.Context
 
-	// Checkpoint, if non-nil, snapshots sweep progress (completed pair
-	// outcomes, keyed by CheckpointKey(Opt)) so an interrupted sweep
-	// resumes from its last save instead of restarting from pair zero.
-	// Restored pairs count into "experiments.checkpoint_resumes".
-	Checkpoint Checkpointer
-	// CheckpointEvery is the save cadence in completed pairs (0 = 8).
-	CheckpointEvery int
+	// Store, if non-nil, is the pair store a sweep resumes from:
+	// SweepContext restores every pair outcome it holds (counted in
+	// "experiments.pairs_restored") and stores and saves each clean
+	// outcome after its chunk, so an interrupted sweep simulates only
+	// the pairs it lacks. See store.go.
+	Store *pairstore.Cache
 }
 
 // NewRunner builds a Runner over the paper's two cores.
@@ -352,20 +352,24 @@ func (r *Runner) Surface() (*profilegen.Surface, error) {
 // a server can derive on its submit path without blocking on a
 // profiling pass. Runner contains sync state and must not be copied;
 // callers that vary one option (the resilience fault sweep, the
-// overhead sweep, the server's runner dedup) derive instead. opt must
-// agree with the base on every profiling input — SharesProfile reports
-// that agreement — or the shared artifacts would be wrong for it.
+// overhead sweep, the server's runner dedup) derive instead.
+//
+// A derived runner uses its base's profile even when SharesProfile(opt)
+// is false. fig7full and perfbench's paperscale rely on that: they run
+// at the paper's 4M-cycle context switch on a profile sampled at the
+// scaled one. The pair store keys a sweep's records by the profiling
+// runner's window and budget for this reason. opt must still keep the
+// base's Seed, which the keys do not record separately.
 func (r *Runner) Derived(opt Options) *Runner {
 	return &Runner{
-		Opt:             opt,
-		IntCfg:          r.IntCfg,
-		FPCfg:           r.FPCfg,
-		src:             r,
-		Progress:        r.Progress,
-		Telemetry:       r.Telemetry,
-		BaseContext:     r.BaseContext,
-		Checkpoint:      r.Checkpoint,
-		CheckpointEvery: r.CheckpointEvery,
+		Opt:         opt,
+		IntCfg:      r.IntCfg,
+		FPCfg:       r.FPCfg,
+		src:         r,
+		Progress:    r.Progress,
+		Telemetry:   r.Telemetry,
+		BaseContext: r.BaseContext,
+		Store:       r.Store,
 	}
 }
 
@@ -535,7 +539,7 @@ func (r *Runner) Sweep() (*SweepResult, error) {
 // serialize on one mutex: the first runs the sweep (its workers still
 // fan out), later callers block and then return the cached result.
 //
-//ampvet:allow lockcheck sweepMu is a deliberate singleflight: holding it across the whole sweep (checkpoint load, worker fan-out, flush) is how later callers wait for the cached result
+//ampvet:allow lockcheck sweepMu is a deliberate singleflight: holding it across the whole sweep (store restore, worker fan-out) is how later callers wait for the cached result
 func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 	r.sweepMu.Lock()
 	defer r.sweepMu.Unlock()
@@ -548,24 +552,26 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 	}
 	pairs := RandomPairs(r.Opt.Pairs, r.Opt.Seed)
 	out := &SweepResult{Outcomes: make([]PairOutcome, len(pairs))}
-	ckpt := r.newCkptState(pairs, out) // nil when Checkpoint is unset
+	keys, todo := r.restore(pairs, out.Outcomes)
 
 	workers := r.Opt.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pairs) {
-		workers = len(pairs)
+	if workers > len(todo) {
+		workers = len(todo)
 	}
 
-	// Workers claim chunks of PairsPerPass pairs and advance each
-	// chunk's runs through one interleaved batch pass.
+	// Workers claim chunks of PairsPerPass pairs from the ones left to
+	// simulate and advance each chunk's runs through one interleaved
+	// batch pass.
 	chunk := r.PairsPerPass()
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
 		done atomic.Int64
 	)
+	done.Store(int64(len(pairs) - len(todo)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -573,20 +579,11 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 			idxs := make([]int, 0, chunk)
 			for {
 				base := int(next.Add(int64(chunk))) - chunk
-				if base >= len(pairs) {
+				if base >= len(todo) {
 					return
 				}
-				end := base + chunk
-				if end > len(pairs) {
-					end = len(pairs)
-				}
 				idxs = idxs[:0]
-				for i := base; i < end; i++ {
-					if ckpt.restored(i) {
-						// Revived from the checkpoint before workers
-						// started; recomputing would waste the resume.
-						continue
-					}
+				for _, i := range todo[base:min(base+chunk, len(todo))] {
 					if cerr := ctx.Err(); cerr != nil {
 						// Don't start new simulations after cancellation;
 						// the pair is flagged, not silently zero.
@@ -597,9 +594,9 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 					idxs = append(idxs, i)
 				}
 				r.runOutcomeBatch(ctx, idxs, pairs, matrix, out.Outcomes)
+				r.persist(keys, idxs, out.Outcomes)
 				for _, i := range idxs {
 					r.observeOutcome(&out.Outcomes[i])
-					ckpt.complete(i)
 					if e := out.Outcomes[i].Err; e != "" {
 						r.progress("pair %d/%d DEGRADED (%s): %s", done.Add(1), len(pairs), pairs[i].Label(), e)
 					} else {
@@ -610,8 +607,6 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		}()
 	}
 	wg.Wait()
-	ckpt.flush() // persist pairs done since the last cadenced save,
-	// including on the cancellation path below
 	if cerr := ctx.Err(); cerr != nil {
 		return out, cerr
 	}

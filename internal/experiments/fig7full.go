@@ -31,8 +31,6 @@ func RunFig7Full(r *Runner, w io.Writer) error {
 	// sweep other experiments share; the profiling pass (always
 	// detailed, always at the scaled sample interval) is reused.
 	full := r.Derived(opt)
-	full.Checkpoint = nil
-	full.CheckpointEvery = 0
 	s, err := full.Sweep()
 	if err != nil {
 		return err

@@ -448,21 +448,28 @@ func (q *Queue) worker() {
 		q.mu.Unlock()
 
 		q.run(j)
-
-		q.mu.Lock()
-		delete(q.active, j)
-		q.runningCost -= j.cost
-		q.runningG.Set(float64(len(q.active)))
-		q.cond.Broadcast() // Drain waits on the active set emptying
-		q.mu.Unlock()
 	}
 }
 
-// run executes one job, applying deadline, retries and backoff.
+// retire takes a popped job out of the running census. run calls it
+// before settling the job, so a caller returning from Wait never sees
+// the job's cost in Stats.
+func (q *Queue) retire(j *Job) {
+	q.mu.Lock()
+	delete(q.active, j)
+	q.runningCost -= j.cost
+	q.runningG.Set(float64(len(q.active)))
+	q.cond.Broadcast() // Drain waits on the active set emptying
+	q.mu.Unlock()
+}
+
+// run executes one popped job, applying deadline, retries and backoff,
+// and retires it.
 func (q *Queue) run(j *Job) {
 	j.mu.Lock()
 	if j.state != StatePending { // canceled between pop and run
 		j.mu.Unlock()
+		q.retire(j)
 		return
 	}
 	j.state = StateRunning
@@ -509,6 +516,7 @@ func (q *Queue) run(j *Job) {
 	}
 	q.runUS.Observe(uint64(time.Since(start).Microseconds())) //ampvet:allow determinism job run-latency measurement is inherently wall-clock
 
+	q.retire(j)
 	switch {
 	case err == nil:
 		if j.settle(StateDone, nil) {

@@ -495,6 +495,49 @@ func TestCostAccounting(t *testing.T) {
 	}
 }
 
+// TestCostRetiredBeforeSettle forces the interleaving that made
+// TestCostAccounting flaky: a job whose settle is stalled (the test
+// holds its lock) must already be out of the running census, so a
+// caller returning from Wait never reads a RunningCost that still
+// counts it.
+func TestCostRetiredBeforeSettle(t *testing.T) {
+	q := newTestQueue(t, Config{Workers: 1, Capacity: 4})
+	started, release := make(chan struct{}), make(chan struct{})
+	j, err := q.TrySubmit(func(ctx context.Context) error {
+		close(started)
+		<-release
+		return nil
+	}, SubmitOptions{Cost: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	j.mu.Lock() // settle blocks here until released below
+	close(release)
+	deadline := time.After(5 * time.Second)
+	for q.Stats().RunningCost != 0 {
+		select {
+		case <-deadline:
+			j.mu.Unlock()
+			t.Fatal("worker still counts the job's cost while settling it")
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+	select {
+	case <-j.Done():
+		t.Error("job settled while its lock was held")
+	default:
+	}
+	j.mu.Unlock()
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.Stats(); st.Running != 0 || st.RunningCost != 0 {
+		t.Fatalf("Stats after Wait = %+v, want nothing running", st)
+	}
+}
+
 // TestTrySubmitBatchAtomic pins the batch contract: a group that fits
 // is accepted whole with contiguous IDs and runs adjacently (one
 // "jobqueue.batches" tick, one "jobqueue.submitted" tick per job),

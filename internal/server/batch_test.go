@@ -13,6 +13,7 @@ import (
 
 	"ampsched/internal/amp"
 	"ampsched/internal/experiments"
+	"ampsched/internal/pairstore"
 )
 
 // TestBatchedResultsIdenticalToSerial pins the server-level identity
@@ -56,7 +57,7 @@ func TestBatchedResultsIdenticalToSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		key := CacheKey(pairKeySpec(s.srv.coreDigest, opt, i, p))
+		key := pairstore.CacheKey(experiments.PairKeySpec(s.srv.coreDigest, opt, i, p))
 		data, err := marshalPairResult(i, p, key, res[0], res[1], res[2])
 		if err != nil {
 			t.Fatal(err)

@@ -9,12 +9,18 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 )
 
-func mustCache(t *testing.T, cfg CacheConfig) *Cache {
+// The server's result cache is a pairstore.Cache. These tests pin the
+// behaviour the server builds on: hit/miss/join accounting under the
+// server.cache_* names, byte-budget eviction, singleflight, and
+// persistence across restarts.
+
+func mustCache(t *testing.T, cfg pairstore.CacheConfig) *pairstore.Cache {
 	t.Helper()
-	c, err := NewCache(cfg)
+	c, err := pairstore.NewCache(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +29,7 @@ func mustCache(t *testing.T, cfg CacheConfig) *Cache {
 
 func TestCacheHitMiss(t *testing.T) {
 	tel := telemetry.New()
-	c := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Telemetry: tel})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Telemetry: tel})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -42,7 +48,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheEvictionUnderByteBudget(t *testing.T) {
 	tel := telemetry.New()
-	c := mustCache(t, CacheConfig{ByteBudget: 30, Telemetry: tel})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 30, Telemetry: tel})
 	// Three 10-byte entries fill the budget exactly.
 	for _, k := range []string{"a", "b", "c"} {
 		c.Put(k, []byte("0123456789"))
@@ -72,7 +78,7 @@ func TestCacheEvictionUnderByteBudget(t *testing.T) {
 }
 
 func TestCacheOversizedValueAdmittedAlone(t *testing.T) {
-	c := mustCache(t, CacheConfig{ByteBudget: 8})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 8})
 	c.Put("big", make([]byte, 64))
 	if _, ok := c.Peek("big"); !ok {
 		t.Fatal("oversized value not admitted")
@@ -88,7 +94,7 @@ func TestCacheOversizedValueAdmittedAlone(t *testing.T) {
 
 func TestCacheSingleflightCollapse(t *testing.T) {
 	tel := telemetry.New()
-	c := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Telemetry: tel})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Telemetry: tel})
 	var computes atomic.Int64
 	gate := make(chan struct{})
 	compute := func() ([]byte, error) {
@@ -137,7 +143,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 }
 
 func TestCacheDoErrorNotCached(t *testing.T) {
-	c := mustCache(t, CacheConfig{ByteBudget: 1 << 20})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20})
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), "k", func() ([]byte, error) {
 		return nil, boom
@@ -158,7 +164,7 @@ func TestCacheDoErrorNotCached(t *testing.T) {
 
 func TestCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	c := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Dir: dir})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Dir: dir})
 	for i := 0; i < 5; i++ {
 		c.Put(fmt.Sprintf("%04x", i), []byte(fmt.Sprintf("value-%d", i)))
 	}
@@ -171,7 +177,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Dir: dir})
+	c2 := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Dir: dir})
 	if err := c2.Load(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +194,14 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 
 func TestCacheLoadRespectsBudget(t *testing.T) {
 	dir := t.TempDir()
-	c := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Dir: dir})
+	c := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Dir: dir})
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("%04x", i), make([]byte, 10))
 	}
 	if err := c.Save(); err != nil {
 		t.Fatal(err)
 	}
-	small := mustCache(t, CacheConfig{ByteBudget: 35, Dir: dir})
+	small := mustCache(t, pairstore.CacheConfig{ByteBudget: 35, Dir: dir})
 	if err := small.Load(); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestCacheLoadRespectsBudget(t *testing.T) {
 }
 
 func TestCacheLoadMissingDirIsCold(t *testing.T) {
-	c := mustCache(t, CacheConfig{Dir: t.TempDir() + "/nonexistent"})
+	c := mustCache(t, pairstore.CacheConfig{Dir: t.TempDir() + "/nonexistent"})
 	if err := c.Load(); err != nil {
 		t.Fatalf("missing dir: %v", err)
 	}
@@ -215,37 +221,39 @@ func TestCacheLoadMissingDirIsCold(t *testing.T) {
 }
 
 func TestCacheKeyDeterminismAndSensitivity(t *testing.T) {
-	spec := KeySpec{Version: 1, BenchA: "gcc", BenchB: "swim", Seed: 7,
+	spec := pairstore.KeySpec{Version: 1, BenchA: "gcc", BenchB: "swim", Seed: 7,
 		InstrLimit: 1000, ContextSwitch: 100, SwapOverhead: 10, Fidelity: "interval"}
-	k1 := CacheKey(spec)
-	k2 := CacheKey(spec)
+	k1 := pairstore.CacheKey(spec)
+	k2 := pairstore.CacheKey(spec)
 	if k1 != k2 {
 		t.Fatal("identical specs hashed differently")
 	}
 	if len(k1) != 64 {
 		t.Fatalf("key %q is not hex SHA-256", k1)
 	}
-	fields := []func(*KeySpec){
-		func(s *KeySpec) { s.Version++ },
-		func(s *KeySpec) { s.BenchA = "mcf" },
-		func(s *KeySpec) { s.BenchB = "art" },
-		func(s *KeySpec) { s.PairIndex++ },
-		func(s *KeySpec) { s.Seed++ },
-		func(s *KeySpec) { s.InstrLimit++ },
-		func(s *KeySpec) { s.ContextSwitch++ },
-		func(s *KeySpec) { s.SwapOverhead++ },
-		func(s *KeySpec) { s.ProfileLimit++ },
-		func(s *KeySpec) { s.CycleBudget++ },
-		func(s *KeySpec) { s.Fidelity = "sampled" },
-		func(s *KeySpec) { s.FaultRate = 0.5 },
-		func(s *KeySpec) { s.FaultSeed++ },
-		func(s *KeySpec) { s.CoreDigest = "deadbeef" },
+	fields := []func(*pairstore.KeySpec){
+		func(s *pairstore.KeySpec) { s.Version++ },
+		func(s *pairstore.KeySpec) { s.BenchA = "mcf" },
+		func(s *pairstore.KeySpec) { s.BenchB = "art" },
+		func(s *pairstore.KeySpec) { s.PairIndex++ },
+		func(s *pairstore.KeySpec) { s.Seed++ },
+		func(s *pairstore.KeySpec) { s.InstrLimit++ },
+		func(s *pairstore.KeySpec) { s.ContextSwitch++ },
+		func(s *pairstore.KeySpec) { s.SwapOverhead++ },
+		func(s *pairstore.KeySpec) { s.ProfileLimit++ },
+		func(s *pairstore.KeySpec) { s.CycleBudget++ },
+		func(s *pairstore.KeySpec) { s.Fidelity = "sampled" },
+		func(s *pairstore.KeySpec) { s.FaultRate = 0.5 },
+		func(s *pairstore.KeySpec) { s.FaultSeed++ },
+		func(s *pairstore.KeySpec) { s.CoreDigest = "deadbeef" },
+		func(s *pairstore.KeySpec) { s.Record = "outcome" },
+		func(s *pairstore.KeySpec) { s.ProfileWindow = s.ContextSwitch },
 	}
 	seen := map[string]int{k1: -1}
 	for i, mutate := range fields {
 		s := spec
 		mutate(&s)
-		k := CacheKey(s)
+		k := pairstore.CacheKey(s)
 		if prev, dup := seen[k]; dup {
 			t.Fatalf("field mutation %d collides with %d: key not sensitive to that field", i, prev)
 		}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"ampsched/internal/pairstore"
 )
 
 // TestDrainFinishesInFlightJobs is the graceful-shutdown acceptance
@@ -58,7 +60,7 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 	}
 
 	// Drain persisted the cache: every completed pair is on disk.
-	reload := mustCache(t, CacheConfig{ByteBudget: 1 << 20, Dir: dir})
+	reload := mustCache(t, pairstore.CacheConfig{ByteBudget: 1 << 20, Dir: dir})
 	if err := reload.Load(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"ampsched/internal/cpu"
 	"ampsched/internal/experiments"
+	"ampsched/internal/pairstore"
 )
 
 // nxmSpec is a tiny two-rung sweep sized for test speed.
@@ -107,7 +109,7 @@ func TestNXMKeySpec(t *testing.T) {
 		t.Fatalf("nxm key spec incomplete: %+v", base)
 	}
 	// Identity: same inputs, same key.
-	if CacheKey(base) != CacheKey(nxmKeySpec("digest", opt, 64)) {
+	if pairstore.CacheKey(base) != pairstore.CacheKey(nxmKeySpec("digest", opt, 64)) {
 		t.Fatal("identical nxm specs hash differently")
 	}
 	// Sensitivity: topology knobs and seed all move the key.
@@ -119,34 +121,50 @@ func TestNXMKeySpec(t *testing.T) {
 	} {
 		m := opt
 		mutate(&m)
-		if CacheKey(nxmKeySpec("digest", m, 64)) == CacheKey(base) {
+		if pairstore.CacheKey(nxmKeySpec("digest", m, 64)) == pairstore.CacheKey(base) {
 			t.Fatalf("key insensitive to %s", name)
 		}
 	}
-	if CacheKey(nxmKeySpec("digest", opt, 128)) == CacheKey(base) {
+	if pairstore.CacheKey(nxmKeySpec("digest", opt, 128)) == pairstore.CacheKey(base) {
 		t.Fatal("key insensitive to core count")
 	}
 	// Knobs the sweep does not read must not move the key.
 	m := opt
 	m.InstrLimit = 999_999
 	m.ContextSwitch = 123_456
-	if CacheKey(nxmKeySpec("digest", m, 64)) != CacheKey(base) {
+	if pairstore.CacheKey(nxmKeySpec("digest", m, 64)) != pairstore.CacheKey(base) {
 		t.Fatal("key sensitive to pair-only knobs")
 	}
 }
 
 // TestPairKeyUnchangedByTopologyField guards cache compatibility: the
-// new omitempty Topology field must not appear in marshaled pair key
-// specs, so every pre-existing pair cache entry keeps its address.
+// omitempty fields other record kinds use (Topology for nxm rungs;
+// Record and ProfileWindow for sweep outcomes) must not appear in
+// marshaled pair key specs, so every pre-existing pair cache entry
+// keeps its address. One key is pinned outright.
 func TestPairKeyUnchangedByTopologyField(t *testing.T) {
 	opt := testOptions()
 	pairs := experiments.RandomPairs(1, opt.Seed)
-	spec := pairKeySpec("digest", opt, 0, pairs[0])
+	spec := experiments.PairKeySpec("digest", opt, 0, pairs[0])
 	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(b), "topology") {
-		t.Fatalf("pair key spec leaks topology field: %s", b)
+	for _, field := range []string{"topology", "record", "profile_window"} {
+		if strings.Contains(string(b), field) {
+			t.Fatalf("pair key spec leaks %s field: %s", field, b)
+		}
+	}
+
+	opt = experiments.DefaultOptions()
+	opt.Fidelity = "interval"
+	pairs = experiments.RandomPairs(1, opt.Seed)
+	digest := pairstore.CoreDigest(cpu.IntCoreConfig(), cpu.FPCoreConfig())
+	if got, want := pairs[0].Label()+" "+digest, "equake+mpeg2_dec e088c3f91ea1d8ab"; got != want {
+		t.Fatalf("pinned pair = %s, want %s", got, want)
+	}
+	const want = "fd5daf75f7bfd058469ae8b4488acfddf69b97cb455b467ab31daab9382b1a9b"
+	if got := pairstore.CacheKey(experiments.PairKeySpec(digest, opt, 0, pairs[0])); got != want {
+		t.Fatalf("server key for %s = %s, want %s: every cached record moved", pairs[0].Label(), got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ampsched/internal/jobqueue"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 	"ampsched/internal/wal"
 )
@@ -263,7 +264,7 @@ func TestBreakerTripsPerFidelity(t *testing.T) {
 func TestCacheLoadQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	tel := telemetry.New()
-	c, err := NewCache(CacheConfig{Dir: dir, Validate: json.Valid, Telemetry: tel})
+	c, err := pairstore.NewCache(pairstore.CacheConfig{Dir: dir, Validate: json.Valid, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestCacheLoadQuarantinesCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := NewCache(CacheConfig{Dir: dir, Validate: json.Valid, Telemetry: tel})
+	c2, err := pairstore.NewCache(pairstore.CacheConfig{Dir: dir, Validate: json.Valid, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestCacheLoadQuarantinesCorruptEntry(t *testing.T) {
 	}
 	// Reload: the quarantined file no longer matches *.json, so the
 	// second boot is clean.
-	c3, err := NewCache(CacheConfig{Dir: dir, Validate: json.Valid})
+	c3, err := pairstore.NewCache(pairstore.CacheConfig{Dir: dir, Validate: json.Valid})
 	if err != nil {
 		t.Fatal(err)
 	}

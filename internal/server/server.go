@@ -43,6 +43,7 @@ import (
 	"ampsched/internal/interval"
 	"ampsched/internal/jobqueue"
 	"ampsched/internal/metrics"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 	"ampsched/internal/wal"
 )
@@ -58,7 +59,7 @@ type Config struct {
 	// New; MaxRetries defaults to 2).
 	Queue jobqueue.Config
 	// Cache sizes the result cache (Telemetry is wired by New).
-	Cache CacheConfig
+	Cache pairstore.CacheConfig
 	// JournalDir, when non-empty, enables the durable job journal:
 	// submissions are fsynced to a WAL before they are acknowledged and
 	// Recover replays it after a crash. Empty disables journaling.
@@ -91,7 +92,7 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	tel       *telemetry.Telemetry
-	cache     *Cache
+	cache     *pairstore.Cache
 	queue     *jobqueue.Queue
 	journal   *wal.Log
 	admission *admission
@@ -191,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 		// load instead of poisoning lookups.
 		ccfg.Validate = json.Valid
 	}
-	cache, err := NewCache(ccfg)
+	cache, err := pairstore.NewCache(ccfg)
 	if err != nil {
 		queue.Close()
 		return nil, err
@@ -223,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       make(map[string]*jobEntry),
 		runners:    make(map[string]*experiments.Runner),
 		batchers:   make(map[*experiments.Runner]*pairBatcher),
-		coreDigest: CoreDigest(cpu.IntCoreConfig(), cpu.FPCoreConfig()),
+		coreDigest: pairstore.CoreDigest(cpu.IntCoreConfig(), cpu.FPCoreConfig()),
 		idPrefix:   jobIDPrefix(cfg.JobIDSpace),
 
 		jobsSubmitted:     tel.Counter("server.jobs_submitted"),
@@ -294,7 +295,7 @@ func (s *Server) stopFlusher() {
 }
 
 // Cache exposes the result cache (tests, warm-up, persistence).
-func (s *Server) Cache() *Cache { return s.cache }
+func (s *Server) Cache() *pairstore.Cache { return s.cache }
 
 // optionsFor resolves a spec against the base options.
 func (s *Server) optionsFor(sp JobSpec) (experiments.Options, error) {
@@ -656,8 +657,7 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 					serves[i] = pairServe{err: cerr}
 					return
 				}
-				spec := pairKeySpec(s.coreDigest, opt, i, p)
-				key := CacheKey(spec)
+				key := pairstore.CacheKey(experiments.PairKeySpec(s.coreDigest, opt, i, p))
 				data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
 					// Remote lookup before local compute: a fleet peer
 					// may already hold this record. Byte-identity across
@@ -759,6 +759,27 @@ func marshalPairResult(i int, p experiments.Pair, key string, proposed, hpe, rr 
 	return json.Marshal(r)
 }
 
+// nxmKeySpec builds the KeySpec for the n-core rung of an nxm job.
+// The pair-only fields stay zero; PairIndex doubles as the core count
+// and Topology pins the full machine shape. Knobs the nxm sweep does
+// not read (InstrLimit, ContextSwitch, fault plan) are excluded so
+// jobs differing only in them share rungs.
+func nxmKeySpec(coreDigest string, opt experiments.Options, n int) pairstore.KeySpec {
+	p := experiments.ResolveNXM(opt)
+	return pairstore.KeySpec{
+		Version:      pairstore.SchemaVersion,
+		CoreDigest:   coreDigest,
+		BenchA:       "nxm",
+		PairIndex:    n,
+		Seed:         opt.Seed,
+		SwapOverhead: opt.SwapOverhead,
+		ProfileLimit: opt.ProfileInstrLimit,
+		CycleBudget:  opt.CycleBudget,
+		Fidelity:     p.Fidelity,
+		Topology:     fmt.Sprintf("%dx%d/q%d/h%d", n, n*p.ThreadsPerCore, p.Quantum, p.Cycles),
+	}
+}
+
 // runNXMJob executes an nxm scaling job: one cached unit per core
 // count, each comparing every N×M policy on one machine. Mirrors
 // runJob's degraded-unit and cancellation contracts.
@@ -788,8 +809,7 @@ func (s *Server) runNXMJob(ctx context.Context, j *jobEntry, runner *experiments
 			s.finishJob(j, start, cerr)
 			return cerr
 		}
-		spec := nxmKeySpec(s.coreDigest, opt, n)
-		key := CacheKey(spec)
+		key := pairstore.CacheKey(nxmKeySpec(s.coreDigest, opt, n))
 		label := fmt.Sprintf("nxm:%dx%d", n, n*p.ThreadsPerCore)
 		data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
 			return s.computeNXMUnit(ctx, runner, i, n, label, key)

@@ -14,6 +14,7 @@ import (
 
 	"ampsched/internal/experiments"
 	"ampsched/internal/jobqueue"
+	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 )
 
@@ -40,7 +41,7 @@ func newTestService(t *testing.T, mutate func(*Config)) *testService {
 	cfg := Config{
 		BaseOptions: testOptions(),
 		Queue:       jobqueue.Config{Workers: 4, Capacity: 16},
-		Cache:       CacheConfig{ByteBudget: 1 << 20},
+		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
 	}
 	if mutate != nil {
