@@ -19,9 +19,9 @@
 // CRC-framed write-ahead log; on restart the journal is replayed and
 // acknowledged-but-unfinished jobs are re-enqueued (their completed
 // pairs return from the -cachedir result cache, so recovery repeats
-// no work already persisted). -maxcost and the -breaker* flags bound
-// the backlog under overload, and -faultservice turns the daemon into
-// its own chaos subject for `make chaos-smoke`.
+// no work already persisted). -queuecap, -maxcost and the -breaker*
+// flags bound the backlog under overload, and -faultservice turns the
+// daemon into its own chaos subject for `make chaos-smoke`.
 //
 // Fleet mode: -peers (or -peersfile) lists the static membership of
 // an ampserve fleet. Submissions route to their canonical owner on a
@@ -170,11 +170,12 @@ func main() {
 	srv, err := server.New(server.Config{
 		BaseOptions:    opt,
 		MaxPairsPerJob: *maxPairs,
-		Queue:          jobqueue.Config{Workers: *workers, Capacity: *queueCap},
+		Queue:          jobqueue.Config{Workers: *workers},
 		Cache:          pairstore.CacheConfig{ByteBudget: *cacheBytes, Dir: *cacheDir},
 		JournalDir:     *journalDir,
 		FlushEvery:     *flushEvery,
 		Admission: server.AdmissionConfig{
+			MaxPending:      *queueCap,
 			MaxPendingCost:  *maxCost,
 			BreakerWindow:   *breakerWin,
 			BreakerTripRate: *breakerTrip,

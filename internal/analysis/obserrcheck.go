@@ -16,8 +16,8 @@ import (
 //	(*experiments.Runner).RunPair* / Sweep / SweepContext,
 //	telemetry and trace Close / Flush (sinks buffer; only Close
 //	reports the final write),
-//	the service layer: jobqueue Submit/TrySubmit/Drain, server
-//	Submit/Drain, pairstore Cache Save/Load, and http.Server.Shutdown
+//	the service layer: jobqueue Submit/Drain, server Submit/Drain,
+//	pairstore Cache Save/Load, and http.Server.Shutdown
 //	(a dropped error loses jobs, strands a drain, or forgets
 //	computed pairs),
 //	the durability layer: wal Log Append/Sync/Close and server
@@ -58,7 +58,6 @@ var checkedAPIs = []checkedAPI{
 	// (pair store persistence, which the server and sweeps share).
 	{"net/http", "Server", "Shutdown"},
 	{"internal/jobqueue", "Queue", "Submit"},
-	{"internal/jobqueue", "Queue", "TrySubmit"},
 	{"internal/jobqueue", "Queue", "Drain"},
 	{"internal/server", "Server", "Submit"},
 	{"internal/server", "Server", "Drain"},

@@ -26,9 +26,7 @@ func Leak(tel *telemetry.Telemetry) {
 
 // LeakService drops errors across the service layer.
 func LeakService(ctx context.Context, q *jobqueue.Queue, s *server.Server, c *pairstore.Cache, hs *http.Server) {
-	q.Submit(ctx, nil, jobqueue.SubmitOptions{})       // want `error from Queue\.Submit discarded`
-	j, _ := q.TrySubmit(nil, jobqueue.SubmitOptions{}) // want `error from Queue\.TrySubmit assigned to blank identifier`
-	_ = j
+	q.Submit(nil, nil)         // want `error from Queue\.Submit discarded`
 	q.Drain(ctx)               // want `error from Queue\.Drain discarded`
 	s.Submit(server.JobSpec{}) // want `error from Server\.Submit discarded`
 	defer s.Drain(ctx)         // want `deferred Server\.Drain discards its error`
@@ -61,7 +59,7 @@ func HandledDurability(l *wal.Log, s *server.Server) error {
 
 // HandledService checks every service-layer error: nothing to flag.
 func HandledService(ctx context.Context, q *jobqueue.Queue, c *pairstore.Cache, hs *http.Server) error {
-	if _, err := q.Submit(ctx, nil, jobqueue.SubmitOptions{}); err != nil {
+	if err := q.Submit([]jobqueue.BatchTask{{}}, make([]*jobqueue.Job, 1)); err != nil {
 		return err
 	}
 	if err := q.Drain(ctx); err != nil {

@@ -7,8 +7,8 @@ import "context"
 // Task mirrors the real task shape.
 type Task func(ctx context.Context) error
 
-// SubmitOptions is a minimal stand-in.
-type SubmitOptions struct{}
+// BatchTask is a minimal stand-in.
+type BatchTask struct{ Task Task }
 
 // Job is a minimal stand-in.
 type Job struct{}
@@ -16,15 +16,8 @@ type Job struct{}
 // Queue mirrors the real queue's must-check API.
 type Queue struct{}
 
-// Submit mirrors the blocking submission's (job, error) shape.
-func (q *Queue) Submit(ctx context.Context, task Task, opts SubmitOptions) (*Job, error) {
-	return &Job{}, nil
-}
-
-// TrySubmit mirrors the non-blocking submission's (job, error) shape.
-func (q *Queue) TrySubmit(task Task, opts SubmitOptions) (*Job, error) {
-	return &Job{}, nil
-}
+// Submit mirrors the group submission's error-only shape.
+func (q *Queue) Submit(tasks []BatchTask, jobs []*Job) error { return nil }
 
 // Drain mirrors the graceful-stop error result.
 func (q *Queue) Drain(ctx context.Context) error { return nil }

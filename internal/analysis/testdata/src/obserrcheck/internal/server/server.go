@@ -10,8 +10,8 @@ type JobSpec struct{}
 // Server mirrors the service's must-check API.
 type Server struct{}
 
-// Submit mirrors the job submission's (entry, error) shape.
-func (s *Server) Submit(sp JobSpec) (*JobSpec, error) { return &sp, nil }
+// Submit mirrors the group submission's (entries, error) shape.
+func (s *Server) Submit(specs ...JobSpec) ([]JobSpec, error) { return specs, nil }
 
 // Drain mirrors the graceful-shutdown error result.
 func (s *Server) Drain(ctx context.Context) error { return nil }

@@ -58,7 +58,8 @@ func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config)) []*tes
 		tel := telemetry.New()
 		scfg := server.Config{
 			BaseOptions: testOptions(),
-			Queue:       jobqueue.Config{Workers: 4, Capacity: 16},
+			Queue:       jobqueue.Config{Workers: 4},
+			Admission:   server.AdmissionConfig{MaxPending: 16},
 			Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 			Telemetry:   tel,
 			JobIDSpace:  addrs[i],
@@ -260,7 +261,8 @@ func TestForwardPropagatesRetryAfter(t *testing.T) {
 	fleet := startFleet(t, 2,
 		func(i int, cfg *server.Config) {
 			if i == 0 { // the owner: one worker, one pending slot
-				cfg.Queue = jobqueue.Config{Workers: 1, Capacity: 1}
+				cfg.Queue = jobqueue.Config{Workers: 1}
+				cfg.Admission.MaxPending = 1
 			}
 		})
 

@@ -1,12 +1,13 @@
-// Package jobqueue is a bounded, priority-aware work queue with a
-// fixed worker pool — the execution backbone of the simulation
-// service (internal/server, cmd/ampserve).
+// Package jobqueue is a priority-aware work queue with a fixed worker
+// pool — the execution backbone of the simulation service
+// (internal/server, cmd/ampserve).
 //
 // Design points, in the order a job meets them:
 //
-//   - Backpressure: the pending heap has a high-water mark. TrySubmit
-//     returns ErrQueueFull past it (the server maps that to HTTP 429);
-//     Submit blocks until space frees or the caller's context ends.
+//   - One enqueue: Submit takes a group of tasks and accepts all of
+//     them or none, so a single job is a group of one. The queue sets
+//     no depth bound of its own; the server's admission control
+//     decides depth, cost and breaker refusals before it calls Submit.
 //   - Priority: pending jobs run highest Priority first; ties break by
 //     submission order, so equal-priority traffic is FIFO and the
 //     schedule is deterministic for a deterministic arrival order.
@@ -15,14 +16,16 @@
 //     canceled while still pending never starts.
 //   - Retry with backoff: a job whose task fails with an error the
 //     configured classifier calls retryable (the server classifies
-//     wedged simulations, amp.ErrWedged) is re-run after an
-//     exponentially growing backoff, up to MaxRetries times.
+//     injected chaos panics, fault.ErrInjectedPanic) is re-run after
+//     an exponentially growing backoff, up to MaxRetries times.
+//   - A settled job drops its task, so a handle kept after the job
+//     ends does not keep what the task captured alive.
 //   - Drain: stop accepting, then wait for the backlog to finish —
 //     the graceful half of SIGTERM handling.
 //
 // Telemetry (all under "jobqueue."): depth/running gauges; submitted,
-// rejected, completed, failed, canceled, retries counters; wait_us and
-// run_us histograms.
+// batches (one per accepted Submit), rejected, completed, failed,
+// canceled, retries counters; wait_us and run_us histograms.
 package jobqueue
 
 import (
@@ -37,11 +40,7 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// ErrQueueFull is returned by TrySubmit when the pending backlog is at
-// the high-water mark — the caller should shed load (HTTP 429).
-var ErrQueueFull = errors.New("jobqueue: queue full")
-
-// ErrClosed is returned by submissions after Drain or Close.
+// ErrClosed is returned by Submit after Drain or Close.
 var ErrClosed = errors.New("jobqueue: closed")
 
 // Task is one unit of work. It must honor ctx promptly: cancellation
@@ -82,8 +81,6 @@ func (s State) String() string {
 type Config struct {
 	// Workers is the pool size; 0 means GOMAXPROCS.
 	Workers int
-	// Capacity is the pending high-water mark; 0 means 4x workers.
-	Capacity int
 	// MaxRetries bounds re-runs of a retryably failed job (0 = no
 	// retries).
 	MaxRetries int
@@ -180,7 +177,9 @@ func (j *Job) Wait(ctx context.Context) error {
 // jobs.
 func (j *Job) Cancel() { j.q.cancelJob(j) }
 
-// settle moves the job to a terminal state exactly once.
+// settle moves the job to a terminal state exactly once. It drops the
+// task: callers keep handles for as long as they like (the server, for
+// its lifetime), and the task's closure must not live that long.
 func (j *Job) settle(s State, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -189,11 +188,12 @@ func (j *Job) settle(s State, err error) bool {
 	}
 	j.state = s
 	j.err = err
+	j.task = nil
 	close(j.done)
 	return true
 }
 
-// Queue is the bounded priority work queue. Create with New; a Queue
+// Queue is the priority work queue. Create with New; a Queue
 // must be Closed (or Drained) to stop its workers.
 type Queue struct {
 	cfg Config
@@ -227,14 +227,11 @@ type Queue struct {
 
 // New builds a Queue and starts its workers.
 func New(cfg Config) (*Queue, error) {
-	if cfg.Workers < 0 || cfg.Capacity < 0 || cfg.MaxRetries < 0 || cfg.Backoff < 0 {
+	if cfg.Workers < 0 || cfg.MaxRetries < 0 || cfg.Backoff < 0 {
 		return nil, fmt.Errorf("jobqueue: negative Config field")
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Capacity == 0 {
-		cfg.Capacity = 4 * cfg.Workers
 	}
 	if cfg.Backoff == 0 {
 		cfg.Backoff = 10 * time.Millisecond
@@ -265,53 +262,38 @@ func New(cfg Config) (*Queue, error) {
 	return q, nil
 }
 
-// TrySubmit enqueues task, failing fast with ErrQueueFull at the
-// high-water mark and ErrClosed after Drain/Close.
-func (q *Queue) TrySubmit(task Task, opts SubmitOptions) (*Job, error) {
-	return q.submit(nil, task, opts)
-}
-
-// Submit enqueues task, blocking while the queue is full until space
-// frees, the queue closes, or ctx ends.
-func (q *Queue) Submit(ctx context.Context, task Task, opts SubmitOptions) (*Job, error) {
-	return q.submit(ctx, task, opts)
-}
-
-// BatchTask pairs one batch member with its submit options.
+// BatchTask pairs one group member with its submit options.
 type BatchTask struct {
 	Task Task
 	Opts SubmitOptions
 }
 
-// TrySubmitBatch enqueues the group atomically: either every task is
-// accepted — under one lock acquisition, with contiguous sequence
-// numbers so equal-priority members stay adjacent in the priority heap
-// and one worker wake-up — or none is (ErrQueueFull when the whole
-// group does not fit below the high-water mark, ErrClosed after
-// Drain/Close). Accepted groups count once on "jobqueue.batches" and
-// per job on "jobqueue.submitted".
-func (q *Queue) TrySubmitBatch(tasks []BatchTask) ([]*Job, error) {
+// Submit enqueues a group of tasks all or nothing: every member is
+// accepted under one lock acquisition, with contiguous sequence
+// numbers so equal-priority members stay adjacent in the priority heap,
+// or none is. jobs[i] receives the handle of tasks[i], so jobs must be
+// at least as long as tasks. Submit fails on an empty group, a nil
+// task, or ErrClosed after Drain/Close. An accepted group counts once
+// on "jobqueue.batches" and per job on "jobqueue.submitted".
+func (q *Queue) Submit(tasks []BatchTask, jobs []*Job) error {
 	if len(tasks) == 0 {
-		return nil, fmt.Errorf("jobqueue: empty batch")
+		return fmt.Errorf("jobqueue: empty group")
+	}
+	if len(jobs) < len(tasks) {
+		return fmt.Errorf("jobqueue: %d job slots for %d tasks", len(jobs), len(tasks))
 	}
 	for _, bt := range tasks {
 		if bt.Task == nil {
-			return nil, fmt.Errorf("jobqueue: nil task in batch")
+			return fmt.Errorf("jobqueue: nil task in group")
 		}
 	}
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		q.rejected.Add(uint64(len(tasks)))
-		return nil, ErrClosed
-	}
-	if len(q.pending)+len(tasks) > q.cfg.Capacity {
-		q.mu.Unlock()
-		q.rejected.Add(uint64(len(tasks)))
-		return nil, ErrQueueFull
+		return ErrClosed
 	}
 	now := time.Now() //ampvet:allow determinism queue wait-latency measurement is inherently wall-clock
-	jobs := make([]*Job, len(tasks))
 	for i, bt := range tasks {
 		q.nextID++
 		q.nextSeq++
@@ -340,72 +322,7 @@ func (q *Queue) TrySubmitBatch(tasks []BatchTask) ([]*Job, error) {
 	q.submitted.Add(uint64(len(tasks)))
 	q.batches.Inc()
 	q.cond.Broadcast()
-	q.mu.Unlock()
-	return jobs, nil
-}
-
-func (q *Queue) submit(ctx context.Context, task Task, opts SubmitOptions) (*Job, error) {
-	if task == nil {
-		return nil, fmt.Errorf("jobqueue: nil task")
-	}
-	q.mu.Lock()
-	for {
-		if q.closed {
-			q.mu.Unlock()
-			q.rejected.Inc()
-			return nil, ErrClosed
-		}
-		if len(q.pending) < q.cfg.Capacity {
-			break
-		}
-		if ctx == nil { // TrySubmit: shed load
-			q.mu.Unlock()
-			q.rejected.Inc()
-			return nil, ErrQueueFull
-		}
-		if err := ctx.Err(); err != nil {
-			q.mu.Unlock()
-			q.rejected.Inc()
-			return nil, err
-		}
-		// Re-check ctx at queue state changes; a canceled waiter is
-		// released by the broadcast in dispatch/cancel paths or by the
-		// watcher below.
-		stop := context.AfterFunc(ctx, func() {
-			q.mu.Lock()
-			q.cond.Broadcast()
-			q.mu.Unlock()
-		})
-		q.cond.Wait()
-		stop()
-	}
-	q.nextID++
-	q.nextSeq++
-	//ampvet:allow ctxcheck jobs deliberately outlive the submitter's ctx; cancellation flows through Job.Cancel and queue shutdown instead
-	jctx, cancel := context.WithCancel(context.Background())
-	j := &Job{
-		id:       q.nextID,
-		priority: opts.Priority,
-		seq:      q.nextSeq,
-		task:     task,
-		deadline: opts.Deadline,
-		cost:     opts.Cost,
-		q:        q,
-		ctx:      jctx,
-		cancel:   cancel,
-		state:    StatePending,
-		done:     make(chan struct{}),
-
-		submitted: time.Now(), //ampvet:allow determinism queue wait-latency measurement is inherently wall-clock
-	}
-	heap.Push(&q.pending, j)
-	q.pendingCost += j.cost
-	q.depth.Set(float64(len(q.pending)))
-	q.pendingCostG.Set(q.pendingCost)
-	q.submitted.Inc()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return j, nil
+	return nil
 }
 
 // cancelJob implements Job.Cancel.
@@ -416,7 +333,7 @@ func (q *Queue) cancelJob(j *Job) {
 		q.pendingCost -= j.cost
 		q.depth.Set(float64(len(q.pending)))
 		q.pendingCostG.Set(q.pendingCost)
-		q.cond.Broadcast()
+		q.cond.Broadcast() // Drain waits on the pending heap emptying
 	}
 	q.mu.Unlock()
 	j.cancel()
@@ -444,7 +361,6 @@ func (q *Queue) worker() {
 		q.pendingCostG.Set(q.pendingCost)
 		q.active[j] = struct{}{}
 		q.runningG.Set(float64(len(q.active)))
-		q.cond.Broadcast() // space freed: wake blocked Submit callers
 		q.mu.Unlock()
 
 		q.run(j)
@@ -473,6 +389,7 @@ func (q *Queue) run(j *Job) {
 		return
 	}
 	j.state = StateRunning
+	task := j.task // settle may clear j.task while this run still needs it
 	j.mu.Unlock()
 
 	start := time.Now() //ampvet:allow determinism job run-latency measurement is inherently wall-clock
@@ -491,7 +408,7 @@ func (q *Queue) run(j *Job) {
 		j.attempts++
 		attempt := j.attempts
 		j.mu.Unlock()
-		err = q.runAttempt(ctx, j)
+		err = q.runAttempt(ctx, task)
 		if err == nil || ctx.Err() != nil {
 			break
 		}
@@ -538,7 +455,7 @@ func (q *Queue) run(j *Job) {
 // so one exploding job cannot take a worker (and its queue share) down
 // with it. A panic carrying an error is wrapped, so classifiers can
 // errors.Is through it and decide whether the job retries.
-func (q *Queue) runAttempt(ctx context.Context, j *Job) (err error) {
+func (q *Queue) runAttempt(ctx context.Context, task Task) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			q.panicked.Inc()
@@ -549,7 +466,7 @@ func (q *Queue) runAttempt(ctx context.Context, j *Job) (err error) {
 			}
 		}
 	}()
-	return j.task(ctx)
+	return task(ctx)
 }
 
 // maxBackoff bounds one retry sleep; past it, exponential growth stops.

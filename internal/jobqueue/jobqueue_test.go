@@ -3,6 +3,7 @@ package jobqueue
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,13 +22,20 @@ func newTestQueue(t *testing.T, cfg Config) *Queue {
 	return q
 }
 
+// submitOne enqueues task as a group of one.
+func submitOne(q *Queue, task Task, opts SubmitOptions) (*Job, error) {
+	jobs := make([]*Job, 1)
+	err := q.Submit([]BatchTask{{Task: task, Opts: opts}}, jobs)
+	return jobs[0], err
+}
+
 func TestSubmitAndComplete(t *testing.T) {
 	tel := telemetry.New()
-	q := newTestQueue(t, Config{Workers: 2, Capacity: 16, Telemetry: tel})
+	q := newTestQueue(t, Config{Workers: 2, Telemetry: tel})
 	var ran atomic.Int64
 	var jobs []*Job
 	for i := 0; i < 10; i++ {
-		j, err := q.TrySubmit(func(ctx context.Context) error {
+		j, err := submitOne(q, func(ctx context.Context) error {
 			ran.Add(1)
 			return nil
 		}, SubmitOptions{})
@@ -53,11 +61,11 @@ func TestSubmitAndComplete(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 16})
+	q := newTestQueue(t, Config{Workers: 1})
 
 	// Block the single worker so submissions pile up in the heap.
 	release := make(chan struct{})
-	blocker, err := q.TrySubmit(func(ctx context.Context) error {
+	blocker, err := submitOne(q, func(ctx context.Context) error {
 		<-release
 		return nil
 	}, SubmitOptions{})
@@ -74,7 +82,7 @@ func TestPriorityOrdering(t *testing.T) {
 	var jobs []*Job
 	for _, prio := range []int{0, 5, 1, 5, 9} {
 		prio := prio
-		j, err := q.TrySubmit(func(ctx context.Context) error {
+		j, err := submitOne(q, func(ctx context.Context) error {
 			mu.Lock()
 			order = append(order, prio)
 			mu.Unlock()
@@ -104,51 +112,11 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestQueueFullBackpressure(t *testing.T) {
-	tel := telemetry.New()
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 2, Telemetry: tel})
-
-	release := make(chan struct{})
-	defer close(release)
-	if _, err := q.TrySubmit(func(ctx context.Context) error {
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-		return nil
-	}, SubmitOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for q.Stats().Running == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// Fill the pending heap to the high-water mark.
-	for i := 0; i < 2; i++ {
-		if _, err := q.TrySubmit(func(ctx context.Context) error { return nil }, SubmitOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := q.TrySubmit(func(ctx context.Context) error { return nil }, SubmitOptions{}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("error %v, want ErrQueueFull", err)
-	}
-	if got := tel.Counter("jobqueue.rejected").Value(); got != 1 {
-		t.Fatalf("rejected counter %d, want 1", got)
-	}
-
-	// A blocking Submit with a canceled context surfaces the context
-	// error instead of waiting forever.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := q.Submit(ctx, func(ctx context.Context) error { return nil }, SubmitOptions{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked Submit error %v, want deadline exceeded", err)
-	}
-}
-
 func TestCancelPendingJobNeverRuns(t *testing.T) {
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 8})
+	q := newTestQueue(t, Config{Workers: 1})
 	release := make(chan struct{})
 	defer close(release)
-	if _, err := q.TrySubmit(func(ctx context.Context) error {
+	if _, err := submitOne(q, func(ctx context.Context) error {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -161,7 +129,7 @@ func TestCancelPendingJobNeverRuns(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	var ran atomic.Bool
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		ran.Store(true)
 		return nil
 	}, SubmitOptions{})
@@ -183,7 +151,7 @@ func TestCancelPendingJobNeverRuns(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	q := newTestQueue(t, Config{Workers: 1})
 	started := make(chan struct{})
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		close(started)
 		<-ctx.Done()
 		return ctx.Err()
@@ -210,7 +178,7 @@ func TestRetryWithBackoff(t *testing.T) {
 		Telemetry:  tel,
 	})
 	var calls atomic.Int64
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		if calls.Add(1) < 3 {
 			return errFlaky
 		}
@@ -241,7 +209,7 @@ func TestRetryExhaustionFails(t *testing.T) {
 		Retryable:  func(err error) bool { return errors.Is(err, errFlaky) },
 	})
 	var calls atomic.Int64
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		calls.Add(1)
 		return errFlaky
 	}, SubmitOptions{})
@@ -268,7 +236,7 @@ func TestNonRetryableFailsImmediately(t *testing.T) {
 	})
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		calls.Add(1)
 		return boom
 	}, SubmitOptions{})
@@ -285,7 +253,7 @@ func TestNonRetryableFailsImmediately(t *testing.T) {
 
 func TestJobDeadline(t *testing.T) {
 	q := newTestQueue(t, Config{Workers: 1})
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		<-ctx.Done()
 		return ctx.Err()
 	}, SubmitOptions{Deadline: 20 * time.Millisecond})
@@ -301,13 +269,13 @@ func TestJobDeadline(t *testing.T) {
 }
 
 func TestDrainFinishesBacklog(t *testing.T) {
-	q, err := New(Config{Workers: 2, Capacity: 32})
+	q, err := New(Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Int64
 	for i := 0; i < 12; i++ {
-		if _, err := q.TrySubmit(func(ctx context.Context) error {
+		if _, err := submitOne(q, func(ctx context.Context) error {
 			time.Sleep(time.Millisecond)
 			ran.Add(1)
 			return nil
@@ -321,7 +289,7 @@ func TestDrainFinishesBacklog(t *testing.T) {
 	if got := ran.Load(); got != 12 {
 		t.Fatalf("drain finished %d jobs, want 12", got)
 	}
-	if _, err := q.TrySubmit(func(ctx context.Context) error { return nil }, SubmitOptions{}); !errors.Is(err, ErrClosed) {
+	if _, err := submitOne(q, func(ctx context.Context) error { return nil }, SubmitOptions{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-drain submit error %v, want ErrClosed", err)
 	}
 }
@@ -331,7 +299,7 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		<-ctx.Done() // never finishes voluntarily
 		return ctx.Err()
 	}, SubmitOptions{})
@@ -360,7 +328,7 @@ func TestBackoffCappedByDeadline(t *testing.T) {
 		Retryable:  func(error) bool { return true },
 	})
 	start := time.Now()
-	j, err := q.TrySubmit(func(ctx context.Context) error { return fail }, SubmitOptions{
+	j, err := submitOne(q, func(ctx context.Context) error { return fail }, SubmitOptions{
 		Deadline: 150 * time.Millisecond,
 	})
 	if err != nil {
@@ -402,7 +370,7 @@ func TestTaskPanicRecovered(t *testing.T) {
 		Telemetry:  tel,
 	})
 	var calls atomic.Int64
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		if calls.Add(1) == 1 {
 			panic(boom)
 		}
@@ -423,7 +391,7 @@ func TestTaskPanicRecovered(t *testing.T) {
 
 	// A panic the classifier rejects fails the job; the worker survives
 	// to run the next one.
-	j2, err := q.TrySubmit(func(ctx context.Context) error { panic("unclassified") }, SubmitOptions{})
+	j2, err := submitOne(q, func(ctx context.Context) error { panic("unclassified") }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +400,7 @@ func TestTaskPanicRecovered(t *testing.T) {
 	} else if j2.State() != StateFailed {
 		t.Fatalf("state %v, want failed", j2.State())
 	}
-	j3, err := q.TrySubmit(func(ctx context.Context) error { return nil }, SubmitOptions{})
+	j3, err := submitOne(q, func(ctx context.Context) error { return nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,9 +413,9 @@ func TestTaskPanicRecovered(t *testing.T) {
 // lifecycle: pile jobs behind a blocked worker, then release.
 func TestCostAccounting(t *testing.T) {
 	tel := telemetry.New()
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 16, Telemetry: tel})
+	q := newTestQueue(t, Config{Workers: 1, Telemetry: tel})
 	release := make(chan struct{})
-	blocker, err := q.TrySubmit(func(ctx context.Context) error {
+	blocker, err := submitOne(q, func(ctx context.Context) error {
 		<-release
 		return nil
 	}, SubmitOptions{Cost: 5})
@@ -466,7 +434,7 @@ func TestCostAccounting(t *testing.T) {
 	}
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		j, err := q.TrySubmit(func(ctx context.Context) error { return nil }, SubmitOptions{Cost: 10})
+		j, err := submitOne(q, func(ctx context.Context) error { return nil }, SubmitOptions{Cost: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -501,9 +469,9 @@ func TestCostAccounting(t *testing.T) {
 // caller returning from Wait never reads a RunningCost that still
 // counts it.
 func TestCostRetiredBeforeSettle(t *testing.T) {
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 4})
+	q := newTestQueue(t, Config{Workers: 1})
 	started, release := make(chan struct{}), make(chan struct{})
-	j, err := q.TrySubmit(func(ctx context.Context) error {
+	j, err := submitOne(q, func(ctx context.Context) error {
 		close(started)
 		<-release
 		return nil
@@ -538,20 +506,19 @@ func TestCostRetiredBeforeSettle(t *testing.T) {
 	}
 }
 
-// TestTrySubmitBatchAtomic pins the batch contract: a group that fits
+// TestTrySubmitBatchAtomic pins the group contract of Submit: a group
 // is accepted whole with contiguous IDs and runs adjacently (one
-// "jobqueue.batches" tick, one "jobqueue.submitted" tick per job),
-// and a group that does not fit is rejected whole — no partial
-// enqueue.
+// "jobqueue.batches" tick per Submit, one "jobqueue.submitted" tick
+// per job), and a closed queue refuses it whole.
 func TestTrySubmitBatchAtomic(t *testing.T) {
 	tel := telemetry.New()
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 4, Telemetry: tel})
+	q := newTestQueue(t, Config{Workers: 1, Telemetry: tel})
 
-	// Block the worker so pending occupancy is under test control;
+	// Block the worker so the group stays pending until released;
 	// wait for pickup so the blocker itself is out of the heap.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	blocker, err := q.TrySubmit(func(ctx context.Context) error {
+	blocker, err := submitOne(q, func(ctx context.Context) error {
 		close(started)
 		<-release
 		return nil
@@ -564,36 +531,22 @@ func TestTrySubmitBatchAtomic(t *testing.T) {
 	var ran atomic.Int64
 	task := func(ctx context.Context) error { ran.Add(1); return nil }
 
-	jobs, err := q.TrySubmitBatch([]BatchTask{{Task: task, Opts: SubmitOptions{Priority: 3}}, {Task: task, Opts: SubmitOptions{Priority: 3}}, {Task: task, Opts: SubmitOptions{Priority: 3}}})
-	if err != nil {
+	jobs := make([]*Job, 3)
+	group := []BatchTask{{Task: task, Opts: SubmitOptions{Priority: 3}}, {Task: task, Opts: SubmitOptions{Priority: 3}}, {Task: task, Opts: SubmitOptions{Priority: 3}}}
+	if err := q.Submit(group, jobs); err != nil {
 		t.Fatal(err)
-	}
-	if len(jobs) != 3 {
-		t.Fatalf("accepted %d jobs, want 3", len(jobs))
 	}
 	for i := 1; i < len(jobs); i++ {
 		if jobs[i].ID() != jobs[i-1].ID()+1 {
-			t.Fatalf("batch IDs not contiguous: %d after %d", jobs[i].ID(), jobs[i-1].ID())
+			t.Fatalf("group IDs not contiguous: %d after %d", jobs[i].ID(), jobs[i-1].ID())
 		}
 	}
-
-	// 3 pending + 1 more would cross Capacity=4: the whole group
-	// bounces and nothing of it lands in the heap.
-	if _, err := q.TrySubmitBatch([]BatchTask{{Task: task}, {Task: task}}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overfull batch: err = %v, want ErrQueueFull", err)
-	}
 	if got := q.Stats().Pending; got != 3 {
-		t.Fatalf("pending after rejected batch = %d, want 3 (partial enqueue?)", got)
-	}
-
-	// A single-slot batch still fits exactly at the high-water mark.
-	one, err := q.TrySubmitBatch([]BatchTask{{Task: task}})
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("pending after group = %d, want 3", got)
 	}
 
 	close(release)
-	for _, j := range append(jobs, one...) {
+	for _, j := range jobs {
 		if err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -601,165 +554,86 @@ func TestTrySubmitBatchAtomic(t *testing.T) {
 	if err := blocker.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := ran.Load(); got != 4 {
-		t.Fatalf("ran %d batch tasks, want 4", got)
+	if got := ran.Load(); got != 3 {
+		t.Fatalf("ran %d group tasks, want 3", got)
 	}
 	if got := tel.Counter("jobqueue.batches").Value(); got != 2 {
-		t.Fatalf("jobqueue.batches = %d, want 2", got)
+		t.Fatalf("jobqueue.batches = %d, want 2 (blocker + group)", got)
 	}
-	if got := tel.Counter("jobqueue.submitted").Value(); got != 5 {
-		t.Fatalf("jobqueue.submitted = %d, want 5 (blocker + 4 batch jobs)", got)
+	if got := tel.Counter("jobqueue.submitted").Value(); got != 4 {
+		t.Fatalf("jobqueue.submitted = %d, want 4 (blocker + 3 group jobs)", got)
 	}
 
-	// Closed queue refuses batches outright.
+	// Closed queue refuses groups outright, counting every member.
 	q.Close()
-	if _, err := q.TrySubmitBatch([]BatchTask{{Task: task}}); !errors.Is(err, ErrClosed) {
+	if err := q.Submit([]BatchTask{{Task: task}, {Task: task}}, jobs); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed queue: err = %v, want ErrClosed", err)
 	}
+	if got := tel.Counter("jobqueue.rejected").Value(); got != 2 {
+		t.Fatalf("jobqueue.rejected = %d, want 2", got)
+	}
 }
 
-// TestTrySubmitBatchValidation rejects empty groups and nil members
-// before touching the queue.
+// TestTrySubmitBatchValidation rejects empty groups, nil members and a
+// job slice too short for the group before touching the queue.
 func TestTrySubmitBatchValidation(t *testing.T) {
-	q := newTestQueue(t, Config{Workers: 1, Capacity: 4})
-	if _, err := q.TrySubmitBatch(nil); err == nil {
-		t.Fatal("empty batch accepted")
+	q := newTestQueue(t, Config{Workers: 1})
+	jobs := make([]*Job, 2)
+	if err := q.Submit(nil, jobs); err == nil {
+		t.Fatal("empty group accepted")
 	}
 	task := func(ctx context.Context) error { return nil }
-	if _, err := q.TrySubmitBatch([]BatchTask{{Task: task}, {}}); err == nil {
-		t.Fatal("batch with nil task accepted")
+	if err := q.Submit([]BatchTask{{Task: task}, {}}, jobs); err == nil {
+		t.Fatal("group with nil task accepted")
+	}
+	if err := q.Submit([]BatchTask{{Task: task}, {Task: task}}, jobs[:1]); err == nil {
+		t.Fatal("group accepted into a short job slice")
 	}
 	if got := q.Stats().Pending; got != 0 {
-		t.Fatalf("pending = %d after rejected batches, want 0", got)
+		t.Fatalf("pending = %d after rejected groups, want 0", got)
 	}
 }
 
-// TestTrySubmitBatchOversized pins the degenerate rejection: a batch
-// larger than Capacity bounces even against an empty queue (it can
-// never fit, so blocking or partial admission would both be wrong),
-// counts every member on "jobqueue.rejected", and leaves the queue
-// usable for a batch that exactly fills it.
-func TestTrySubmitBatchOversized(t *testing.T) {
-	tel := telemetry.New()
-	const capacity = 4
-	q := newTestQueue(t, Config{Workers: 1, Capacity: capacity, Telemetry: tel})
-
-	// Park the worker so admitted jobs stay pending and countable.
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker, err := q.TrySubmit(func(ctx context.Context) error {
-		close(started)
-		<-release
-		return nil
-	}, SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	task := func(ctx context.Context) error { return nil }
-	over := make([]BatchTask, capacity+1)
-	for i := range over {
-		over[i] = BatchTask{Task: task}
-	}
-	if _, err := q.TrySubmitBatch(over); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("oversized batch on empty queue: err = %v, want ErrQueueFull", err)
-	}
-	if got := q.Stats().Pending; got != 0 {
-		t.Fatalf("pending after oversized bounce = %d, want 0 (partial enqueue?)", got)
-	}
-	if got := tel.Counter("jobqueue.rejected").Value(); got != capacity+1 {
-		t.Fatalf("jobqueue.rejected = %d, want %d (every member of the bounced batch)", got, capacity+1)
-	}
-
-	// Exactly Capacity still fits: the bounce above must not have
-	// consumed slots, ids, or wedged the lock.
-	full, err := q.TrySubmitBatch(over[:capacity])
-	if err != nil {
-		t.Fatalf("capacity-sized batch after bounce: %v", err)
-	}
-	close(release)
-	for _, j := range append(full, blocker) {
-		if err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestTrySubmitBatchConcurrentWithSingles hammers TrySubmitBatch and
-// TrySubmit from racing submitters while workers drain, and checks the
-// invariants that make the batch path safe to interleave: pending
-// occupancy never exceeds Capacity, accepted batches keep contiguous
-// ids (the lock is held across the whole group), and every accepted
-// job runs exactly once. Run under -race this also exercises the
-// submit/reject counter paths for data races.
+// TestTrySubmitBatchConcurrentWithSingles hammers Submit with groups
+// and singles from racing submitters while workers drain, and checks
+// the invariants that make groups safe to interleave: accepted groups
+// keep contiguous ids (the lock is held across the whole group), and
+// every accepted job runs exactly once. Run under -race this also
+// exercises the submit counter paths for data races.
 func TestTrySubmitBatchConcurrentWithSingles(t *testing.T) {
 	tel := telemetry.New()
-	const capacity = 8
-	q := newTestQueue(t, Config{Workers: 2, Capacity: capacity, Telemetry: tel})
+	q := newTestQueue(t, Config{Workers: 2, Telemetry: tel})
 
 	var ran atomic.Int64
 	task := func(ctx context.Context) error { ran.Add(1); return nil }
 
-	// Occupancy sampler: Stats() is the public view, so a transient
-	// overshoot would be observable by admission control and clients.
-	stopSample := make(chan struct{})
-	sampleDone := make(chan struct{})
-	var overCap atomic.Int64
-	go func() {
-		defer close(sampleDone)
-		for {
-			select {
-			case <-stopSample:
-				return
-			default:
-				if got := q.Stats().Pending; got > capacity {
-					overCap.Store(int64(got))
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-
 	const submitters, rounds, batchLen = 4, 60, 3
 	var wg sync.WaitGroup
-	var accepted atomic.Int64
 	jobsCh := make(chan *Job, submitters*rounds*batchLen)
 	for g := 0; g < submitters; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			size := 1
+			if g%2 == 0 {
+				size = batchLen
+			}
 			for i := 0; i < rounds; i++ {
-				if g%2 == 0 {
-					batch := make([]BatchTask, batchLen)
-					for k := range batch {
-						batch[k] = BatchTask{Task: task}
+				group := make([]BatchTask, size)
+				for k := range group {
+					group[k] = BatchTask{Task: task}
+				}
+				jobs := make([]*Job, size)
+				if err := q.Submit(group, jobs); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				for k := 1; k < len(jobs); k++ {
+					if jobs[k].ID() != jobs[k-1].ID()+1 {
+						t.Errorf("group ids not contiguous under contention: %d after %d", jobs[k].ID(), jobs[k-1].ID())
 					}
-					jobs, err := q.TrySubmitBatch(batch)
-					if err != nil {
-						if !errors.Is(err, ErrQueueFull) {
-							t.Errorf("batch submit: %v", err)
-						}
-						continue
-					}
-					for k := 1; k < len(jobs); k++ {
-						if jobs[k].ID() != jobs[k-1].ID()+1 {
-							t.Errorf("batch ids not contiguous under contention: %d after %d", jobs[k].ID(), jobs[k-1].ID())
-						}
-					}
-					accepted.Add(batchLen)
-					for _, j := range jobs {
-						jobsCh <- j
-					}
-				} else {
-					j, err := q.TrySubmit(task, SubmitOptions{})
-					if err != nil {
-						if !errors.Is(err, ErrQueueFull) {
-							t.Errorf("single submit: %v", err)
-						}
-						continue
-					}
-					accepted.Add(1)
+				}
+				for _, j := range jobs {
 					jobsCh <- j
 				}
 			}
@@ -767,24 +641,84 @@ func TestTrySubmitBatchConcurrentWithSingles(t *testing.T) {
 	}
 	wg.Wait()
 	close(jobsCh)
+	accepted := 0
 	for j := range jobsCh {
+		accepted++
 		if err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(stopSample)
-	<-sampleDone
 
-	if oc := overCap.Load(); oc != 0 {
-		t.Errorf("observed %d pending jobs, capacity is %d", oc, capacity)
+	if got := ran.Load(); got != int64(accepted) {
+		t.Errorf("ran %d tasks, accepted %d — accepted work was lost or duplicated", got, accepted)
 	}
-	if got := ran.Load(); got != accepted.Load() {
-		t.Errorf("ran %d tasks, accepted %d — accepted work was lost or duplicated", got, accepted.Load())
-	}
-	if got := tel.Counter("jobqueue.submitted").Value(); got != uint64(accepted.Load()) {
-		t.Errorf("jobqueue.submitted = %d, want %d", got, accepted.Load())
+	if got := tel.Counter("jobqueue.submitted").Value(); got != uint64(accepted) {
+		t.Errorf("jobqueue.submitted = %d, want %d", got, accepted)
 	}
 	if st := q.Stats(); st.Pending != 0 || st.Running != 0 {
 		t.Errorf("Stats after drain = %+v, want idle", st)
 	}
+}
+
+// TestSettledJobDropsTask: a job handle outlives its job (the server
+// keeps one per job for its lifetime), so settling must release the
+// task and everything its closure captured — both for a job that ran
+// and for one canceled before it started.
+func TestSettledJobDropsTask(t *testing.T) {
+	q := newTestQueue(t, Config{Workers: 1})
+	release := make(chan struct{})
+	blocker, err := submitOne(q, func(ctx context.Context) error {
+		<-release
+		return nil
+	}, SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// submitCapturing enqueues a task whose closure holds the only
+	// reference to an object with a finalizer.
+	submitCapturing := func(finalized chan struct{}) *Job {
+		obj := new([256]byte)
+		runtime.SetFinalizer(obj, func(*[256]byte) { close(finalized) })
+		j, err := submitOne(q, func(ctx context.Context) error {
+			obj[0]++
+			return nil
+		}, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	ranFinalized, canceledFinalized := make(chan struct{}), make(chan struct{})
+	ran := submitCapturing(ranFinalized)
+	canceled := submitCapturing(canceledFinalized)
+	canceled.Cancel()
+	close(release)
+	for _, j := range []*Job{blocker, ran} {
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := canceled.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled job: err = %v, want context.Canceled", err)
+	}
+
+	for _, c := range []struct {
+		name string
+		fin  chan struct{}
+	}{{"ran", ranFinalized}, {"canceled", canceledFinalized}} {
+		deadline := time.After(5 * time.Second)
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-c.fin:
+				done = true
+			case <-deadline:
+				t.Fatalf("%s job's task still reachable after settle", c.name)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	runtime.KeepAlive(ran)
+	runtime.KeepAlive(canceled)
 }

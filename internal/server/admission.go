@@ -11,16 +11,9 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// Overload protection. Two mechanisms gate Submit:
-//
-//   - Cost-based load shedding: each job carries an estimated cost
-//     (pairs x a fidelity weight — a detailed pair costs ~100x an
-//     interval pair). When the queue's backlog cost plus the new job
-//     would exceed AdmissionConfig.MaxPendingCost, the job is shed
-//     with HTTP 429 and a Retry-After sized to the backlog. Shedding
-//     by cost catches the failure mode a depth limit misses: a few
-//     detailed-fidelity sweeps can out-weigh hundreds of interval
-//     jobs.
+// Overload protection. Every refusal of a submitted group is decided
+// here, in one critical section with the group's enqueue, by three
+// mechanisms:
 //
 //   - A per-fidelity circuit breaker: when the recent wedge rate for
 //     one fidelity crosses BreakerTripRate, that fidelity is refused
@@ -28,6 +21,25 @@ import (
 //     probe decides between closing and re-tripping. Fidelities trip
 //     independently — a pathological detailed-engine workload must not
 //     take interval traffic down with it.
+//
+//   - Cost-based load shedding: each job carries an estimated cost
+//     (pairs x a fidelity weight — a detailed pair costs ~100x an
+//     interval pair). When the queue's backlog cost plus the group's
+//     would exceed AdmissionConfig.MaxPendingCost, the group is shed
+//     with HTTP 429 and a Retry-After sized to the backlog. Shedding
+//     by cost catches the failure mode a depth limit misses: a few
+//     detailed-fidelity sweeps can out-weigh hundreds of interval
+//     jobs.
+//
+//   - A depth bound: a group that would push the pending backlog past
+//     AdmissionConfig.MaxPending is refused with ErrQueueFull (HTTP 429,
+//     Retry-After: 1).
+//
+// Recovered jobs skip all three: they were admitted before the crash.
+
+// ErrQueueFull marks a group refused because the pending backlog would
+// pass AdmissionConfig.MaxPending.
+var ErrQueueFull = errors.New("server: queue full")
 
 // ErrShed marks a job refused by cost-based load shedding.
 var ErrShed = errors.New("server: overloaded, job shed")
@@ -45,9 +57,13 @@ type OverloadError struct {
 func (e *OverloadError) Error() string { return e.Err.Error() }
 func (e *OverloadError) Unwrap() error { return e.Err }
 
-// AdmissionConfig tunes overload protection. The zero value disables
-// load shedding and enables the breaker with defaults.
+// AdmissionConfig tunes overload protection. The zero value bounds the
+// backlog at 4 jobs per worker, disables load shedding and enables the
+// breaker with defaults.
 type AdmissionConfig struct {
+	// MaxPending refuses groups that would push the pending backlog past
+	// this many jobs; 0 means 4x the queue's workers.
+	MaxPending int
 	// MaxPendingCost sheds submissions that would push the queue's
 	// estimated backlog cost past this bound; 0 disables shedding.
 	MaxPendingCost float64
@@ -133,25 +149,41 @@ func newAdmission(cfg AdmissionConfig, tel *telemetry.Telemetry) *admission {
 	}
 }
 
-// admit gates one submission of the given cost, against the queue's
-// current backlog. It returns an *OverloadError wrapping ErrShed or
-// ErrBreakerOpen when the job must be refused.
-func (a *admission) admit(fidelity string, cost float64, qs jobqueue.Stats) error {
+// demand is one job's claim on admission: the fidelity whose breaker
+// gates it and its estimated cost.
+type demand struct {
+	fidelity string
+	cost     float64
+}
+
+// admit gates a submitted group as a whole and, if it passes, calls
+// enqueue. stats reads the queue's backlog. The check and the enqueue
+// share one critical section, so racing submitters cannot both pass
+// against a backlog that only one of them may grow. A refusal is an
+// *OverloadError wrapping ErrBreakerOpen or ErrShed, or ErrQueueFull.
+func (a *admission) admit(group []demand, stats func() jobqueue.Stats, enqueue func() error) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if b, ok := a.breakers[fidelity]; ok && b.state != breakerClosed {
+	var cost float64
+	for _, d := range group {
+		cost += d.cost
+		b, ok := a.breakers[d.fidelity]
+		if !ok || b.state == breakerClosed {
+			continue
+		}
 		elapsed := time.Since(b.openedAt) //ampvet:allow determinism breaker cooldown is inherently wall-clock
 		if b.state == breakerOpen {
 			if elapsed < a.cfg.BreakerCooldown {
 				a.shed.Inc()
 				return &OverloadError{
-					Err:        fmt.Errorf("%w for fidelity %q", ErrBreakerOpen, fidelity),
+					Err:        fmt.Errorf("%w for fidelity %q", ErrBreakerOpen, d.fidelity),
 					RetryAfter: a.cfg.BreakerCooldown - elapsed,
 				}
 			}
 			b.state = breakerHalfOpen // cooldown over: admit probes
 		}
 	}
+	qs := stats()
 	if a.cfg.MaxPendingCost > 0 && qs.PendingCost+qs.RunningCost+cost > a.cfg.MaxPendingCost {
 		a.shed.Inc()
 		return &OverloadError{
@@ -160,7 +192,11 @@ func (a *admission) admit(fidelity string, cost float64, qs jobqueue.Stats) erro
 			RetryAfter: a.cfg.RetryAfter,
 		}
 	}
-	return nil
+	if qs.Pending+len(group) > a.cfg.MaxPending {
+		return fmt.Errorf("%w: %d pending + %d submitted exceeds %d",
+			ErrQueueFull, qs.Pending, len(group), a.cfg.MaxPending)
+	}
+	return enqueue()
 }
 
 // record feeds one computed pair outcome into fidelity's breaker.

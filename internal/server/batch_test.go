@@ -164,8 +164,9 @@ func TestAbandonedBatchStops(t *testing.T) {
 }
 
 // TestSubmitManyAtomicGroup exercises the array form of POST /v1/jobs:
-// the group is accepted atomically through one queue batch, every
-// member completes, and an oversized group bounces whole.
+// the group is accepted atomically through one queue Submit, every
+// member completes, a group larger than MaxPending bounces whole, and
+// one that exactly fills it is still accepted.
 func TestSubmitManyAtomicGroup(t *testing.T) {
 	s := newTestService(t, nil)
 
@@ -202,10 +203,11 @@ func TestSubmitManyAtomicGroup(t *testing.T) {
 		t.Fatalf("jobqueue.batches = %d, want 1", got)
 	}
 
-	// A group larger than the whole queue is refused atomically: no
-	// member is enqueued or registered.
+	// A group larger than MaxPending is refused atomically on an idle
+	// queue: no member is enqueued or registered, and every member
+	// counts as rejected.
 	before := s.tel.Counter("server.jobs_submitted").Value()
-	big := make([]JobSpec, 40) // Capacity is 16
+	big := make([]JobSpec, 17) // MaxPending is 16
 	for i := range big {
 		big[i] = JobSpec{PairNames: [][2]string{{"gcc", "swim"}}}
 	}
@@ -218,8 +220,14 @@ func TestSubmitManyAtomicGroup(t *testing.T) {
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("oversized batch = %d, want 429", resp2.StatusCode)
 	}
+	if got := resp2.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("queue-full Retry-After = %q, want 1", got)
+	}
 	if got := s.tel.Counter("server.jobs_submitted").Value(); got != before {
 		t.Fatalf("jobs_submitted moved %d -> %d on a rejected batch", before, got)
+	}
+	if got := s.tel.Counter("server.jobs_rejected").Value(); got != 17 {
+		t.Fatalf("server.jobs_rejected = %d, want 17 (every member)", got)
 	}
 }
 

@@ -7,11 +7,11 @@ import "testing"
 func TestJobIDNamespace(t *testing.T) {
 	submit := func(space string) string {
 		srv := newTestService(t, func(c *Config) { c.JobIDSpace = space }).srv
-		j, err := srv.Submit(JobSpec{Pairs: 1, Seed: 1})
+		js, err := srv.Submit(JobSpec{Pairs: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return j.id
+		return js[0].id
 	}
 	idA := submit("127.0.0.1:1111")
 	idB := submit("127.0.0.1:2222")

@@ -141,7 +141,7 @@ type JobStatus struct {
 
 // jobEntry is the server-side record of one submitted job.
 type jobEntry struct {
-	id   string
+	id   string // set once, before the job is enqueued
 	spec JobSpec
 
 	// recovered marks a job re-enqueued (or re-registered) from the
@@ -160,9 +160,8 @@ type jobEntry struct {
 	qjob    *jobqueue.Job
 }
 
-func newJobEntry(id string, spec JobSpec) *jobEntry {
+func newJobEntry(spec JobSpec) *jobEntry {
 	return &jobEntry{
-		id:      id,
 		spec:    spec,
 		state:   jobqueue.StatePending,
 		notify:  make(chan struct{}),

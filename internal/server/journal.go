@@ -222,8 +222,8 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	for _, id := range ids {
 		rj := jobs[id]
 		if rj.terminal {
-			j := newJobEntry(id, rj.spec)
-			j.recovered = true
+			j := newJobEntry(rj.spec)
+			j.id, j.recovered = id, true
 			j.setState(rj.state, rj.errMsg)
 			s.mu.Lock()
 			s.jobs[id] = j
@@ -236,11 +236,11 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			// nothing to re-run.
 			continue
 		}
-		if _, err := s.submit(rj.spec, id, true); err != nil {
-			// Spec no longer valid (options drifted) or queue refused:
-			// register the job failed rather than losing it silently.
-			j := newJobEntry(id, rj.spec)
-			j.recovered = true
+		if _, err := s.submit([]JobSpec{rj.spec}, []string{id}); err != nil {
+			// Spec no longer valid (options drifted): register the job
+			// failed rather than losing it silently.
+			j := newJobEntry(rj.spec)
+			j.id, j.recovered = id, true
 			j.setState(jobqueue.StateFailed, fmt.Sprintf("recovery resubmit: %v", err))
 			s.mu.Lock()
 			s.jobs[id] = j

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +85,39 @@ func TestJournalRecoveryRequeuesIncompleteJobs(t *testing.T) {
 	// New ids continue past the recovered ones.
 	if id := s.postJob(t, spec).ID; id != "10" {
 		t.Fatalf("next id after recovery = %s, want 10", id)
+	}
+}
+
+// TestRecoveryNeverRefusesForDepth: recovery re-enqueues every
+// acknowledged job, however far past MaxPending the journal reaches —
+// those jobs were admitted before the crash.
+func TestRecoveryNeverRefusesForDepth(t *testing.T) {
+	jdir := t.TempDir()
+	var recs []wal.Record
+	for i := 1; i <= 6; i++ {
+		recs = append(recs, rec(t, recSubmit, submitRecord{
+			ID:   strconv.Itoa(i),
+			Spec: JobSpec{Pairs: i, Seed: 44},
+		}))
+	}
+	writeJournal(t, jdir, recs...)
+
+	s := newTestService(t, func(cfg *Config) {
+		cfg.JournalDir = jdir
+		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Admission.MaxPending = 1
+	})
+	stats, err := s.srv.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Requeued != 6 {
+		t.Fatalf("RecoveryStats = %+v, want 6 requeued", stats)
+	}
+	for i := 1; i <= 6; i++ {
+		if st := s.waitDone(t, strconv.Itoa(i)); st.State != "done" {
+			t.Fatalf("job %d ended %q (err %q), want done", i, st.State, st.Error)
+		}
 	}
 }
 
@@ -218,11 +252,14 @@ func TestAdmissionShedsByCostWithRetryAfter(t *testing.T) {
 func TestBreakerTripsPerFidelity(t *testing.T) {
 	tel := telemetry.New()
 	a := newAdmission(AdmissionConfig{
+		MaxPending:      1,
 		BreakerWindow:   4,
 		BreakerTripRate: 0.5,
 		BreakerCooldown: 30 * time.Millisecond,
 	}, tel)
-	qs := jobqueue.Stats{}
+	idle := func() jobqueue.Stats { return jobqueue.Stats{} }
+	enqueue := func() error { return nil }
+	group := func(fidelity string) []demand { return []demand{{fidelity: fidelity, cost: 1}} }
 
 	for i := 0; i < 4; i++ {
 		a.record("detailed", true)
@@ -230,7 +267,7 @@ func TestBreakerTripsPerFidelity(t *testing.T) {
 	if got := tel.Counter("server.breaker_trips").Value(); got != 1 {
 		t.Fatalf("breaker_trips = %d, want 1", got)
 	}
-	err := a.admit("detailed", 1, qs)
+	err := a.admit(group("detailed"), idle, enqueue)
 	if !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("tripped fidelity admitted: %v", err)
 	}
@@ -238,7 +275,7 @@ func TestBreakerTripsPerFidelity(t *testing.T) {
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
 		t.Fatalf("breaker refusal %v lacks a positive RetryAfter", err)
 	}
-	if err := a.admit("interval", 1, qs); err != nil {
+	if err := a.admit(group("interval"), idle, enqueue); err != nil {
 		t.Fatalf("healthy fidelity refused: %v", err)
 	}
 	if open := a.openBreakers(); len(open) != 1 || open[0] != "detailed" {
@@ -246,7 +283,7 @@ func TestBreakerTripsPerFidelity(t *testing.T) {
 	}
 
 	time.Sleep(40 * time.Millisecond)
-	if err := a.admit("detailed", 1, qs); err != nil {
+	if err := a.admit(group("detailed"), idle, enqueue); err != nil {
 		t.Fatalf("half-open probe refused: %v", err)
 	}
 	a.record("detailed", false) // probe succeeded: breaker closes
@@ -256,7 +293,7 @@ func TestBreakerTripsPerFidelity(t *testing.T) {
 	for i := 0; i < 3; i++ { // window was reset: 3 wedges of 4 do not trip
 		a.record("detailed", true)
 	}
-	if err := a.admit("detailed", 1, qs); err != nil {
+	if err := a.admit(group("detailed"), idle, enqueue); err != nil {
 		t.Fatalf("closed breaker refused: %v", err)
 	}
 }
@@ -318,15 +355,16 @@ func TestCancelDuringDrainRacesJournalReplay(t *testing.T) {
 	jdir := t.TempDir()
 	s1 := newTestService(t, func(cfg *Config) {
 		cfg.JournalDir = jdir
-		cfg.Queue = jobqueue.Config{Workers: 2, Capacity: 32}
+		cfg.Queue = jobqueue.Config{Workers: 2}
+		cfg.Admission.MaxPending = 32
 	})
 	var entries []*jobEntry
 	for i := 0; i < 8; i++ {
-		j, err := s1.srv.Submit(JobSpec{Pairs: 1, Seed: uint64(40 + i)})
+		js, err := s1.srv.Submit(JobSpec{Pairs: 1, Seed: uint64(40 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries = append(entries, j)
+		entries = append(entries, js...)
 	}
 	var wg sync.WaitGroup
 	for i, j := range entries {

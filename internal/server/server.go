@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,7 @@ type Config struct {
 	BaseOptions experiments.Options
 	// MaxPairsPerJob rejects oversized sweeps (0 = 400).
 	MaxPairsPerJob int
-	// Queue sizes the work queue (Telemetry and Retryable are wired by
+	// Queue sizes the worker pool (Telemetry and Retryable are wired by
 	// New; MaxRetries defaults to 2).
 	Queue jobqueue.Config
 	// Cache sizes the result cache (Telemetry is wired by New).
@@ -64,8 +65,8 @@ type Config struct {
 	// submissions are fsynced to a WAL before they are acknowledged and
 	// Recover replays it after a crash. Empty disables journaling.
 	JournalDir string
-	// Admission tunes overload protection (load shedding and the
-	// per-fidelity circuit breaker).
+	// Admission tunes overload protection (the depth bound, load
+	// shedding and the per-fidelity circuit breaker).
 	Admission AdmissionConfig
 	// Chaos, when non-nil, injects service-level faults (disk errors,
 	// torn writes, slow I/O, worker stalls, panics) into the journal,
@@ -162,19 +163,25 @@ func New(cfg Config) (*Server, error) {
 
 	qcfg := cfg.Queue
 	qcfg.Telemetry = cfg.Telemetry
+	if qcfg.Workers == 0 {
+		qcfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if qcfg.MaxRetries == 0 {
 		qcfg.MaxRetries = 2
 	}
-	// A wedged simulation is the service's canonical transient failure:
-	// the fault-injection layer can wedge a run that a retry (same
-	// seeds, but a fresh system) may complete under a different
-	// interleaving of queue load. An injected chaos panic is transient
-	// by construction. Everything else is deterministic and not worth
+	// An injected chaos panic is transient by construction. Everything
+	// else is a pure function of the job's spec — a wedge included: the
+	// same seeds wedge the same run again — so it is not worth
 	// re-running.
 	if qcfg.Retryable == nil {
-		qcfg.Retryable = func(err error) bool {
-			return errors.Is(err, amp.ErrWedged) || errors.Is(err, fault.ErrInjectedPanic)
-		}
+		qcfg.Retryable = func(err error) bool { return errors.Is(err, fault.ErrInjectedPanic) }
+	}
+	acfg := cfg.Admission
+	if acfg.MaxPending < 0 {
+		return nil, fmt.Errorf("server: negative Admission.MaxPending")
+	}
+	if acfg.MaxPending == 0 {
+		acfg.MaxPending = 4 * qcfg.Workers
 	}
 	queue, err := jobqueue.New(qcfg)
 	if err != nil {
@@ -218,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		cache:      cache,
 		queue:      queue,
 		journal:    journal,
-		admission:  newAdmission(cfg.Admission, tel),
+		admission:  newAdmission(acfg, tel),
 		chaos:      cfg.Chaos,
 		baseOpt:    baseOpt,
 		jobs:       make(map[string]*jobEntry),
@@ -386,88 +393,196 @@ func (s *Server) runnerFor(opt experiments.Options) (*experiments.Runner, error)
 	return r, nil
 }
 
-// Submit validates and enqueues a job, returning its entry. Maps to
-// POST /v1/jobs; also the programmatic entry point for tests. When
-// journaling is on, the submission is fsynced to the journal before
-// Submit returns — an acknowledged job survives a crash.
-func (s *Server) Submit(sp JobSpec) (*jobEntry, error) {
-	return s.submit(sp, "", false)
+// Submit validates and enqueues jobs as one group: every spec is
+// accepted or none is, and a single job is a group of one. Maps to
+// POST /v1/jobs (an object or an array); also the programmatic entry
+// point for tests. When journaling is on, each accepted job is fsynced
+// to the journal before Submit returns — an acknowledged job survives a
+// crash.
+func (s *Server) Submit(specs ...JobSpec) ([]*jobEntry, error) {
+	return s.submit(specs, nil)
 }
 
-// submit is Submit with an optional preserved id (journal recovery
-// re-enqueues under the original id).
-func (s *Server) submit(sp JobSpec, id string, recovered bool) (*jobEntry, error) {
+// submit is Submit for both callers. Journal recovery passes the
+// journaled ids to re-enqueue under; such a recovered group skips
+// admission — it was admitted before the crash.
+func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
+	recovered := ids != nil
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("server: empty job group")
+	}
 	if s.draining.Load() {
-		s.jobsRejected.Inc()
+		s.jobsRejected.Add(uint64(len(specs)))
 		return nil, jobqueue.ErrClosed
 	}
+	plans := make([]*jobPlan, len(specs))
+	group := make([]demand, len(specs))
+	for k, sp := range specs {
+		p, err := s.plan(sp)
+		if err != nil {
+			if len(specs) > 1 {
+				err = fmt.Errorf("server: job spec %d: %w", k, err)
+			}
+			return nil, err
+		}
+		plans[k], group[k] = p, p.demand
+	}
+
+	entries := make([]*jobEntry, len(specs))
+	tasks := make([]jobqueue.BatchTask, len(specs))
+	for k, p := range plans {
+		j := newJobEntry(specs[k])
+		j.recovered = recovered
+		entries[k] = j
+		tasks[k] = jobqueue.BatchTask{
+			Task: func(ctx context.Context) error { return s.runJob(ctx, j, p) },
+			Opts: jobqueue.SubmitOptions{
+				Priority: specs[k].Priority,
+				Deadline: time.Duration(specs[k].TimeoutMS) * time.Millisecond,
+				Cost:     p.cost,
+			},
+		}
+	}
+	qjobs := make([]*jobqueue.Job, len(specs))
+	enqueue := func() error {
+		// Only an admitted group draws ids, so refusals leave no gaps.
+		for k, j := range entries {
+			if recovered {
+				j.id = ids[k]
+			} else {
+				j.id = s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
+			}
+		}
+		return s.queue.Submit(tasks, qjobs)
+	}
+	var err error
+	if recovered {
+		err = enqueue()
+	} else {
+		err = s.admission.admit(group, s.queue.Stats, enqueue)
+	}
+	if err != nil {
+		s.jobsRejected.Add(uint64(len(specs)))
+		return nil, err
+	}
+	// Acknowledgment is per job: a journal failure refuses (and
+	// cancels) only the job whose record could not be written — the
+	// enqueue was atomic, durability is individual.
+	var firstErr error
+	for k, j := range entries {
+		if err := s.ackJob(j, qjobs[k]); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return entries, firstErr
+}
+
+// jobPlan is a job resolved at submit time: its options and its units
+// in result order. The runner that computes it is looked up when the
+// job runs, so a refused submission leaves no runner behind.
+type jobPlan struct {
+	demand
+	opt   experiments.Options
+	nxm   bool // the units are nxm rungs, not pairs
+	units []unit
+}
+
+// unit is one cached result of a job — a pair's three-scheduler
+// comparison or one nxm rung: its label, the content address it is
+// cached under, and the computation that produces its record bytes on
+// a miss. Its index in the job is its position in jobPlan.units.
+type unit struct {
+	label   string
+	key     string
+	compute func(ctx context.Context, runner *experiments.Runner) ([]byte, error)
+}
+
+// plan resolves a spec against the base options into its units.
+func (s *Server) plan(sp JobSpec) (*jobPlan, error) {
 	opt, err := s.optionsFor(sp)
 	if err != nil {
 		return nil, err
 	}
 	var pairs []experiments.Pair
-	var rungs []int
+	var nxm experiments.NXMParams
+	var n int
 	if sp.NXM != nil {
-		rungs = experiments.ResolveNXM(opt).Cores
+		nxm = experiments.ResolveNXM(opt)
+		n = len(nxm.Cores)
 	} else {
-		pairs, err = sp.resolvePairs(opt)
+		if pairs, err = sp.resolvePairs(opt); err != nil {
+			return nil, err
+		}
+		n = len(pairs)
+	}
+	if n > s.cfg.MaxPairsPerJob {
+		return nil, fmt.Errorf("server: %d pairs exceeds per-job limit %d", n, s.cfg.MaxPairsPerJob)
+	}
+	p := &jobPlan{
+		demand: demand{fidelity: opt.Fidelity, cost: jobCost(opt.Fidelity, n)},
+		opt:    opt,
+		nxm:    sp.NXM != nil,
+		units:  make([]unit, n),
+	}
+	for i, cores := range nxm.Cores {
+		p.units[i] = s.nxmUnit(opt, nxm, i, cores)
+	}
+	for i, pair := range pairs {
+		p.units[i] = s.pairUnit(opt, i, pair)
+	}
+	return p, nil
+}
+
+// pairUnit is pair i's comparison record. A miss asks the fleet first
+// — a peer may already hold the record, and byte identity across nodes
+// makes the source indistinguishable — then computes the pair's three
+// runs through the runner's shared batcher and publishes the record.
+func (s *Server) pairUnit(opt experiments.Options, i int, p experiments.Pair) unit {
+	key := pairstore.CacheKey(experiments.PairKeySpec(s.coreDigest, opt, i, p))
+	return unit{label: p.Label(), key: key, compute: func(ctx context.Context, runner *experiments.Runner) ([]byte, error) {
+		remote, publish := s.clusterHooks()
+		if remote != nil {
+			if data, ok := remote(ctx, key); ok {
+				return data, nil
+			}
+		}
+		proposed, hpe, rr, err := s.batcherFor(runner).run(ctx, i, p)
 		if err != nil {
 			return nil, err
 		}
-	}
-	units := len(pairs) + len(rungs)
-	if units > s.cfg.MaxPairsPerJob {
-		return nil, fmt.Errorf("server: %d pairs exceeds per-job limit %d", units, s.cfg.MaxPairsPerJob)
-	}
-	cost := jobCost(opt.Fidelity, units)
-	if !recovered { // recovered jobs were admitted before the crash
-		if err := s.admission.admit(opt.Fidelity, cost, s.queue.Stats()); err != nil {
-			s.jobsRejected.Inc()
+		data, err := marshalPairResult(i, p, key, proposed, hpe, rr)
+		if err == nil && publish != nil {
+			publish(key, data)
+		}
+		return data, err
+	}}
+}
+
+// nxmUnit is the n-core rung of an nxm job: every N×M policy compared
+// on one machine.
+func (s *Server) nxmUnit(opt experiments.Options, nxm experiments.NXMParams, i, n int) unit {
+	key := pairstore.CacheKey(nxmKeySpec(s.coreDigest, opt, n))
+	label := fmt.Sprintf("nxm:%dx%d", n, n*nxm.ThreadsPerCore)
+	return unit{label: label, key: key, compute: func(ctx context.Context, runner *experiments.Runner) ([]byte, error) {
+		res, err := experiments.RunNXMUnitContext(ctx, runner, n)
+		if err != nil {
 			return nil, err
 		}
-	}
-	runner, err := s.runnerFor(opt)
-	if err != nil {
-		return nil, err
-	}
-
-	if id == "" {
-		id = s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
-	}
-	j := newJobEntry(id, sp)
-	j.recovered = recovered
-	task := func(ctx context.Context) error {
-		if sp.NXM != nil {
-			return s.runNXMJob(ctx, j, runner, opt, rungs)
-		}
-		return s.runJob(ctx, j, runner, opt, pairs)
-	}
-	qjob, err := s.queue.TrySubmit(task, jobqueue.SubmitOptions{
-		Priority: sp.Priority,
-		Deadline: time.Duration(sp.TimeoutMS) * time.Millisecond,
-		Cost:     cost,
-	})
-	if err != nil {
-		s.jobsRejected.Inc()
-		return nil, err
-	}
-	if err := s.ackJob(j, qjob, sp); err != nil {
-		return nil, err
-	}
-	return j, nil
+		return json.Marshal(PairResult{Index: i, Pair: label, Key: key, NXM: &res})
+	}}
 }
 
 // ackJob finishes a successful enqueue: journals the submission (a job
 // is only acknowledged once it is durable), installs the queue-state
 // backstop, and registers the entry. On a journal failure the queued
 // job is canceled and the submission refused.
-func (s *Server) ackJob(j *jobEntry, qjob *jobqueue.Job, sp JobSpec) error {
+func (s *Server) ackJob(j *jobEntry, qjob *jobqueue.Job) error {
 	j.qjob = qjob
 	// Acknowledged implies journaled: the submit record is durable
 	// before the caller (and so the HTTP 202) sees the job. A journal
 	// that cannot be written refuses the job rather than accepting
 	// work it might forget.
-	if err := s.appendJournal(recSubmit, submitRecord{ID: j.id, Spec: sp}); err != nil {
+	if err := s.appendJournal(recSubmit, submitRecord{ID: j.id, Spec: j.spec}); err != nil {
 		qjob.Cancel()
 		s.jobsRejected.Inc()
 		s.journalErrors.Inc()
@@ -498,101 +613,6 @@ func (s *Server) ackJob(j *jobEntry, qjob *jobqueue.Job, sp JobSpec) error {
 	return nil
 }
 
-// SubmitMany validates and enqueues a group of jobs atomically: either
-// every spec is accepted — one jobqueue.TrySubmitBatch, so the group
-// lands adjacently and either fits whole or bounces whole — or none
-// is. Group members typically share fidelity and options; their pair
-// computations then run against one shared Runner, where the pair
-// batcher coalesces them into interleaved batch passes. Maps to
-// POST /v1/jobs with a JSON array body.
-func (s *Server) SubmitMany(specs []JobSpec) ([]*jobEntry, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("server: empty job batch")
-	}
-	if s.draining.Load() {
-		s.jobsRejected.Add(uint64(len(specs)))
-		return nil, jobqueue.ErrClosed
-	}
-	type prepared struct {
-		sp     JobSpec
-		opt    experiments.Options
-		pairs  []experiments.Pair
-		rungs  []int
-		cost   float64
-		runner *experiments.Runner
-	}
-	preps := make([]*prepared, len(specs))
-	for k, sp := range specs {
-		opt, err := s.optionsFor(sp)
-		if err != nil {
-			return nil, fmt.Errorf("server: batch spec %d: %w", k, err)
-		}
-		pr := &prepared{sp: sp, opt: opt}
-		if sp.NXM != nil {
-			pr.rungs = experiments.ResolveNXM(opt).Cores
-		} else {
-			if pr.pairs, err = sp.resolvePairs(opt); err != nil {
-				return nil, fmt.Errorf("server: batch spec %d: %w", k, err)
-			}
-		}
-		units := len(pr.pairs) + len(pr.rungs)
-		if units > s.cfg.MaxPairsPerJob {
-			return nil, fmt.Errorf("server: batch spec %d: %d pairs exceeds per-job limit %d",
-				k, units, s.cfg.MaxPairsPerJob)
-		}
-		pr.cost = jobCost(opt.Fidelity, units)
-		if err := s.admission.admit(opt.Fidelity, pr.cost, s.queue.Stats()); err != nil {
-			s.jobsRejected.Add(uint64(len(specs)))
-			return nil, fmt.Errorf("server: batch spec %d: %w", k, err)
-		}
-		if pr.runner, err = s.runnerFor(opt); err != nil {
-			return nil, err
-		}
-		preps[k] = pr
-	}
-
-	entries := make([]*jobEntry, len(specs))
-	tasks := make([]jobqueue.BatchTask, len(specs))
-	for k, pr := range preps {
-		pr := pr
-		id := s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
-		j := newJobEntry(id, pr.sp)
-		entries[k] = j
-		task := func(ctx context.Context) error {
-			if pr.sp.NXM != nil {
-				return s.runNXMJob(ctx, j, pr.runner, pr.opt, pr.rungs)
-			}
-			return s.runJob(ctx, j, pr.runner, pr.opt, pr.pairs)
-		}
-		tasks[k] = jobqueue.BatchTask{
-			Task: task,
-			Opts: jobqueue.SubmitOptions{
-				Priority: pr.sp.Priority,
-				Deadline: time.Duration(pr.sp.TimeoutMS) * time.Millisecond,
-				Cost:     pr.cost,
-			},
-		}
-	}
-	qjobs, err := s.queue.TrySubmitBatch(tasks)
-	if err != nil {
-		s.jobsRejected.Add(uint64(len(specs)))
-		return nil, err
-	}
-	// Acknowledgment is per job: a journal failure refuses (and
-	// cancels) only the job whose record could not be written — the
-	// enqueue was atomic, durability is individual.
-	var firstErr error
-	for k, j := range entries {
-		if err := s.ackJob(j, qjobs[k], specs[k]); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("server: batch spec %d: %w", k, err)
-		}
-	}
-	if firstErr != nil {
-		return entries, firstErr
-	}
-	return entries, nil
-}
-
 // job looks up a submitted job by id.
 func (s *Server) job(id string) (*jobEntry, bool) {
 	s.mu.Lock()
@@ -601,10 +621,10 @@ func (s *Server) job(id string) (*jobEntry, bool) {
 	return j, ok
 }
 
-// runJob executes one job's pairs in order, serving each from the
+// runJob executes one job's units in order, serving each from the
 // cache when possible and appending outcomes as they complete. It is
-// the queue task: its error classifies retry (wedged) vs terminal.
-func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Runner, opt experiments.Options, pairs []experiments.Pair) error {
+// the queue task; only a recovered panic in it is worth a retry.
+func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 	start := time.Now() //ampvet:allow determinism job latency measurement is inherently wall-clock
 	if !j.setState(jobqueue.StateRunning, "") {
 		return nil // canceled before the worker picked it up
@@ -620,112 +640,102 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 		s.journalErrors.Inc()
 	}
 	// Force the shared profiling pass and estimator build before the
-	// per-pair loop so every pair's timing excludes it; concurrent
-	// jobs collapse onto one computation (Runner is concurrency-safe).
-	if _, err := runner.Matrix(); err != nil {
+	// unit loop so every unit's timing excludes it (the HPE rank and
+	// two-phase nxm policies consume the matrix too); concurrent jobs
+	// collapse onto one computation (Runner is concurrency-safe).
+	runner, err := s.runnerFor(p.opt)
+	if err == nil {
+		_, err = runner.Matrix()
+	}
+	if err != nil {
 		s.finishJob(j, start, err)
 		return err
 	}
 
-	// Pairs are served through a bounded in-flight window of one pass
-	// (Runner.PairsPerPass): that many pair computations run
-	// concurrently, so one job's pairs co-batch in the shared
-	// pairBatcher, and with other jobs', while outcomes are emitted
-	// strictly in pair order — append order is the streaming API's
-	// contract.
-	batcher := s.batcherFor(runner)
-	window := batcher.maxPairs
-	type pairServe struct {
-		key    string
+	// Units are served through a bounded in-flight window while outcomes
+	// are emitted strictly in unit order — append order is the
+	// streaming API's contract. The window is one pass of pairs
+	// (Runner.PairsPerPass), so a job's pairs co-batch in the shared
+	// pairBatcher, and with other jobs'. A rung is a whole manycore
+	// simulation that nothing batches: rungs run one at a time.
+	window := runner.PairsPerPass()
+	if p.nxm {
+		window = 1
+	}
+	type served struct {
 		data   []byte
 		cached bool
 		err    error
 	}
-	serves := make([]pairServe, len(pairs))
-	ready := make([]chan struct{}, len(pairs))
+	serves := make([]served, len(p.units))
+	ready := make([]chan struct{}, len(p.units))
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
 	sem := make(chan struct{}, window)
 	go func() {
-		for i, p := range pairs {
+		for i := range p.units {
 			sem <- struct{}{}
-			go func(i int, p experiments.Pair) {
+			go func(i int, u *unit) {
 				defer func() { <-sem }()
 				defer close(ready[i])
 				if cerr := ctx.Err(); cerr != nil {
-					serves[i] = pairServe{err: cerr}
+					serves[i] = served{err: cerr}
 					return
 				}
-				key := pairstore.CacheKey(experiments.PairKeySpec(s.coreDigest, opt, i, p))
-				data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-					// Remote lookup before local compute: a fleet peer
-					// may already hold this record. Byte-identity across
-					// nodes makes the source indistinguishable.
-					remote, publish := s.clusterHooks()
-					if remote != nil {
-						if rdata, ok := remote(ctx, key); ok {
-							return rdata, nil
-						}
-					}
-					proposed, hpe, rr, cerr := batcher.run(ctx, i, p)
-					if cerr != nil {
-						return nil, cerr
-					}
-					cdata, cerr := marshalPairResult(i, p, key, proposed, hpe, rr)
-					if cerr == nil && publish != nil {
-						publish(key, cdata)
-					}
-					return cdata, cerr
-				})
-				serves[i] = pairServe{key: key, data: data, cached: cached, err: err}
-			}(i, p)
+				data, cached, err := s.cache.Do(ctx, u.key, func() ([]byte, error) { return u.compute(ctx, runner) })
+				serves[i] = served{data: data, cached: cached, err: err}
+			}(i, &p.units[i])
 		}
 	}()
 
 	var firstWedge error
-	for i, p := range pairs {
+	for i := range p.units {
+		u := &p.units[i]
 		<-ready[i]
-		key, data, cached, err := serves[i].key, serves[i].data, serves[i].cached, serves[i].err
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.finishJob(j, start, err)
-				return err
+		sv := serves[i]
+		if sv.err != nil {
+			if errors.Is(sv.err, context.Canceled) || errors.Is(sv.err, context.DeadlineExceeded) {
+				s.finishJob(j, start, sv.err)
+				return sv.err
 			}
-			// Degraded pair: record and continue, like Sweep.
-			s.admission.record(opt.Fidelity, errors.Is(err, amp.ErrWedged))
-			if firstWedge == nil && errors.Is(err, amp.ErrWedged) {
-				firstWedge = err
+			// Degraded unit: record and continue, like Sweep.
+			s.admission.record(p.fidelity, errors.Is(sv.err, amp.ErrWedged))
+			if firstWedge == nil && errors.Is(sv.err, amp.ErrWedged) {
+				firstWedge = sv.err
 			}
 			j.appendResult(PairResult{
-				Index: i, Pair: p.Label(), Key: key,
-				Failed: true, Err: err.Error(),
+				Index: i, Pair: u.label, Key: u.key,
+				Failed: true, Err: sv.err.Error(),
 			})
 			s.pairsServed.Inc()
 			continue
 		}
-		if !cached { // cache hits say nothing about engine health
-			s.admission.record(opt.Fidelity, false)
+		if !sv.cached { // cache hits say nothing about engine health
+			s.admission.record(p.fidelity, false)
 		}
 		var r PairResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			s.finishJob(j, start, fmt.Errorf("server: corrupt cache entry %s: %w", key, err))
+		if err := json.Unmarshal(sv.data, &r); err != nil {
+			s.finishJob(j, start, fmt.Errorf("server: corrupt cache entry %s: %w", u.key, err))
 			return nil // corrupt entry is not retryable
 		}
-		r.Cached = cached
+		// A rung's key leaves out its position, so jobs listing the same
+		// core count share the record; the position is job-local.
+		r.Index = i
+		r.Cached = sv.cached
 		j.appendResult(r)
 		s.pairsServed.Inc()
 	}
 
-	// Mirror Sweep's contract: a job only fails when no pair finished.
+	// Mirror Sweep's contract: a job only fails when no unit finished.
 	st := j.status(false)
 	if st.Completed > 0 && st.Failed == st.Completed && firstWedge != nil {
-		err := fmt.Errorf("server: all %d pairs degraded: %w", st.Completed, firstWedge)
+		err := fmt.Errorf("server: all %d units degraded: %w", st.Completed, firstWedge)
 		s.finishJob(j, start, err)
 		return err
 	}
 	if j.recovered && st.CacheHits > 0 {
-		// A re-enqueued job that found pre-crash pairs in the cache is a
+		// A re-enqueued job that found pre-crash units in the cache is a
 		// checkpointed resume: only the missing tail was re-simulated.
 		s.checkpointResumes.Inc()
 	}
@@ -778,100 +788,6 @@ func nxmKeySpec(coreDigest string, opt experiments.Options, n int) pairstore.Key
 		Fidelity:     p.Fidelity,
 		Topology:     fmt.Sprintf("%dx%d/q%d/h%d", n, n*p.ThreadsPerCore, p.Quantum, p.Cycles),
 	}
-}
-
-// runNXMJob executes an nxm scaling job: one cached unit per core
-// count, each comparing every N×M policy on one machine. Mirrors
-// runJob's degraded-unit and cancellation contracts.
-func (s *Server) runNXMJob(ctx context.Context, j *jobEntry, runner *experiments.Runner, opt experiments.Options, rungs []int) error {
-	start := time.Now() //ampvet:allow determinism job latency measurement is inherently wall-clock
-	if !j.setState(jobqueue.StateRunning, "") {
-		return nil // canceled before the worker picked it up
-	}
-	if s.chaos != nil {
-		s.chaos.MaybeStall()
-		s.chaos.MaybePanic() // recovered by the queue into a retryable job error
-	}
-	if err := s.appendJournal(recStart, idRecord{ID: j.id}); err != nil {
-		s.journalErrors.Inc()
-	}
-	// The HPE rank and two-phase policies consume the profiled ratio
-	// matrix; force it before the rung loop, like runJob does.
-	if _, err := runner.Matrix(); err != nil {
-		s.finishJob(j, start, err)
-		return err
-	}
-
-	p := experiments.ResolveNXM(opt)
-	var firstWedge error
-	for i, n := range rungs {
-		if cerr := ctx.Err(); cerr != nil {
-			s.finishJob(j, start, cerr)
-			return cerr
-		}
-		key := pairstore.CacheKey(nxmKeySpec(s.coreDigest, opt, n))
-		label := fmt.Sprintf("nxm:%dx%d", n, n*p.ThreadsPerCore)
-		data, cached, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-			return s.computeNXMUnit(ctx, runner, i, n, label, key)
-		})
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.finishJob(j, start, err)
-				return err
-			}
-			s.admission.record(opt.Fidelity, errors.Is(err, amp.ErrWedged))
-			if firstWedge == nil && errors.Is(err, amp.ErrWedged) {
-				firstWedge = err
-			}
-			j.appendResult(PairResult{
-				Index: i, Pair: label, Key: key,
-				Failed: true, Err: err.Error(),
-			})
-			s.pairsServed.Inc()
-			continue
-		}
-		if !cached {
-			s.admission.record(opt.Fidelity, false)
-		}
-		var r PairResult
-		if err := json.Unmarshal(data, &r); err != nil {
-			s.finishJob(j, start, fmt.Errorf("server: corrupt cache entry %s: %w", key, err))
-			return nil // corrupt entry is not retryable
-		}
-		// Rung position is job-local (unlike pairs, it is not part of
-		// the key, so jobs listing the same core count share entries).
-		r.Index = i
-		r.Cached = cached
-		j.appendResult(r)
-		s.pairsServed.Inc()
-	}
-
-	st := j.status(false)
-	if st.Completed > 0 && st.Failed == st.Completed && firstWedge != nil {
-		err := fmt.Errorf("server: all %d nxm rungs degraded: %w", st.Completed, firstWedge)
-		s.finishJob(j, start, err)
-		return err
-	}
-	if j.recovered && st.CacheHits > 0 {
-		s.checkpointResumes.Inc()
-	}
-	s.finishJob(j, start, nil)
-	return nil
-}
-
-// computeNXMUnit runs one nxm rung and marshals its record.
-func (s *Server) computeNXMUnit(ctx context.Context, runner *experiments.Runner, i, n int, label, key string) ([]byte, error) {
-	unit, err := experiments.RunNXMUnitContext(ctx, runner, n)
-	if err != nil {
-		return nil, err
-	}
-	r := PairResult{
-		Index: i,
-		Pair:  label,
-		Key:   key,
-		NXM:   &unit,
-	}
-	return json.Marshal(r)
 }
 
 // schedResult compresses an amp.Result for the wire.
@@ -1017,10 +933,10 @@ func apiError(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// handleSubmit implements POST /v1/jobs.
-// handleSubmit accepts one JobSpec object, or a JSON array of specs
-// for atomic group submission (all accepted or all refused; the group
-// enqueues adjacently so its pairs co-batch).
+// handleSubmit implements POST /v1/jobs: one JobSpec object, or a
+// JSON array of specs submitted as one group (all accepted or all
+// refused; the group enqueues adjacently so its pairs co-batch). An
+// object is answered with a status object, an array with an array.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -1028,26 +944,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	batch := len(trimmed) > 0 && trimmed[0] == '['
-
-	var entries []*jobEntry
-	if batch {
-		var specs []JobSpec
-		if err := json.Unmarshal(body, &specs); err != nil {
-			apiError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec batch: %w", err))
-			return
-		}
-		entries, err = s.SubmitMany(specs)
+	array := len(trimmed) > 0 && trimmed[0] == '['
+	var specs []JobSpec
+	if array {
+		err = json.Unmarshal(body, &specs)
 	} else {
-		var sp JobSpec
-		if err := json.Unmarshal(body, &sp); err != nil {
-			apiError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
-			return
-		}
-		var j *jobEntry
-		j, err = s.Submit(sp)
-		entries = []*jobEntry{j}
+		specs = make([]JobSpec, 1)
+		err = json.Unmarshal(body, &specs[0])
 	}
+	if err != nil {
+		apiError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+		return
+	}
+	entries, err := s.Submit(specs...)
 	var oe *OverloadError
 	switch {
 	case err == nil:
@@ -1060,7 +969,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			apiError(w, http.StatusTooManyRequests, err)
 		}
 		return
-	case errors.Is(err, jobqueue.ErrQueueFull):
+	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		apiError(w, http.StatusTooManyRequests, err)
 		return
@@ -1073,7 +982,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusAccepted)
-	if batch {
+	if array {
 		statuses := make([]JobStatus, len(entries))
 		for i, j := range entries {
 			statuses[i] = j.status(false)

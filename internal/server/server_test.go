@@ -40,7 +40,8 @@ func newTestService(t *testing.T, mutate func(*Config)) *testService {
 	tel := telemetry.New()
 	cfg := Config{
 		BaseOptions: testOptions(),
-		Queue:       jobqueue.Config{Workers: 4, Capacity: 16},
+		Queue:       jobqueue.Config{Workers: 4},
+		Admission:   AdmissionConfig{MaxPending: 16},
 		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
 	}
@@ -281,7 +282,8 @@ func TestQueueFullReturns429(t *testing.T) {
 		opt.InstrLimit = 200_000_000
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
-		cfg.Queue = jobqueue.Config{Workers: 1, Capacity: 1}
+		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Admission.MaxPending = 1
 	})
 	// One job occupies the worker (eventually), one fills the pending
 	// slot; keep submitting until the queue sheds load.
@@ -302,6 +304,28 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 	if rejected := s.tel.Counter("server.jobs_rejected").Value(); rejected == 0 {
 		t.Fatal("jobs_rejected counter not incremented")
+	}
+}
+
+// TestWedgedJobNotRetried: a wedge is a pure function of the job's
+// spec, so the queue runs a wedged job once and counts it failed.
+func TestWedgedJobNotRetried(t *testing.T) {
+	s := newTestService(t, func(cfg *Config) {
+		cfg.BaseOptions.CycleBudget = 5000
+	})
+	if st := s.waitDone(t, s.postJob(t, JobSpec{Pairs: 1}).ID); st.State != "failed" {
+		t.Fatalf("wedged job ended %q, want failed", st.State)
+	}
+	if err := s.srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{{"jobqueue.retries", 0}, {"jobqueue.completed", 0}, {"jobqueue.failed", 1}} {
+		if got := s.tel.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }
 
