@@ -70,15 +70,16 @@ bench-snapshot:
 		| $(GO) run ./cmd/benchsnap -o BENCH_telemetry.json
 
 # Snapshot the simulation-engine benchmarks (detailed vs interval vs
-# sampled hot loops) into the committed baseline BENCH_core.json.
+# sampled hot loops, and the §V profiling pass that runs the detailed
+# core) into the committed baseline BENCH_core.json.
 bench-core:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_core.json
 
 # Regression gate: rerun the engine benchmarks and compare against the
 # committed baseline (fails past +10% ns/op or any allocs/op increase).
 bench-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json
 
 # CI form of the engine gate: the interval-fidelity rows' allocs/op
@@ -86,7 +87,7 @@ bench-check:
 # there), while ns/op drift and the other fidelities stay advisory —
 # CI machines are too noisy for a hard ns gate.
 bench-core-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
 
 # Snapshot the service hot-path benchmarks (pair-store key hashing,

@@ -111,6 +111,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("cpu: %s: %s must be positive (got %d)", c.Name, v.name, v.val)
 		}
 	}
+	if c.ROBSize > robSlots {
+		return fmt.Errorf("cpu: %s: ROBSize %d exceeds the %d-slot reorder buffer", c.Name, c.ROBSize, robSlots)
+	}
 	for k := UnitKind(0); k < NumUnitKinds; k++ {
 		u := c.Units[k]
 		if u.Count <= 0 || u.Latency <= 0 {

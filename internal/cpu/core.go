@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ampsched/internal/branch"
 	"ampsched/internal/cache"
@@ -88,15 +89,25 @@ const (
 
 const noSeq = ^uint64(0)
 
+// The reorder buffer is a ring of robSlots entries indexed by
+// seq & robMask. The issue stage tracks entries in one-word bit masks
+// over these slots, so Config.ROBSize, the occupancy limit, is at most
+// robSlots.
+const (
+	robSlots = 64
+	robMask  = robSlots - 1
+)
+
 type robEntry struct {
-	seq    uint64
-	dep1   uint64 // absolute producer seq; noSeq = none
-	dep2   uint64
-	doneAt uint64
-	addr   uint64
-	class  isa.Class
-	state  uint8
-	misp   bool // mispredicted branch
+	doneAt    uint64
+	readyAt   uint64 // latest doneAt of the producers that have issued
+	consumers uint64 // slots of dispatched entries waiting on this one
+	addr      uint64
+	class     isa.Class
+	state     uint8
+	pending   uint8 // producers that have not issued yet
+	nreads    uint8 // register operands read at issue
+	misp      bool  // mispredicted branch
 }
 
 // Core is one out-of-order core instance.
@@ -113,11 +124,21 @@ type Core struct {
 	src  InstrSource
 	arch *ThreadArch
 
-	// Reorder buffer as a ring indexed by seq % ROBSize. headSeq is
-	// the oldest live sequence number; nextSeq the next to allocate.
-	rob     []robEntry
+	// Reorder buffer as a ring indexed by seq & robMask. headSeq is
+	// the oldest live sequence number; tailSeq the next to allocate.
+	rob     [robSlots]robEntry
 	headSeq uint64
 	tailSeq uint64 // == next seq to dispatch into the ROB
+
+	// Wakeup-driven issue. ready holds the slots whose operands are
+	// all available. An entry whose last producer has issued waits on
+	// the timing wheel until its ready cycle t, in wheel[t & (len-1)];
+	// wheelAt is the first cycle the wheel has not drained. The wheel
+	// spans the worst issue-to-done latency, so every pending cycle
+	// lies in [wheelAt, wheelAt+len).
+	ready   uint64
+	wheel   []uint64
+	wheelAt uint64
 
 	// Fetch buffer (fetched, not yet dispatched).
 	fq     []fetchedOp
@@ -176,15 +197,31 @@ func NewCore(cfg *Config) *Core {
 		cfg:   cfg,
 		hier:  cache.NewHierarchy(cfg.Caches),
 		bp:    branch.NewGShare(cfg.BranchHistoryBits),
-		rob:   make([]robEntry, cfg.ROBSize),
 		fq:    make([]fetchedOp, 2*cfg.FetchWidth),
 		units: cfg.Units,
+		wheel: make([]uint64, wheelSlots(&cfg.Units, &cfg.Caches)),
 	}
 	for k := UnitKind(0); k < NumUnitKinds; k++ {
 		c.busyUntil[k] = make([]uint64, c.units[k].Count)
 	}
 	c.resetResources()
 	return c
+}
+
+// wheelSlots returns the timing-wheel size for a unit set and cache
+// hierarchy: the smallest power of two above the worst issue-to-done
+// latency, a load that occupies the slowest unit and misses to memory.
+func wheelSlots(units *[NumUnitKinds]UnitSpec, caches *cache.HierarchyConfig) int {
+	worst := 0
+	for _, u := range units {
+		worst = max(worst, u.Latency)
+	}
+	worst += caches.L1D.HitLatency + caches.L2.HitLatency + caches.MemLatency
+	n := 1
+	for n <= worst {
+		n <<= 1
+	}
+	return n
 }
 
 func (c *Core) resetResources() {
@@ -256,6 +293,8 @@ func (c *Core) Unbind() uint64 {
 	}
 	c.headSeq = 0
 	c.tailSeq = 0
+	c.ready = 0
+	clear(c.wheel)
 	c.fqLen = 0
 	c.fqHead = 0
 	c.resetResources()
@@ -293,15 +332,11 @@ func (c *Core) Step(now uint64) {
 	c.fetch(now)
 }
 
-func (c *Core) entry(seq uint64) *robEntry {
-	return &c.rob[seq%uint64(len(c.rob))]
-}
-
 //ampvet:hotpath
 func (c *Core) commit(now uint64) {
 	width := c.cfg.CommitWidth
 	for n := 0; n < width && c.headSeq < c.tailSeq; n++ {
-		e := c.entry(c.headSeq)
+		e := &c.rob[c.headSeq&robMask]
 		if e.state != stIssued || e.doneAt > now {
 			return
 		}
@@ -363,51 +398,100 @@ func (c *Core) claimUnit(k UnitKind, now uint64) int {
 	return -1
 }
 
-func (c *Core) producerReady(dep uint64, now uint64) bool {
-	if dep == noSeq || dep < c.headSeq {
-		return true
+// wake drains the timing wheel up to cycle now into the ready mask.
+// After a gap of a whole wheel or more, or a clock that restarts lower
+// on a new Bind, it drains every slot once.
+func (c *Core) wake(now uint64) {
+	size := uint64(len(c.wheel))
+	span := min(now+1-c.wheelAt, size)
+	for t := now + 1 - span; t <= now; t++ {
+		slot := &c.wheel[t&(size-1)]
+		c.ready |= *slot
+		*slot = 0
 	}
-	p := c.entry(dep)
-	return p.state == stIssued && p.doneAt <= now
+	c.wheelAt = now + 1
 }
 
+// schedule makes slot ready from cycle readyAt on.
+func (c *Core) schedule(slot, readyAt uint64) {
+	if readyAt < c.wheelAt {
+		c.ready |= 1 << slot
+		return
+	}
+	c.wheel[readyAt&uint64(len(c.wheel)-1)] |= 1 << slot
+}
+
+// await records one source operand of the entry e in slot. A producer
+// still in the ROB that has not issued takes slot as a consumer, once
+// however many operands name it; one that has issued contributes its
+// done cycle. A committed producer's value is in the register file.
+func (c *Core) await(e *robEntry, slot, dep uint64) {
+	if dep == noSeq {
+		return
+	}
+	e.nreads++
+	if dep < c.headSeq {
+		return
+	}
+	p := &c.rob[dep&robMask]
+	if p.state == stIssued {
+		e.readyAt = max(e.readyAt, p.doneAt)
+		return
+	}
+	if p.consumers&(1<<slot) == 0 {
+		p.consumers |= 1 << slot
+		e.pending++
+	}
+}
+
+// release hands the just-issued entry e's done cycle to its consumers
+// and schedules each one whose last producer e was.
+func (c *Core) release(e *robEntry) {
+	for m := e.consumers; m != 0; m &= m - 1 {
+		slot := uint64(bits.TrailingZeros64(m))
+		w := &c.rob[slot]
+		w.readyAt = max(w.readyAt, e.doneAt)
+		w.pending--
+		if w.pending == 0 {
+			c.schedule(slot, w.readyAt)
+		}
+	}
+	e.consumers = 0
+}
+
+// issue selects up to IssueWidth ready entries oldest first, skipping
+// any whose unit cannot accept an operation this cycle.
+//
 //ampvet:hotpath
 func (c *Core) issue(now uint64) {
 	for k := range c.accepted {
 		c.accepted[k] = 0
 	}
-	issued := 0
-	for seq := c.headSeq; seq < c.tailSeq && issued < c.cfg.IssueWidth; seq++ {
-		e := c.entry(seq)
-		if e.state != stDispatched {
-			continue
-		}
-		if !c.producerReady(e.dep1, now) || !c.producerReady(e.dep2, now) {
-			continue
-		}
+	c.wake(now)
+	// Rotated so the head slot is bit 0, the ready mask lists entries
+	// in ascending sequence order.
+	head := c.headSeq & robMask
+	pick := bits.RotateLeft64(c.ready, -int(head))
+	for issued := 0; pick != 0 && issued < c.cfg.IssueWidth; pick &= pick - 1 {
+		slot := (head + uint64(bits.TrailingZeros64(pick))) & robMask
+		e := &c.rob[slot]
 		kind := unitFor(e.class)
 		lat := c.claimUnit(kind, now)
 		if lat < 0 {
 			continue
 		}
 		issued++
+		c.ready &^= 1 << slot
 		c.act.UnitOps[kind]++
 
 		// Operand reads and issue-queue wakeup/select energy.
-		nreads := uint64(0)
-		if e.dep1 != noSeq {
-			nreads++
-		}
-		if e.dep2 != noSeq {
-			nreads++
-		}
 		if e.class.IsFP() {
 			c.act.FPISQIssues++
-			c.act.FPRegReads += nreads
+			c.act.FPRegReads += uint64(e.nreads)
 			c.fpISQFree++
 		} else {
 			c.act.IntISQIssues++
-			c.act.IntRegReads += nreads
+			c.act.IntRegReads += uint64(e.nreads)
 			c.intISQFree++
 		}
 
@@ -438,6 +522,7 @@ func (c *Core) issue(now uint64) {
 			}
 		}
 		e.state = stIssued
+		c.release(e)
 	}
 }
 
@@ -490,15 +575,18 @@ func (c *Core) dispatch(now uint64) {
 			c.act.IntISQWrites++
 		}
 
-		e := c.entry(op.seq)
+		slot := op.seq & robMask
+		e := &c.rob[slot]
 		*e = robEntry{
-			seq:   op.seq,
-			dep1:  op.dep1,
-			dep2:  op.dep2,
 			addr:  op.addr,
 			class: op.class,
 			state: stDispatched,
 			misp:  op.misp,
+		}
+		c.await(e, slot, op.dep1)
+		c.await(e, slot, op.dep2)
+		if e.pending == 0 {
+			c.schedule(slot, e.readyAt)
 		}
 		c.tailSeq = op.seq + 1
 		c.act.Renames++

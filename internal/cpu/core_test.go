@@ -44,6 +44,7 @@ func TestConfigValidationErrors(t *testing.T) {
 		func(c *Config) { c.Name = "" },
 		func(c *Config) { c.FetchWidth = 0 },
 		func(c *Config) { c.ROBSize = -1 },
+		func(c *Config) { c.ROBSize = robSlots + 1 },
 		func(c *Config) { c.IntISQ = 0 },
 		func(c *Config) { c.LSQLoads = 0 },
 		func(c *Config) { c.IntRegs = 0 },

@@ -97,5 +97,8 @@ func (c *Core) Reconfigure(units [NumUnitKinds]UnitSpec) error {
 	for k := UnitKind(0); k < NumUnitKinds; k++ {
 		c.busyUntil[k] = make([]uint64, units[k].Count)
 	}
+	if n := wheelSlots(&units, &c.cfg.Caches); n > len(c.wheel) {
+		c.wheel = make([]uint64, n)
+	}
 	return nil
 }

@@ -73,17 +73,24 @@ func (s *Source) Bool(p float64) bool {
 //
 // The sample is drawn by inverse transform — n = 1 + floor(ln(U) /
 // ln(1-p)) with p = 1/mean — which costs one uniform draw and one log
-// instead of O(mean) Bernoulli trials.
+// instead of O(mean) Bernoulli trials. A mean <= 1 draws nothing.
 func (s *Source) Geometric(mean float64) int {
 	if mean <= 1 {
 		return 1
 	}
-	p := 1.0 / mean
+	return s.GeometricLog(math.Log(1 - 1/mean))
+}
+
+// GeometricLog is Geometric(mean) for a mean > 1 whose logarithm
+// logq = math.Log(1-1/mean) the caller computed once: it returns the
+// same value and draws the same uniform, and it saves the second log
+// of every call when the mean is fixed over many draws.
+func (s *Source) GeometricLog(logq float64) int {
 	u := s.Float64()
 	if u <= 0 {
 		u = 1e-18 // Float64 is in [0,1); guard the log anyway
 	}
-	n := 1 + int(math.Log(u)/math.Log(1-p))
+	n := 1 + int(math.Log(u)/logq)
 	if n < 1 {
 		n = 1
 	}

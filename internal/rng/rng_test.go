@@ -139,6 +139,45 @@ func TestGeometricDegenerate(t *testing.T) {
 			t.Fatalf("Geometric(0.5) = %d, want 1", v)
 		}
 	}
+	if s.Geometric(1) != 1 || s.Uint64() != New(19).Uint64() {
+		t.Fatal("Geometric with mean <= 1 drew from the stream")
+	}
+}
+
+// geometricRef is the inverse-transform draw for a mean > 1 written
+// out in full, with the logarithm of the mean taken on every call.
+func geometricRef(s *Source, mean float64) int {
+	p := 1.0 / mean
+	u := s.Float64()
+	if u <= 0 {
+		u = 1e-18
+	}
+	n := 1 + int(math.Log(u)/math.Log(1-p))
+	return min(max(n, 1), 1<<20)
+}
+
+// TestGeometricLogMatchesGeometric: fed math.Log(1-1/mean) once,
+// GeometricLog returns what Geometric(mean) and the written-out draw
+// return, call for call, and all three streams stay in step.
+func TestGeometricLogMatchesGeometric(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		a, b, ref := New(seed), New(seed), New(seed)
+		for mean := 1.01; mean <= 64; mean *= 1.07 {
+			logq := math.Log(1 - 1/mean)
+			for i := 0; i < 200; i++ {
+				want := geometricRef(ref, mean)
+				if got := a.Geometric(mean); got != want {
+					t.Fatalf("seed %d mean %g draw %d: Geometric = %d, reference %d", seed, mean, i, got, want)
+				}
+				if got := b.GeometricLog(logq); got != want {
+					t.Fatalf("seed %d mean %g draw %d: GeometricLog = %d, reference %d", seed, mean, i, got, want)
+				}
+			}
+		}
+		if next := ref.Uint64(); a.Uint64() != next || b.Uint64() != next {
+			t.Fatalf("seed %d: streams fell out of step", seed)
+		}
+	}
 }
 
 func TestSplitIndependence(t *testing.T) {

@@ -121,6 +121,67 @@ func TestRecoveryNeverRefusesForDepth(t *testing.T) {
 	}
 }
 
+// TestCancelRecoveredTerminalJob: a DELETE on a job Recover
+// registered without a queue job — one the journal says finished, and
+// one whose resubmit failed — answers 202 with the job's terminal
+// state unchanged, cancels nothing and journals nothing.
+func TestCancelRecoveredTerminalJob(t *testing.T) {
+	jdir := t.TempDir()
+	writeJournal(t, jdir,
+		rec(t, recSubmit, submitRecord{ID: "9", Spec: JobSpec{Pairs: 2, Seed: 44}}),
+		rec(t, recDone, idRecord{ID: "9"}),
+		rec(t, recSubmit, submitRecord{ID: "10", Spec: JobSpec{Pairs: 2, Seed: 44, Fidelity: "bogus"}}),
+	)
+	s := newTestService(t, func(cfg *Config) { cfg.JournalDir = jdir })
+	stats, err := s.srv.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Terminal != 2 || stats.Requeued != 0 {
+		t.Fatalf("RecoveryStats = %+v, want 2 terminal, 0 requeued", stats)
+	}
+	records := func() int {
+		t.Helper()
+		if err := s.srv.journal.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if _, err := wal.Replay(jdir, func(wal.Record) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	before := records()
+	for id, want := range map[string]string{"9": "done", "10": "failed"} {
+		req, err := http.NewRequest(http.MethodDelete, s.ts.URL+"/v1/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE /v1/jobs/%s: %v", id, err)
+		}
+		var st JobStatus
+		derr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || derr != nil {
+			t.Fatalf("DELETE /v1/jobs/%s = %d (%v), want 202", id, resp.StatusCode, derr)
+		}
+		if st.State != want || !st.Recovered {
+			t.Fatalf("DELETE /v1/jobs/%s answered %+v, want recovered %s", id, st, want)
+		}
+		if got := s.getStatus(t, id).State; got != want {
+			t.Fatalf("job %s is %q after DELETE, want %s", id, got, want)
+		}
+	}
+	if got := s.tel.Counter("server.jobs_canceled").Value(); got != 0 {
+		t.Fatalf("jobs_canceled = %d, want 0", got)
+	}
+	if after := records(); after != before {
+		t.Fatalf("journal grew from %d to %d records", before, after)
+	}
+}
+
 // TestRecoveryResumesFromCheckpointedCache: the crash-safety core. A
 // first server completes a sweep and persists its cache; a journal
 // says the same job never finished. The recovered job is served

@@ -1011,7 +1011,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	j.qjob.Cancel()
+	// Recover registers journaled terminal jobs, and jobs whose
+	// resubmit failed, without a queue job; their state is final.
+	if j.qjob != nil {
+		j.qjob.Cancel()
+	}
 	if j.setState(jobqueue.StateCanceled, "canceled by client") {
 		s.journalTerminal(j.id, jobqueue.StateCanceled, "canceled by client")
 		s.jobsCanceled.Inc()

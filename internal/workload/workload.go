@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"ampsched/internal/isa"
 	"ampsched/internal/rng"
@@ -198,6 +199,10 @@ type Generator struct {
 	siteBias  [branchSites]float64
 	branchPCs [branchSites]uint64
 
+	// depLog caches math.Log(1-1/mean) of the phase's two dependence
+	// means, MeanDepDist and twice it, for rng.GeometricLog.
+	depLog [2]float64
+
 	emitted uint64
 }
 
@@ -304,6 +309,8 @@ func (g *Generator) nextPhase() {
 	g.wsMask = sz - 1
 	g.seqPtr = 0
 
+	g.depLog = [2]float64{math.Log(1 - 1/p.MeanDepDist), math.Log(1 - 1/(2*p.MeanDepDist))}
+
 	// Per-site branch bias: each site is strongly biased toward one
 	// direction with probability equal to the phase's predictability,
 	// so a learned predictor converges to that accuracy.
@@ -329,6 +336,15 @@ func (g *Generator) sampleClass() isa.Class {
 	return isa.Branch
 }
 
+// depDist draws rng.Geometric(mean) through the phase's cached
+// logarithm logq of that mean.
+func (g *Generator) depDist(mean, logq float64) int32 {
+	if mean <= 1 {
+		return 1 // Geometric draws nothing
+	}
+	return int32(g.rand.GeometricLog(logq))
+}
+
 // Next fills in with the next dynamic instruction.
 func (g *Generator) Next(in *isa.Instruction) {
 	if g.remaining == 0 {
@@ -342,10 +358,10 @@ func (g *Generator) Next(in *isa.Instruction) {
 	// of 0 (no dependence) happens for a fraction of operands to model
 	// immediates and loop-invariant values.
 	if g.rand.Bool(0.9) {
-		in.Dep1 = int32(g.rand.Geometric(p.MeanDepDist))
+		in.Dep1 = g.depDist(p.MeanDepDist, g.depLog[0])
 	}
 	if g.rand.Bool(0.5) {
-		in.Dep2 = int32(g.rand.Geometric(p.MeanDepDist * 2))
+		in.Dep2 = g.depDist(p.MeanDepDist*2, g.depLog[1])
 	}
 
 	switch {
