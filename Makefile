@@ -63,31 +63,35 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable snapshot of the hot-path benchmarks (the ones the
-# telemetry work must not regress), written to BENCH_telemetry.json.
+# Machine-readable snapshot of the substrate microbenchmarks (one
+# core's cycle, instruction synthesis), written to BENCH_telemetry.json.
 bench-snapshot:
-	$(GO) test -run NONE -bench 'BenchmarkCoreSimulation|BenchmarkDualCoreSystem|BenchmarkWorkloadGenerator' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkCoreSimulation|BenchmarkWorkloadGenerator' -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_telemetry.json
 
-# Snapshot the simulation-engine benchmarks (detailed vs interval vs
-# sampled hot loops, and the §V profiling pass that runs the detailed
-# core) into the committed baseline BENCH_core.json.
+# The simulation-engine benchmarks: detailed vs interval vs sampled
+# hot loops, the dual-core run loop under the proposed scheduler, and
+# the §V profiling pass that runs the detailed core.
+BENCH_CORE = 'BenchmarkEngine|BenchmarkDualCoreSystem|BenchmarkProfileCollect'
+
+# Snapshot the engine benchmarks into the committed baseline
+# BENCH_core.json.
 bench-core:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
+	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_core.json
 
 # Regression gate: rerun the engine benchmarks and compare against the
 # committed baseline (fails past +10% ns/op or any allocs/op increase).
 bench-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
+	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json
 
 # CI form of the engine gate: the interval-fidelity rows' allocs/op
 # counts hard-fail (the batched/zero-alloc sweep guarantees live
-# there), while ns/op drift and the other fidelities stay advisory —
-# CI machines are too noisy for a hard ns gate.
+# there), while ns/op drift and the other rows stay advisory — CI
+# machines are too noisy for a hard ns gate.
 bench-core-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine|BenchmarkProfileCollect' -benchmem . \
+	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
 
 # Snapshot the service hot-path benchmarks (pair-store key hashing,

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"ampsched/internal/cache"
 	"ampsched/internal/cpu"
@@ -260,6 +261,24 @@ type System struct {
 	sched   MoveScheduler
 	cfg     Config
 
+	// morphPol is sched as a MorphPolicy (nil when it manages no
+	// morphing) and waker is sched as a Waker (nil when it cannot
+	// declare its wakes, or when it is a MorphPolicy — MorphTick
+	// declares nothing and is polled every window). Both are resolved
+	// when the scheduler is installed, not per window.
+	morphPol MorphPolicy
+	waker    Waker
+	// wakeCycle and wakeCommit cache the scheduler's NextWake: no Tick
+	// can act before the cycle reaches wakeCycle or thread t's
+	// Committed reaches wakeCommit[t]. Refreshed after every Tick.
+	wakeCycle  uint64    //ampvet:unit cycles
+	wakeCommit [2]uint64 //ampvet:unit instructions
+	// nearEdge records that a thread came within one MaxCommit bound
+	// of its commit edge: no span can be proven until the edge moves,
+	// so the loop steps window by window without trying. Cleared when
+	// NextWake returns new edges.
+	nearEdge bool
+
 	// engineFactory builds the two engines (WithEngine); nil means
 	// cpu.DetailedFactory.
 	engineFactory cpu.EngineFactory
@@ -308,9 +327,9 @@ func NewSystem(coreCfgs [2]*cpu.Config, threads [2]*Thread, sched MoveScheduler,
 	s := &System{
 		threads: threads,
 		binding: [2]int{0, 1},
-		sched:   sched,
 		cfg:     cfg,
 	}
+	s.setSched(sched)
 	// Cores of distinct configurations form distinct pools, in core
 	// order: the canonical INT/FP pair becomes pools 0 and 1.
 	if coreCfgs[1].Name != coreCfgs[0].Name {
@@ -343,7 +362,34 @@ func NewSystem(coreCfgs [2]*cpu.Config, threads [2]*Thread, sched MoveScheduler,
 	if sched != nil {
 		sched.Reset(s)
 	}
+	s.refreshWake()
 	return s, nil
+}
+
+// setSched installs a scheduler and resolves its optional
+// capabilities.
+func (s *System) setSched(sched MoveScheduler) {
+	s.sched = sched
+	s.morphPol, _ = sched.(MorphPolicy)
+	s.waker = nil
+	if s.morphPol == nil {
+		s.waker, _ = sched.(Waker)
+	}
+}
+
+// refreshWake re-reads when the scheduler can next act: never without
+// a scheduler, at once (every window) for one that is not a Waker.
+func (s *System) refreshWake() {
+	s.nearEdge = false
+	switch {
+	case s.sched == nil:
+		s.wakeCycle = math.MaxUint64
+		s.wakeCommit = [2]uint64{math.MaxUint64, math.MaxUint64}
+	case s.waker != nil:
+		s.wakeCycle, s.wakeCommit = s.waker.NextWake()
+	default:
+		s.wakeCycle, s.wakeCommit = 0, [2]uint64{}
+	}
 }
 
 // Reset re-arms a system built by NewSystem for a fresh run: new
@@ -394,7 +440,7 @@ func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) erro
 	resetters[1].ResetState()
 	s.threads = threads
 	s.binding = [2]int{0, 1}
-	s.sched = sched
+	s.setSched(sched)
 	s.cfg = cfg
 	s.injector = nil
 	s.cycle, s.swaps, s.swapFailures, s.morphs = 0, 0, 0, 0
@@ -402,11 +448,17 @@ func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) erro
 	s.lastAct = [2]cpu.Activity{}
 	s.lastCache = [2]power.CacheStats{}
 	s.timeline = nil
+	if s.tel != nil {
+		// ResetState zeroed the engine ledgers; the telemetry deltas
+		// must count the next run from zero too.
+		s.tel.lastEngine = [2]cpu.EngineStats{}
+	}
 	s.engines[0].Bind(threads[0].Gen, &threads[0].Arch)
 	s.engines[1].Bind(threads[1].Gen, &threads[1].Arch)
 	if sched != nil {
 		sched.Reset(s)
 	}
+	s.refreshWake()
 	return nil
 }
 

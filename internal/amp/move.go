@@ -41,6 +41,20 @@ type MoveScheduler interface {
 	Tick(v View) []Move
 }
 
+// Waker is the optional scheduler capability behind the run loop's
+// spans: NextWake declares the earliest point at which Tick can act.
+// The contract is that Tick returns no moves and changes no state —
+// not even a deferred counter read — while the cycle it observes is
+// below cycle and each thread t's Committed is below committed[t].
+// The run loop reads NextWake after every Tick and after Reset, and in
+// between runs the engines through whole spans of stride windows
+// without calling Tick at all. A scheduler that cannot promise
+// anything returns zeros, or does not implement Waker; one that never
+// acts on a count returns the maximum uint64 for it.
+type Waker interface {
+	NextWake() (cycle uint64, committed [2]uint64)
+}
+
 // movesSwap reports whether a move batch asks the dual-core system to
 // exchange its threads: any well-formed move that places a thread on a
 // core it does not currently occupy. Parks and out-of-range moves are

@@ -2,7 +2,6 @@ package amp
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"ampsched/internal/telemetry"
@@ -152,30 +151,6 @@ func TestMultiObserverComposition(t *testing.T) {
 	}
 	if MultiObserver(nil, a) != Observer(a) {
 		t.Error("MultiObserver(nil, a) should unwrap to a")
-	}
-}
-
-func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already canceled: the run must stop at the first check
-	rec := &recordObserver{}
-	sys := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 27), nil, Config{},
-		WithObserver(rec))
-	res, err := sys.RunContext(ctx, 1_000_000_000)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if errors.Is(err, ErrWedged) {
-		t.Error("cancellation must not look like a wedge")
-	}
-	// The partial result is still populated and bounded by the check
-	// granularity.
-	if res.Cycles == 0 || res.Cycles > 2*(ctxCheckMask+1) {
-		t.Errorf("canceled run stopped after %d cycles", res.Cycles)
-	}
-	if rec.count(EventCanceled) != 1 || rec.count(EventRunEnd) != 1 {
-		t.Errorf("canceled/run_end events = %d/%d, want 1/1",
-			rec.count(EventCanceled), rec.count(EventRunEnd))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"ampsched/internal/cpu"
 	"ampsched/internal/interval"
 	"ampsched/internal/sched"
+	"ampsched/internal/telemetry"
 	"ampsched/internal/workload"
 )
 
@@ -50,5 +51,43 @@ func TestResetDropsFaultPlan(t *testing.T) {
 	}
 	if inj.calls != calls {
 		t.Fatalf("the dropped injector was consulted %d more times", inj.calls-calls)
+	}
+}
+
+// TestResetEngineCountersSumRuns pins the per-engine telemetry counters
+// on a pooled system: Reset zeroes the engine ledgers, so the counters'
+// run deltas must restart from zero with them. Three runs with Reset
+// between them must add up every instruction and cycle each run
+// simulated, not just the last run's.
+func TestResetEngineCountersSumRuns(t *testing.T) {
+	tel := telemetry.New()
+	var sys *amp.System
+	var commits, cycles uint64
+	for run := uint64(0); run < 3; run++ {
+		threads := [2]*amp.Thread{
+			amp.NewThread(0, workload.MustByName("gcc"), 5+run, 0),
+			amp.NewThread(1, workload.MustByName("equake"), 9+run, 1<<40),
+		}
+		rr := sched.NewRoundRobinInterval(40_000)
+		cfg := amp.Config{}
+		if sys == nil {
+			sys = amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
+				threads, rr, cfg, amp.WithEngine(interval.Factory()), amp.WithTelemetry(tel))
+		} else if err := sys.Reset(threads, rr, cfg); err != nil {
+			t.Fatal(err)
+		}
+		sys.MustRun(400_000 - 100_000*run)
+		for c := 0; c < 2; c++ {
+			st := sys.Engine(c).Stats()
+			commits += st.Committed
+			cycles += st.Act.Cycles + st.Act.StallCycles
+		}
+	}
+	reg := tel.Registry()
+	if got := reg.Counter("engine.interval.commits").Value(); got != commits {
+		t.Errorf("engine.interval.commits = %d, want %d summed over three runs", got, commits)
+	}
+	if got := reg.Counter("engine.interval.cycles").Value(); got != cycles {
+		t.Errorf("engine.interval.cycles = %d, want %d summed over three runs", got, cycles)
 	}
 }

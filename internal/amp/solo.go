@@ -134,7 +134,7 @@ func soloRun(factory cpu.EngineFactory, coreCfg *cpu.Config, bench *workload.Ben
 
 	stride := core.Stride()
 	for th.Arch.Committed < limit {
-		core.Run(cycle, stride)
+		core.Run(cycle, stride, 1)
 		cycle += stride
 		if sampleCycles > 0 && cycle >= nextSampleCyc {
 			takeSample()

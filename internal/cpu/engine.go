@@ -11,12 +11,12 @@ import "ampsched/internal/cache"
 //
 // The contract mirrors Core exactly: Bind/Unbind move a thread on and
 // off the engine (Unbind returns squashed in-flight work), Run
-// advances the engine by a whole window of cycles, StallCycles charges
+// advances the engine by a span of whole windows, StallCycles charges
 // frozen swap-overhead cycles, and Stats returns the monotonic
 // activity/cache ledger the power model integrates. Stride is the
-// largest cycle batch the engine wants per Run call — 1 for the
-// detailed core (it must interleave with the other core every cycle),
-// larger for analytic engines that amortize bookkeeping.
+// window the engine wants per scheduler poll — 1 for the detailed core
+// (it must interleave with the other core every cycle a scheduler
+// might act), larger for analytic engines that amortize bookkeeping.
 type Engine interface {
 	// Config returns the core configuration the engine models.
 	Config() *Config
@@ -41,10 +41,22 @@ type Engine interface {
 	// Stats returns the monotonic activity and cache ledger.
 	Stats() EngineStats
 
-	// Run advances the engine by the given number of cycles starting
-	// at global time now.
-	Run(now, cycles uint64)
-	// Stride returns the preferred cycles-per-Run batch size (>= 1).
+	// Run advances the engine by n consecutive windows of window
+	// cycles each, starting at global time now. The result is bit for
+	// bit that of n calls Run(now+i*window, window, 1): the run loop
+	// hands an engine a whole span of windows between scheduler
+	// decisions, and the engine may only batch what it can batch
+	// without changing a single result.
+	Run(now, window, n uint64)
+	// MaxCommit bounds the instructions one window of the given length
+	// can commit, for any window the engine runs until its thread is
+	// next unbound. The run loop uses it to prove that a span ends
+	// before an instruction limit or a scheduler's commit edge is
+	// crossed; a bound that cannot be established is a huge value,
+	// which confines the loop to single windows.
+	MaxCommit(cycles uint64) uint64
+	// Stride returns the engine's window in cycles (>= 1): the run
+	// loop's scheduling granularity.
 	Stride() uint64
 	// StallCycles charges n frozen cycles (swap overhead): leakage
 	// accrues, nothing executes.
@@ -131,13 +143,20 @@ func (c *Core) Fidelity() string { return FidelityDetailed }
 // sibling every cycle.
 func (c *Core) Stride() uint64 { return 1 }
 
-// Run advances the core cycle by cycle.
+// Run advances the core cycle by cycle through the whole span: window
+// boundaries mean nothing to a cycle-level pipeline.
 //
 //ampvet:hotpath
-func (c *Core) Run(now, cycles uint64) {
-	for end := now + cycles; now < end; now++ {
+func (c *Core) Run(now, window, n uint64) {
+	for end := now + window*n; now < end; now++ {
 		c.Step(now)
 	}
+}
+
+// MaxCommit implements Engine: the core retires at most CommitWidth
+// instructions a cycle.
+func (c *Core) MaxCommit(cycles uint64) uint64 {
+	return uint64(c.cfg.CommitWidth) * cycles
 }
 
 // StallCycles charges n frozen cycles.

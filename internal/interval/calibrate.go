@@ -37,6 +37,10 @@ type Calibration struct {
 	// observed the phase for at least calMinPhaseInstr instructions,
 	// and Correction * modelPhaseIPC otherwise.
 	PhaseIPC []float64
+	// MaxPhaseIPC is the largest PhaseIPC entry: no window of the
+	// interval engine commits faster (Correction * model may exceed
+	// the core's commit width, so the width is not a bound).
+	MaxPhaseIPC float64
 	// Committed is the calibration run's instruction count.
 	Committed uint64
 	// Rates are the per-committed-instruction event rates.
@@ -425,6 +429,7 @@ func Calibrate(cfg *cpu.Config, units [cpu.NumUnitKinds]cpu.UnitSpec, bench *wor
 		} else {
 			cal.PhaseIPC[p] = cal.Correction * raw[p]
 		}
+		cal.MaxPhaseIPC = max(cal.MaxPhaseIPC, cal.PhaseIPC[p])
 	}
 	return cal
 }

@@ -202,42 +202,83 @@ func (e *Engine) ResetState() {
 //ampvet:hotpath
 func (e *Engine) StallCycles(n uint64) { e.stallCycles += n }
 
-// Run advances the engine by a window of cycles: the current phase's
-// calibrated IPC (cold-start adjusted) converts cycles to committed
-// instructions, with the fractional remainder carried across windows.
+// Run advances the engine by n windows of window cycles each: per
+// window, the current phase's calibrated IPC (cold-start adjusted)
+// converts cycles to committed instructions, with the fractional
+// remainder carried across windows.
+//
+// The span loop performs exactly the per-window float operations in
+// the same order, so n windows here are bit for bit n single-window
+// calls; only the bookkeeping moves into locals. Commits that stay
+// inside the current phase accumulate in done and land in the ledgers
+// once (integer sums are order-free); a window that reaches a phase
+// boundary writes everything back and takes commitBatch.
 //
 //ampvet:hotpath
-func (e *Engine) Run(now, cycles uint64) {
+func (e *Engine) Run(now, window, n uint64) {
 	_ = now
 	if e.arch == nil {
 		return
 	}
-	e.activeCycles += cycles
-	ipc := e.curIPC
-	if e.sinceBind < rampInstr {
-		ipc *= coldFactor(e.sinceBind)
+	e.activeCycles += window * n
+	cycles := float64(window)
+	ipc0 := e.curIPC
+	frac := e.fracCommit
+	sinceBind := e.sinceBind
+	phaseRem := e.phaseRem
+	var done uint64 //ampvet:unit instructions
+	for ; n > 0; n-- {
+		ipc := ipc0
+		if sinceBind < rampInstr {
+			ipc *= coldFactor(sinceBind)
+		}
+		frac += ipc * cycles
+		k := uint64(frac)
+		if k == 0 {
+			continue
+		}
+		frac -= float64(k)
+		if k < phaseRem {
+			// Common case: the whole batch lands inside the current
+			// phase. Class attribution and the generator advance are
+			// deferred (phaseN / pendingSkip).
+			done += k
+			sinceBind += k
+			phaseRem -= k
+			continue
+		}
+		e.land(done, phaseRem)
+		done = 0
+		e.commitBatch(k)
+		ipc0, sinceBind, phaseRem = e.curIPC, e.sinceBind, e.phaseRem
 	}
-	e.fracCommit += ipc * float64(cycles)
-	k := uint64(e.fracCommit)
-	if k == 0 {
-		return
+	e.fracCommit = frac
+	e.land(done, phaseRem)
+}
+
+// land credits done in-phase commits to every ledger and installs the
+// span's phase position.
+//
+//ampvet:hotpath
+func (e *Engine) land(done, phaseRem uint64) {
+	e.arch.Committed += done
+	e.arch.NextSeq += done
+	e.committed += done
+	e.sinceBind += done
+	e.phaseN += done
+	e.pendingSkip += done
+	e.phaseRem = phaseRem
+}
+
+// MaxCommit implements cpu.Engine: a window commits at most its cycles
+// at the bound calibration's fastest phase IPC (the cold-start factor
+// only slows it), plus the carried fraction and a margin for rounding.
+// Unbound, the engine commits nothing.
+func (e *Engine) MaxCommit(cycles uint64) uint64 {
+	if e.cal == nil {
+		return 0
 	}
-	e.fracCommit -= float64(k)
-	if k < e.phaseRem {
-		// Common case: the whole batch lands inside the current phase.
-		// Class attribution and the generator advance are deferred
-		// (phaseN / pendingSkip); only the counters the AMP loop and
-		// the window monitors poll every stride are updated eagerly.
-		e.arch.Committed += k
-		e.arch.NextSeq += k
-		e.committed += k
-		e.sinceBind += k
-		e.phaseN += k
-		e.pendingSkip += k
-		e.phaseRem -= k
-		return
-	}
-	e.commitBatch(k)
+	return uint64(e.cal.MaxPhaseIPC*float64(cycles)) + 2
 }
 
 // commitBatch retires k instructions across one or more phase

@@ -75,7 +75,7 @@ func TestEngineClassSumMatchesCommitted(t *testing.T) {
 	eng.Bind(gen, arch)
 	var now uint64
 	for arch.Committed < 200_000 {
-		eng.Run(now, eng.Stride())
+		eng.Run(now, eng.Stride(), 1)
 		now += eng.Stride()
 	}
 	arch.Sync() // the engine attributes classes lazily; readers sync first
@@ -109,7 +109,7 @@ func TestEngineStatsLedger(t *testing.T) {
 	var now uint64
 	var prev cpu.EngineStats
 	for i := 0; i < 50; i++ {
-		eng.Run(now, DefaultStride)
+		eng.Run(now, DefaultStride, 1)
 		now += DefaultStride
 		st := eng.Stats()
 		if st.Act.Cycles != now {

@@ -2,6 +2,8 @@ package interval
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"ampsched/internal/cpu"
 )
@@ -183,16 +185,58 @@ func (s *Sampled) StallCycles(n uint64) {
 	}
 }
 
-// Run implements cpu.Engine, splitting the window at tier boundaries
-// and handing each piece to the active tier. Tier switches use the
-// same unbind/bind protocol as a thread swap, so the detailed pipeline
-// drains (squashing its in-flight work) before fast-forwarding.
+// Run implements cpu.Engine. Whole windows that fall inside one tier
+// run as a single span of that tier — up to the end of the warm-up, or
+// up to the period wrap in the interval tier. A window that crosses a
+// tier boundary goes through runWindow, which splits it there.
 //
 //ampvet:hotpath
-func (s *Sampled) Run(now, cycles uint64) {
+func (s *Sampled) Run(now, window, n uint64) {
 	if s.arch == nil {
 		return
 	}
+	for n > 0 {
+		detail := s.pos < s.warmLen
+		end := s.periodCycles
+		if detail {
+			end = s.warmLen
+		}
+		rest := end - s.pos
+		if rest < window {
+			s.runWindow(now, window)
+			now += window
+			n--
+			continue
+		}
+		m := n
+		if hi, lo := bits.Mul64(n, window); hi != 0 || lo > rest {
+			m = rest / window
+		}
+		span := m * window
+		if detail {
+			if !s.det.Bound() {
+				s.ivl.Unbind()
+				s.det.Bind(s.src, s.arch)
+			}
+			s.det.Run(now, window, m)
+		} else {
+			if !s.ivl.Bound() {
+				s.det.Unbind()
+				s.ivl.Bind(s.src, s.arch)
+			}
+			s.ivl.Run(now, window, m)
+		}
+		s.advance(span)
+		now += span
+		n -= m
+	}
+}
+
+// runWindow runs one window, splitting it at tier boundaries and
+// handing each piece to the active tier. Tier switches use the same
+// unbind/bind protocol as a thread swap, so the detailed pipeline
+// drains (squashing its in-flight work) before fast-forwarding.
+func (s *Sampled) runWindow(now, cycles uint64) {
 	for cycles > 0 {
 		var step uint64
 		if s.pos < s.warmLen {
@@ -200,36 +244,52 @@ func (s *Sampled) Run(now, cycles uint64) {
 				s.ivl.Unbind()
 				s.det.Bind(s.src, s.arch)
 			}
-			step = s.warmLen - s.pos
-			if step > cycles {
-				step = cycles
-			}
-			s.det.Run(now, step)
-			if s.pos+step == s.warmLen {
-				s.markWarmed(s.arch)
-			}
+			step = min(s.warmLen-s.pos, cycles)
+			s.det.Run(now, step, 1)
 		} else {
 			if !s.ivl.Bound() {
 				s.det.Unbind()
 				s.ivl.Bind(s.src, s.arch)
 			}
-			step = s.periodCycles - s.pos
-			if step > cycles {
-				step = cycles
-			}
-			s.ivl.Run(now, step)
+			step = min(s.periodCycles-s.pos, cycles)
+			s.ivl.Run(now, step, 1)
 		}
+		s.advance(step)
 		now += step
 		cycles -= step
-		s.pos += step
-		if s.pos == s.periodCycles {
-			// Scheduled re-anchor: the detailed core's caches still hold
-			// this thread's aged state, so the wrap's detailed span is
-			// the shorter re-anchor window.
-			s.pos = 0
-			s.warmLen = s.reanchorCycles
-		}
 	}
+}
+
+// advance moves the schedule position by step cycles of the current
+// tier: completing a warm-up memoizes it, and reaching the period end
+// wraps into a re-anchor. Scheduled re-anchors are shorter than a cold
+// warm-up because the detailed core's caches still hold this thread's
+// aged state.
+func (s *Sampled) advance(step uint64) {
+	if s.pos < s.warmLen && s.pos+step == s.warmLen {
+		s.markWarmed(s.arch)
+	}
+	s.pos += step
+	if s.pos == s.periodCycles {
+		s.pos = 0
+		s.warmLen = s.reanchorCycles
+	}
+}
+
+// MaxCommit implements cpu.Engine. In the interval tier the bound is
+// the larger of the two tiers' (a span may wrap into a re-anchor, and
+// the same thread's calibration covers the fast-forward after it). In
+// the detailed tier the interval calibration is not bound yet, so no
+// bound is claimed and the run loop steps it window by window — the
+// detailed tier costs far more per window than the loop's polling.
+func (s *Sampled) MaxCommit(cycles uint64) uint64 {
+	if s.arch == nil {
+		return 0
+	}
+	if !s.ivl.Bound() {
+		return math.MaxUint64
+	}
+	return max(s.det.MaxCommit(cycles), s.ivl.MaxCommit(cycles))
 }
 
 // Stats implements cpu.Engine: the merged ledgers of both tiers.

@@ -23,7 +23,7 @@ func TestSampledWarmupMemoized(t *testing.T) {
 	if !s.det.Bound() || s.pos != 0 {
 		t.Fatal("first bind must start a detailed warm-up")
 	}
-	s.Run(0, 5_000) // completes the warm-up, crosses into interval
+	s.Run(0, 5_000, 1) // completes the warm-up, crosses into interval
 	s.Unbind()
 
 	s.Bind(genA, archA)
@@ -31,7 +31,7 @@ func TestSampledWarmupMemoized(t *testing.T) {
 		t.Fatalf("re-bind of a warmed thread must skip the warm-up (pos %d, ivl bound %v)",
 			s.pos, s.ivl.Bound())
 	}
-	s.Run(5_000, 1_000)
+	s.Run(5_000, 1_000, 1)
 	s.Unbind()
 
 	// A different thread on the same core still warms up.
@@ -42,20 +42,20 @@ func TestSampledWarmupMemoized(t *testing.T) {
 		t.Fatal("unwarmed thread must run a warm-up")
 	}
 	// An interrupted warm-up must not memoize.
-	s.Run(0, 10)
+	s.Run(0, 10, 1)
 	s.Unbind()
 	s.Bind(genB, archB)
 	if s.pos != 0 || !s.det.Bound() {
 		t.Fatal("interrupted warm-up must not count as warmed")
 	}
-	s.Run(0, 5_000)
+	s.Run(0, 5_000, 1)
 	s.Unbind()
 
 	// The scheduled period-wrap warm-up is unaffected by the memo: a
 	// warmed thread crossing a period boundary re-enters the detailed
 	// tier.
 	s.Bind(genA, archA)
-	s.Run(0, s.periodCycles-s.pos+10)
+	s.Run(0, s.periodCycles-s.pos+10, 1)
 	if !s.det.Bound() {
 		t.Fatal("period wrap must re-enter the detailed tier even for a warmed thread")
 	}

@@ -618,12 +618,12 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 			if su := s.stallUntil[c]; s.cycle < su {
 				if k := su - s.cycle; k < n {
 					s.cores[c].StallCycles(k)
-					s.cores[c].Run(s.cycle+k, n-k)
+					s.cores[c].Run(s.cycle+k, n-k, 1)
 				} else {
 					s.cores[c].StallCycles(n)
 				}
 			} else {
-				s.cores[c].Run(s.cycle, n)
+				s.cores[c].Run(s.cycle, n, 1)
 			}
 		}
 		if s.sched != nil {

@@ -124,6 +124,10 @@ func (w *WindowTracker) Observe(arch *cpu.ThreadArch) (Sample, bool) {
 // any window has closed yet.
 func (w *WindowTracker) Latest() (Sample, bool) { return w.latest, w.haveOne }
 
+// NextEdge returns the committed-instruction count at which the next
+// window closes: Observe reports nothing and changes nothing below it.
+func (w *WindowTracker) NextEdge() uint64 { return w.nextEdge }
+
 // Voter is the history-depth majority filter of §VI-B: the tentative
 // per-window decisions (swap / stay) of the last n windows are kept,
 // and a reconfiguration is triggered only when a strict majority of

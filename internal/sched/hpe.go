@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/isa"
@@ -202,6 +203,13 @@ func (h *HPE) predictedSpeedup(v amp.View, o intervalObservation, t int) float64
 	return r
 }
 
+// NextWake implements amp.Waker: Tick acts at the next decision cycle
+// and never on a commit count.
+func (h *HPE) NextWake() (uint64, [2]uint64) {
+	return h.nextCheck, [2]uint64{math.MaxUint64, math.MaxUint64}
+}
+
 var _ amp.MoveScheduler = (*HPE)(nil)
+var _ amp.Waker = (*HPE)(nil)
 var _ amp.StatsReporter = (*HPE)(nil)
 var _ amp.StatsReporter = (*Proposed)(nil)

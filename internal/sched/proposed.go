@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/monitor"
@@ -192,6 +193,18 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 	return nil
 }
 
+// NextWake implements amp.Waker. With the hardware window trackers,
+// Tick acts only when a thread's commit window closes (the forced swap
+// is evaluated at window closes too), so the wakes are the trackers'
+// next edges. Replacement monitors (WithObserverFactory) promise
+// nothing, and such a scheduler is ticked every window.
+func (p *Proposed) NextWake() (uint64, [2]uint64) {
+	if p.obsFactory != nil {
+		return 0, [2]uint64{}
+	}
+	return math.MaxUint64, [2]uint64{p.winTrk[0].NextEdge(), p.winTrk[1].NextEdge()}
+}
+
 func (p *Proposed) requestSwap() {
 	p.stats.SwapRequests++
 	p.tel.requests.Inc()
@@ -199,3 +212,4 @@ func (p *Proposed) requestSwap() {
 }
 
 var _ amp.MoveScheduler = (*Proposed)(nil)
+var _ amp.Waker = (*Proposed)(nil)

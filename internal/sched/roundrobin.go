@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"ampsched/internal/amp"
 )
@@ -71,5 +72,12 @@ func (r *RoundRobin) Tick(v amp.View) []amp.Move {
 	return r.em.swap(v)
 }
 
+// NextWake implements amp.Waker: Tick acts at the next swap cycle
+// and never on a commit count.
+func (r *RoundRobin) NextWake() (uint64, [2]uint64) {
+	return r.next, [2]uint64{math.MaxUint64, math.MaxUint64}
+}
+
 var _ amp.MoveScheduler = (*RoundRobin)(nil)
+var _ amp.Waker = (*RoundRobin)(nil)
 var _ amp.StatsReporter = (*RoundRobin)(nil)
