@@ -70,8 +70,9 @@ bench-snapshot:
 		| $(GO) run ./cmd/benchsnap -o BENCH_telemetry.json
 
 # The simulation-engine benchmarks: detailed vs interval vs sampled
-# hot loops, the dual-core run loop under the proposed scheduler, and
-# the §V profiling pass that runs the detailed core.
+# hot loops, the dual-core run loop (one cycle under the proposed
+# scheduler, and paper-quantum pair runs per policy), and the §V
+# profiling pass that runs the detailed core.
 BENCH_CORE = 'BenchmarkEngine|BenchmarkDualCoreSystem|BenchmarkProfileCollect'
 
 # Snapshot the engine benchmarks into the committed baseline

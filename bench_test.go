@@ -378,6 +378,68 @@ func BenchmarkEngineSoloDetailed(b *testing.B) { benchSoloEngine(b, cpu.Detailed
 // BenchmarkEngineSoloInterval measures the analytic window loop.
 func BenchmarkEngineSoloInterval(b *testing.B) { benchSoloEngine(b, interval.Factory()) }
 
+// benchEstimator is a deterministic stand-in for the profiled HPE
+// estimators (INT-heavy compositions favor the INT core), so the
+// run-loop rows need no profiling pass.
+type benchEstimator struct{}
+
+func (benchEstimator) Name() string { return "composition" }
+
+func (benchEstimator) RatioIntOverFP(intPct, fpPct float64) float64 {
+	return (10 + intPct) / (10 + 3*fpPct)
+}
+
+// benchRunLoop times the dual-core run loop under one policy at the
+// paper's 4 M-cycle quantum: one gcc+equake pair for 20 M
+// instructions, after one untimed run that pays the pair's first-touch
+// calibrations. ns/window is the CPU time per 128-cycle stride window.
+func benchRunLoop(b *testing.B, factory cpu.EngineFactory, mk func() amp.MoveScheduler) {
+	run := func() amp.Result {
+		threads := [2]*amp.Thread{
+			amp.NewThread(0, workload.MustByName("gcc"), 41, 0),
+			amp.NewThread(1, workload.MustByName("equake"), 42, 1<<40),
+		}
+		sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
+			threads, mk(), amp.Config{}, amp.WithEngine(factory))
+		return sys.MustRun(20_000_000)
+	}
+	windows := run().Cycles / interval.DefaultStride
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*windows), "ns/window")
+}
+
+func benchProposed() amp.MoveScheduler { return sched.NewProposed(sched.DefaultProposedConfig()) }
+
+// BenchmarkEngineRunLoopProposedSampled is the paperscale sweep's
+// dominant policy: Proposed judges each thread every 1000 committed
+// instructions.
+func BenchmarkEngineRunLoopProposedSampled(b *testing.B) {
+	benchRunLoop(b, interval.SampledFactory(), benchProposed)
+}
+
+// BenchmarkEngineRunLoopHPESampled wakes once per quantum.
+func BenchmarkEngineRunLoopHPESampled(b *testing.B) {
+	benchRunLoop(b, interval.SampledFactory(), func() amp.MoveScheduler {
+		return sched.NewHPE(sched.DefaultHPEConfig(), benchEstimator{})
+	})
+}
+
+// BenchmarkEngineRunLoopRoundRobinSampled wakes once per quantum.
+func BenchmarkEngineRunLoopRoundRobinSampled(b *testing.B) {
+	benchRunLoop(b, interval.SampledFactory(), func() amp.MoveScheduler {
+		return sched.NewRoundRobinInterval(amp.ContextSwitchCycles)
+	})
+}
+
+// BenchmarkEngineRunLoopProposedInterval is Proposed on the interval
+// engine alone (ampserve's fidelity); its allocs/op are hard-gated.
+func BenchmarkEngineRunLoopProposedInterval(b *testing.B) {
+	benchRunLoop(b, interval.Factory(), benchProposed)
+}
+
 // --- microbenchmarks of the substrate --------------------------------
 
 // BenchmarkCoreSimulation measures simulated cycles per second of one

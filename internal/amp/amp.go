@@ -273,11 +273,6 @@ type System struct {
 	// Committed reaches wakeCommit[t]. Refreshed after every Tick.
 	wakeCycle  uint64    //ampvet:unit cycles
 	wakeCommit [2]uint64 //ampvet:unit instructions
-	// nearEdge records that a thread came within one MaxCommit bound
-	// of its commit edge: no span can be proven until the edge moves,
-	// so the loop steps window by window without trying. Cleared when
-	// NextWake returns new edges.
-	nearEdge bool
 
 	// engineFactory builds the two engines (WithEngine); nil means
 	// cpu.DetailedFactory.
@@ -380,7 +375,6 @@ func (s *System) setSched(sched MoveScheduler) {
 // refreshWake re-reads when the scheduler can next act: never without
 // a scheduler, at once (every window) for one that is not a Waker.
 func (s *System) refreshWake() {
-	s.nearEdge = false
 	switch {
 	case s.sched == nil:
 		s.wakeCycle = math.MaxUint64

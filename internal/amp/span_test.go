@@ -130,40 +130,57 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// commitBound wraps an engine and checks, window by window, that no
-// window commits more than the MaxCommit the engine reported when the
-// span began — the bound the run loop relies on to end spans before an
-// instruction limit or a commit edge. Running the span one window at a
-// time is bit-identical by the Engine contract.
-type commitBound struct {
+// reachBound wraps an engine and checks the promise behind span
+// lengths: it records each Reach answer, and the Run that follows
+// replays its windows one at a time (bit-identical by the Engine
+// contract), failing if the Run covers more windows than Reach allowed
+// or if any window but the last ends with the thread's Committed at or
+// past the edge.
+type reachBound struct {
 	cpu.Engine
 	t       *testing.T
 	label   string
+	reach   uint64 // the pending Reach answer; 0 once a Run consumed it
+	edge    uint64
+	spans   uint64 // Reach answers above one window
 	windows uint64
 }
 
-func (b *commitBound) Run(now, window, n uint64) {
-	mc := b.Engine.MaxCommit(window)
+func (b *reachBound) Reach(window, n, edge uint64) uint64 {
+	m := b.Engine.Reach(window, n, edge)
+	if m < 1 || m > n {
+		b.t.Fatalf("%s: Reach(%d, %d, %d) = %d, want 1..%d", b.label, window, n, edge, m, n)
+	}
+	if m > 1 {
+		b.spans++
+	}
+	b.reach, b.edge = m, edge
+	return m
+}
+
+func (b *reachBound) Run(now, window, n uint64) {
+	m, edge := b.reach, b.edge
+	b.reach = 0
+	if m != 0 && n > m {
+		b.t.Fatalf("%s: Run of %d windows at cycle %d after Reach allowed %d", b.label, n, now, m)
+	}
+	arch := b.Engine.Arch()
 	for i := uint64(0); i < n; i++ {
-		var before uint64
-		arch := b.Engine.Arch()
-		if arch != nil {
-			before = arch.Committed
-		}
 		b.Engine.Run(now+i*window, window, 1)
 		b.windows++
-		if arch != nil && arch.Committed-before > mc {
-			b.t.Fatalf("%s: window at cycle %d committed %d > MaxCommit %d",
-				b.label, now+i*window, arch.Committed-before, mc)
+		if m != 0 && i+1 < n && arch != nil && arch.Committed >= edge {
+			b.t.Fatalf("%s: window %d of %d at cycle %d reached Committed %d >= edge %d",
+				b.label, i+1, n, now+i*window, arch.Committed, edge)
 		}
 	}
 }
 
-// TestMaxCommitBoundsEveryWindow is the property behind span lengths:
-// across random pairs, swapping and morphing policies, and sampled
-// schedules short enough to switch tiers mid-window, no window commits
-// more than its engine's MaxCommit from the start of its span.
-func TestMaxCommitBoundsEveryWindow(t *testing.T) {
+// TestReachBoundsEveryWindow is the property behind span lengths:
+// across random pairs, swapping, Proposed and morphing policies, and
+// sampled schedules short enough to switch tiers mid-window, no span
+// runs more windows than its engines' Reach allowed, and no window but
+// a span's last reaches the commit edge Reach was asked about.
+func TestReachBoundsEveryWindow(t *testing.T) {
 	pool := workload.All()
 	r := rng.New(2024)
 	fidelities := []struct {
@@ -190,12 +207,12 @@ func TestMaxCommitBoundsEveryWindow(t *testing.T) {
 			a, b := pool[r.Intn(len(pool))], pool[r.Intn(len(pool))]
 			seed := r.Uint64n(1000)
 			label := fmt.Sprintf("%s/%s+%s", f.name, a.Name, b.Name)
-			var wrapped []*commitBound
+			var wrapped []*reachBound
 			factory := func(cfg *cpu.Config) (cpu.Engine, error) {
 				e, err := f.factory(cfg)
-				cb := &commitBound{Engine: e, t: t, label: label}
-				wrapped = append(wrapped, cb)
-				return cb, err
+				rb := &reachBound{Engine: e, t: t, label: label}
+				wrapped = append(wrapped, rb)
+				return rb, err
 			}
 			threads := [2]*amp.Thread{
 				amp.NewThread(0, a, seed, 0),
@@ -209,6 +226,11 @@ func TestMaxCommitBoundsEveryWindow(t *testing.T) {
 			}
 			if wrapped[0].windows == 0 || wrapped[1].windows == 0 {
 				t.Fatalf("%s: no windows ran", label)
+			}
+			// The morphing policy is no Waker: it ticks every window,
+			// and Reach is never asked.
+			if i%len(policies) != 2 && (wrapped[0].spans == 0 || wrapped[1].spans == 0) {
+				t.Errorf("%s: Reach allowed no span (%d, %d)", label, wrapped[0].spans, wrapped[1].spans)
 			}
 		}
 	}
@@ -227,16 +249,33 @@ func (r *runCounter) Run(now, window, n uint64) {
 	r.Engine.Run(now, window, n)
 }
 
+// tickCounter counts a Proposed scheduler's Tick calls; embedding
+// keeps its NextWake, so the run loop still sees a Waker.
+type tickCounter struct {
+	*sched.Proposed
+	ticks uint64
+}
+
+func (c *tickCounter) Tick(v amp.View) []amp.Move {
+	c.ticks++
+	return c.Proposed.Tick(v)
+}
+
 // TestQuietStretchesRunAsSpans pins that spans actually happen: with
 // no scheduler, or one that wakes once per quantum, each engine covers
 // its windows in a few calls per quantum — after the sampled engine's
-// warm-ups too, which claim no commit bound and step window by window.
+// warm-ups too. Proposed wakes at every 1000-instruction window edge
+// of either thread, and each engine runs about one span per Tick: the
+// span ends at the window that can reach the next edge. Its Tick count
+// is the number of windows that reach a wake, which spans must not
+// change.
 func TestQuietStretchesRunAsSpans(t *testing.T) {
 	for _, f := range []struct {
-		name    string
-		factory cpu.EngineFactory
-	}{{"interval", interval.Factory()}, {"sampled", interval.SampledFactory()}} {
-		for _, p := range spanPolicies()[:3] { // nil, RoundRobin, HPE
+		name          string
+		factory       cpu.EngineFactory
+		proposedTicks uint64
+	}{{"interval", interval.Factory(), 22_544}, {"sampled", interval.SampledFactory(), 22_524}} {
+		for _, p := range spanPolicies() {
 			var engines []*runCounter
 			factory := func(cfg *cpu.Config) (cpu.Engine, error) {
 				e, err := f.factory(cfg)
@@ -244,14 +283,27 @@ func TestQuietStretchesRunAsSpans(t *testing.T) {
 				engines = append(engines, rc)
 				return rc, err
 			}
+			sch := p.mk()
+			var tc *tickCounter
+			if pr, ok := sch.(*sched.Proposed); ok {
+				tc = &tickCounter{Proposed: pr}
+				sch = tc
+			}
 			sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
-				cancelPair(41), p.mk(), amp.Config{}, amp.WithEngine(factory))
+				cancelPair(41), sch, amp.Config{}, amp.WithEngine(factory))
 			sys.MustRun(20_000_000)
 			for c, e := range engines {
-				if e.calls*16 > e.windows {
+				switch {
+				case tc != nil && e.calls*4 > tc.ticks*5:
+					t.Errorf("%s/%s core %d: %d Run calls for %d Ticks, want at most 1.25 per Tick",
+						f.name, p.name, c, e.calls, tc.ticks)
+				case tc == nil && e.calls*16 > e.windows:
 					t.Errorf("%s/%s core %d: %d Run calls for %d windows, want spans",
 						f.name, p.name, c, e.calls, e.windows)
 				}
+			}
+			if tc != nil && tc.ticks != f.proposedTicks {
+				t.Errorf("%s/%s: %d Ticks, want %d", f.name, p.name, tc.ticks, f.proposedTicks)
 			}
 		}
 	}

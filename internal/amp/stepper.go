@@ -93,12 +93,13 @@ func (st *Stepper) finish(res Result, err error) bool {
 // reports whether the run completed (limit reached, context canceled,
 // or wedged). Calling Step after completion is a no-op returning true.
 //
-// Between scheduler decisions the loop runs spans: span proves how
-// many whole windows can pass with every Tick a no-op (the Waker
-// contract) and every per-window check silent, and the engines run
-// them in one call each. The checks then run once, for the span's last
-// window, exactly as the window-by-window loop would have run them, so
-// every event, result and trace byte is unchanged.
+// Every window the loop runs belongs to a span of one or more: span
+// proves how many whole windows can pass with every Tick but the
+// last's a no-op (the Waker contract) and every check but the last's
+// silent, and the engines run them in one call each. The last window's
+// Tick, if due, and its checks then run exactly as the window-by-window
+// loop would have run them, so every event, result and trace byte is
+// unchanged.
 //
 //ampvet:hotpath
 func (st *Stepper) Step(windows int) bool {
@@ -129,17 +130,16 @@ func (st *Stepper) Step(windows int) bool {
 			adv = n
 			s.engines[0].StallCycles(n)
 			s.engines[1].StallCycles(n)
-		} else if m := st.span(uint64(windows-i), lastProgressCycle); m > 0 {
+		} else {
+			m := st.span(uint64(windows-i), lastProgressCycle)
 			s.engines[0].Run(s.cycle, stride, m)
 			s.engines[1].Run(s.cycle, stride, m)
-			adv = stride * m
+			s.cycle += stride * (m - 1) // the last window's start
 			k = int(m)
-		} else {
-			s.engines[0].Run(s.cycle, stride, 1)
-			s.engines[1].Run(s.cycle, stride, 1)
-			// The window ran, so its Tick's inputs are known exactly: a
-			// Tick below the wake is a no-op by the Waker contract and
-			// is skipped (a non-Waker's wake is 0, always due).
+			// The span ran, so the last window's Tick inputs are known
+			// exactly: a Tick below the wake is a no-op by the Waker
+			// contract and is skipped (a non-Waker's wake is 0, always
+			// due).
 			if s.sched != nil && (s.cycle >= s.wakeCycle ||
 				s.threads[0].Arch.Committed >= s.wakeCommit[0] ||
 				s.threads[1].Arch.Committed >= s.wakeCommit[1]) {
@@ -154,11 +154,7 @@ func (st *Stepper) Step(windows int) bool {
 					}
 				}
 				if s.waker != nil {
-					edges := s.wakeCommit
 					s.wakeCycle, s.wakeCommit = s.waker.NextWake()
-					if s.wakeCommit != edges {
-						s.nearEdge = false
-					}
 				}
 			}
 		}
@@ -204,57 +200,29 @@ func (st *Stepper) Step(windows int) bool {
 	return false
 }
 
-// span returns how many whole stride windows, at most windows, the
-// loop may run from the current cycle without calling Tick or running
-// a check. 0 means the next window must go through Tick.
+// span returns how many whole stride windows, at most windows (>= 1),
+// the loop may run from the current cycle before the last one's Tick
+// and checks: every window but the last must skip its Tick and its
+// checks silently.
 //
-// Window j of a span covers [cycle+j*stride, cycle+(j+1)*stride). The
-// Tick it skips would observe cycle+j*stride and, on each thread, at
-// most (j+1) engine MaxCommit bounds past today's count, so every
-// skipped Tick must lie below the scheduler's wake cycle and commit
-// edges. The checks after windows 0..m-2 are skipped too, so the
-// instruction limit, the timeline, the cycle budget, the watchdog and
-// (with a cancelable context) the context poll must all lie beyond
-// them; the last window's checks run after the span as usual. Every
-// cycle bound has the form cycle+(m-1)*stride < at, so they fold into
-// one horizon. Divisions run only where a bound binds: the common
-// short-circuits are a compare (Proposed near an edge) and a multiply.
+// Window j of a span covers [cycle+j*stride, cycle+(j+1)*stride), and
+// the Tick after it observes cycle+j*stride and the commit counts at
+// its end. So the Ticks of windows 0..m-2 lie below the wake cycle
+// when cycle+(m-1)*stride < wakeCycle+stride, and below each thread's
+// commit edge when the thread's engine Reach allows m windows against
+// that edge. The checks after windows 0..m-2 are skipped too, so the
+// timeline, the cycle budget, the watchdog and (with a cancelable
+// context) the context poll must lie beyond them, and the instruction
+// limit joins each thread's edge: the limit check before each of
+// windows 1..m-1 must pass. Every cycle bound has the form
+// cycle+(m-1)*stride < at, so they fold into one horizon; the engines
+// answer for the commit bounds, dividing only where one binds.
 //
 //ampvet:hotpath
 func (st *Stepper) span(windows, lastProgressCycle uint64) uint64 {
 	s := st.s
 	cyc := s.cycle
-	if cyc >= s.wakeCycle || s.nearEdge {
-		return 0
-	}
-	m := windows
-	for c := 0; c < 2; c++ {
-		t := s.binding[c]
-		committed := s.threads[t].Arch.Committed
-		edge := s.wakeCommit[t]
-		if committed >= edge {
-			s.nearEdge = true
-			return 0
-		}
-		mc := s.engines[c].MaxCommit(s.stride)
-		if mc == 0 {
-			continue
-		}
-		// After m windows the thread has committed at most m*mc more:
-		// the Tick after the last one must stay below the edge, and the
-		// limit check before the last one below the limit (the caller
-		// checked committed < limit). Only the edge, or an engine that
-		// claims no bound yet, can leave less room than one bound.
-		room := min(edge-1-committed, satAdd(st.limit-1-committed, mc))
-		if mc > room {
-			s.nearEdge = mc != math.MaxUint64
-			return 0
-		}
-		if hi, lo := bits.Mul64(m, mc); hi != 0 || lo > room {
-			m = room / mc
-		}
-	}
-	at := s.wakeCycle
+	at := satAdd(s.wakeCycle, s.stride)
 	if s.timeline != nil {
 		at = min(at, s.timeline.next)
 	}
@@ -267,11 +235,16 @@ func (st *Stepper) span(windows, lastProgressCycle uint64) uint64 {
 		// next multiple of the poll period.
 		at = min(at, (cyc|ctxCheckMask)+1)
 	}
-	if at <= cyc {
-		return 1 // a check is due after this window (never the wake: checked above)
+	if at <= cyc+s.stride {
+		return 1 // a Tick or a check may be due after this window
 	}
+	m := windows
 	if hi, lo := bits.Mul64(m-1, s.stride); hi != 0 || lo >= at-cyc {
 		m = (at-cyc-1)/s.stride + 1
+	}
+	for c := 0; c < 2 && m > 1; c++ {
+		t := s.binding[c]
+		m = s.engines[c].Reach(s.stride, m, min(s.wakeCommit[t], st.limit))
 	}
 	return m
 }

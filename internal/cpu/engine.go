@@ -1,6 +1,10 @@
 package cpu
 
-import "ampsched/internal/cache"
+import (
+	"math/bits"
+
+	"ampsched/internal/cache"
+)
 
 // Engine is the per-window simulation surface the AMP system drives.
 // The cycle-level Core is the reference implementation ("detailed");
@@ -48,13 +52,15 @@ type Engine interface {
 	// decisions, and the engine may only batch what it can batch
 	// without changing a single result.
 	Run(now, window, n uint64)
-	// MaxCommit bounds the instructions one window of the given length
-	// can commit, for any window the engine runs until its thread is
-	// next unbound. The run loop uses it to prove that a span ends
-	// before an instruction limit or a scheduler's commit edge is
-	// crossed; a bound that cannot be established is a huge value,
-	// which confines the loop to single windows.
-	MaxCommit(cycles uint64) uint64
+	// Reach returns how many of the next n windows of window cycles
+	// (n >= 1) can run before the bound thread's Committed can reach
+	// edge: an answer m in [1, n] such that, over the next m windows,
+	// Committed stays below edge after each of the first m-1 (the last
+	// may reach it). The run loop uses it to end a span at the window
+	// that can cross a scheduler's commit edge or the instruction
+	// limit; an engine uses what it knows of its own next windows. An
+	// unbound engine commits nothing and returns n.
+	Reach(window, n, edge uint64) uint64
 	// Stride returns the engine's window in cycles (>= 1): the run
 	// loop's scheduling granularity.
 	Stride() uint64
@@ -153,10 +159,32 @@ func (c *Core) Run(now, window, n uint64) {
 	}
 }
 
-// MaxCommit implements Engine: the core retires at most CommitWidth
+// Reach implements Engine: the core retires at most CommitWidth
 // instructions a cycle.
-func (c *Core) MaxCommit(cycles uint64) uint64 {
-	return uint64(c.cfg.CommitWidth) * cycles
+//
+//ampvet:hotpath
+func (c *Core) Reach(window, n, edge uint64) uint64 {
+	if c.arch == nil {
+		return n
+	}
+	return ReachAt(c.arch.Committed, edge, uint64(c.cfg.CommitWidth)*window, n)
+}
+
+// ReachAt answers Reach for windows that each commit at most per (>= 1)
+// instructions, starting from committed: the largest m <= n with
+// (m-1)*per <= edge-1-committed, or 1 once committed has reached edge.
+// It divides only when fewer than n windows fit.
+//
+//ampvet:hotpath
+func ReachAt(committed, edge, per, n uint64) uint64 {
+	if committed >= edge {
+		return 1
+	}
+	room := edge - 1 - committed
+	if hi, lo := bits.Mul64(n-1, per); hi == 0 && lo <= room {
+		return n
+	}
+	return room/per + 1
 }
 
 // StallCycles charges n frozen cycles.

@@ -270,15 +270,31 @@ func (e *Engine) land(done, phaseRem uint64) {
 	e.phaseRem = phaseRem
 }
 
-// MaxCommit implements cpu.Engine: a window commits at most its cycles
-// at the bound calibration's fastest phase IPC (the cold-start factor
-// only slows it), plus the carried fraction and a margin for rounding.
-// Unbound, the engine commits nothing.
-func (e *Engine) MaxCommit(cycles uint64) uint64 {
-	if e.cal == nil {
-		return 0
+// Reach implements cpu.Engine with the larger of two sound answers. A
+// window commits at most its cycles at the IPC of the phase it starts
+// in (the cold-start factor only slows it), plus the carried fraction
+// and a margin for rounding. So every window commits at most the bound
+// calibration's fastest phase IPC times its cycles, plus 2 — enough
+// for all n windows far from an edge, at the cost of one multiply.
+// Near one, the windows that start before the current phase ends
+// commit at most the current phase's IPC times their cycles, plus 2:
+// capping the room at phaseRem-1 instructions keeps every window but
+// the last inside the phase. Phases run 37.5–250 k instructions, so
+// an edge almost always falls inside the current one.
+//
+//ampvet:hotpath
+func (e *Engine) Reach(window, n, edge uint64) uint64 {
+	if e.arch == nil {
+		return n
 	}
-	return uint64(e.cal.MaxPhaseIPC*float64(cycles)) + 2
+	committed := e.arch.Committed
+	cycles := float64(window)
+	m := cpu.ReachAt(committed, edge, uint64(e.cal.MaxPhaseIPC*cycles)+2, n)
+	if m == n {
+		return n
+	}
+	phaseEdge := min(edge, committed+e.phaseRem)
+	return max(m, cpu.ReachAt(committed, phaseEdge, uint64(e.curIPC*cycles)+2, n))
 }
 
 // commitBatch retires k instructions across one or more phase

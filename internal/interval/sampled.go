@@ -2,7 +2,6 @@ package interval
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"ampsched/internal/cpu"
@@ -276,20 +275,29 @@ func (s *Sampled) advance(step uint64) {
 	}
 }
 
-// MaxCommit implements cpu.Engine. In the interval tier the bound is
-// the larger of the two tiers' (a span may wrap into a re-anchor, and
-// the same thread's calibration covers the fast-forward after it). In
-// the detailed tier the interval calibration is not bound yet, so no
-// bound is claimed and the run loop steps it window by window — the
-// detailed tier costs far more per window than the loop's polling.
-func (s *Sampled) MaxCommit(cycles uint64) uint64 {
+// Reach implements cpu.Engine per tier, with the tier's end as a
+// horizon: the active tier's engine answers for the whole windows
+// before the end of the warm-up (detailed tier) or the period wrap
+// (interval tier), plus one — the last window may cross into the next
+// tier, and Run splits it there. Right after a wrap or the end of a
+// warm-up the tier's engine is not bound yet (the switch waits for the
+// next Run), and the answer is one window.
+//
+//ampvet:hotpath
+func (s *Sampled) Reach(window, n, edge uint64) uint64 {
 	if s.arch == nil {
-		return 0
+		return n
+	}
+	if s.pos < s.warmLen {
+		if !s.det.Bound() {
+			return 1
+		}
+		return s.det.Reach(window, min(n, (s.warmLen-s.pos)/window+1), edge)
 	}
 	if !s.ivl.Bound() {
-		return math.MaxUint64
+		return 1
 	}
-	return max(s.det.MaxCommit(cycles), s.ivl.MaxCommit(cycles))
+	return s.ivl.Reach(window, min(n, (s.periodCycles-s.pos)/window+1), edge)
 }
 
 // Stats implements cpu.Engine: the merged ledgers of both tiers.
