@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal clean
+.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal fuzz-engine clean
 
 all: build lint test test-race
 
@@ -75,24 +75,32 @@ bench-snapshot:
 # profiling pass that runs the detailed core.
 BENCH_CORE = 'BenchmarkEngine|BenchmarkDualCoreSystem|BenchmarkProfileCollect'
 
+# The engine benchmarks run with the collector off: a collection
+# clears sync.Pools (the runner pools its run state) and refilling one
+# allocates, so with it on the sampled rows' allocs/op follow GC
+# timing. The bench process then peaks at about 36 MB RSS (14 MB with
+# the collector on).
+BENCH_CORE_GO = GOGC=off $(GO)
+
 # Snapshot the engine benchmarks into the committed baseline
 # BENCH_core.json.
 bench-core:
-	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
+	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_core.json
 
 # Regression gate: rerun the engine benchmarks and compare against the
-# committed baseline (fails past +10% ns/op or any allocs/op increase).
+# committed baseline (fails past +10% ns/op, any allocs/op increase or
+# a baseline row the run no longer produces).
 bench-check:
-	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
+	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json
 
 # CI form of the engine gate: the interval-fidelity rows' allocs/op
-# counts hard-fail (the batched/zero-alloc sweep guarantees live
-# there), while ns/op drift and the other rows stay advisory — CI
+# counts and presence hard-fail (the zero-alloc pooled-run guarantees
+# live there), while ns/op drift and the other rows stay advisory — CI
 # machines are too noisy for a hard ns gate.
 bench-core-check:
-	$(GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
+	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
 
 # Snapshot the service hot-path benchmarks (pair-store key hashing,
@@ -204,6 +212,12 @@ fuzz-fault:
 # every record replay yields must round-trip through appendFrame.
 fuzz-wal:
 	$(GO) test ./internal/wal -fuzz FuzzReplayBody -fuzztime 30s
+
+# Fuzz the engine span contract: one Run(now, w, n) call must leave the
+# interval and sampled engines' Stats and the thread's state exactly
+# where n one-window calls leave them.
+fuzz-engine:
+	$(GO) test ./internal/interval -fuzz FuzzRunSpan -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

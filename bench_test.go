@@ -13,7 +13,6 @@
 package ampsched
 
 import (
-	"context"
 	"io"
 	"testing"
 
@@ -310,55 +309,6 @@ func BenchmarkEnginePairSweepInterval(b *testing.B) { benchFidelityPairs(b, inte
 // BenchmarkEnginePairSweepSampled exercises the two-tier engine's
 // warm-up/fast-forward switching on the same sweep.
 func BenchmarkEnginePairSweepSampled(b *testing.B) { benchFidelityPairs(b, interval.FidelitySampled) }
-
-// benchBatchPairs drives the identical sweep through the batch
-// submission path: all of the sweep's runs advance through one
-// interleaved interval.BatchRunner pass instead of each run streaming
-// the shared tables alone.
-func benchBatchPairs(b *testing.B, fidelity string) {
-	opt := benchOptions()
-	opt.Fidelity = fidelity
-	r, err := experiments.NewRunner(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := r.Matrix()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairs := experiments.RandomPairs(opt.Pairs, opt.Seed)
-	proposed, hpe, rr := r.ProposedFactory(), r.HPEFactory(m), r.RRFactory(1)
-	runs := make([]experiments.PairRun, 0, 3*len(pairs))
-	for j, p := range pairs {
-		runs = append(runs,
-			experiments.PairRun{Index: j, Pair: p, Factory: proposed},
-			experiments.PairRun{Index: j, Pair: p, Factory: hpe},
-			experiments.PairRun{Index: j, Pair: p, Factory: rr})
-	}
-	ctx := context.Background()
-	sweep := func() {
-		r.RunPairsBatch(ctx, runs)
-		for i := range runs {
-			if runs[i].Err != nil {
-				b.Fatal(runs[i].Err)
-			}
-		}
-	}
-	sweep()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sweep()
-	}
-}
-
-// BenchmarkEngineBatchSweepInterval is the batched counterpart of
-// BenchmarkEnginePairSweepInterval; the gap between the two is the
-// cache-residency and pooling win of the batch path.
-func BenchmarkEngineBatchSweepInterval(b *testing.B) { benchBatchPairs(b, interval.FidelityInterval) }
-
-// BenchmarkEngineBatchSweepSampled batches the two-tier engine (its
-// detailed warm-up windows interleave with other runs' fast-forward).
-func BenchmarkEngineBatchSweepSampled(b *testing.B) { benchBatchPairs(b, interval.FidelitySampled) }
 
 // benchSoloEngine isolates one engine's per-window hot loop on a
 // single core running gcc (no scheduler, no second core).

@@ -43,9 +43,10 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 
 // compareResult is the outcome of one baseline comparison: the
 // per-benchmark report lines plus how many regressed past a gate.
-// hard counts the subset of failures that are allocs/op increases on
-// benchmarks matching the -hard-allocs pattern; CI fails on those even
-// where it tolerates ordinary (machine-variance-prone) ns/op drift.
+// hard counts the subset of failures on benchmarks matching the
+// -hard-allocs pattern that are allocs/op increases or missing rows;
+// CI fails on those even where it tolerates ordinary
+// (machine-variance-prone) ns/op drift.
 type compareResult struct {
 	lines    []string
 	failures int
@@ -56,10 +57,12 @@ type compareResult struct {
 // benchmark fails when its ns/op grew more than thresholdPct percent,
 // or when its allocs/op increased at all (the snapshot exists to pin
 // the hot-path zero-alloc guarantees, so any increase is a
-// regression). An allocs/op increase on a benchmark matching
+// regression). A baseline benchmark the fresh run did not produce
+// fails too: otherwise deleting or renaming a gated row would drop it
+// from the gate unnoticed, so such a change re-records the baseline.
+// An allocs/op increase or a missing row on a benchmark matching
 // hardAllocs (nil = none) is additionally counted as a hard failure.
-// Benchmarks present on only one side are reported but never fail the
-// gate — renames should not break CI.
+// A benchmark with no baseline row is reported and never fails.
 func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *regexp.Regexp) compareResult {
 	var res compareResult
 	oldBy := make(map[string]Benchmark, len(old.Benchmarks))
@@ -109,10 +112,17 @@ func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *re
 		}
 	}
 	for _, ob := range old.Benchmarks {
-		if !seen[ob.Name] {
-			res.lines = append(res.lines,
-				fmt.Sprintf("gone %s: in baseline but not in this run", ob.Name))
+		if seen[ob.Name] {
+			continue
 		}
+		res.failures++
+		tag := "FAIL"
+		if hardAllocs != nil && hardAllocs.MatchString(ob.Name) {
+			res.hard++
+			tag = "HARD"
+		}
+		res.lines = append(res.lines,
+			fmt.Sprintf("%s %s: in baseline but not in this run (re-record the baseline)", tag, ob.Name))
 	}
 	return res
 }

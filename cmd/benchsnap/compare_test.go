@@ -103,16 +103,45 @@ func TestCompareNewAndGone(t *testing.T) {
 	old := &Snapshot{Benchmarks: []Benchmark{bench("BenchmarkGone", 100, 0)}}
 	fresh := &Snapshot{Benchmarks: []Benchmark{bench("BenchmarkNew", 100, 5)}}
 	res := compareSnapshots(old, fresh, 10, nil)
-	if res.failures != 0 {
-		t.Fatalf("added/removed benchmarks must not fail the gate: %v", res.lines)
+	// A new row has no baseline to regress from; a row the fresh run
+	// lost would leave the gate unnoticed.
+	if res.failures != 1 || res.hard != 0 {
+		t.Fatalf("want 1 soft failure (the gone row), got %d failures, %d hard: %v", res.failures, res.hard, res.lines)
 	}
 	var sawNew, sawGone bool
 	for _, l := range res.lines {
 		sawNew = sawNew || strings.HasPrefix(l, "new  BenchmarkNew")
-		sawGone = sawGone || strings.HasPrefix(l, "gone BenchmarkGone")
+		sawGone = sawGone || strings.HasPrefix(l, "FAIL BenchmarkGone: in baseline but not in this run")
 	}
 	if !sawNew || !sawGone {
 		t.Fatalf("missing new/gone report lines: %v", res.lines)
+	}
+}
+
+// TestCompareGoneRowHard: a missing row matching -hard-allocs is a hard
+// failure, so deleting a hard-gated benchmark fails CI until the
+// baseline is re-recorded without it.
+func TestCompareGoneRowHard(t *testing.T) {
+	old := &Snapshot{Benchmarks: []Benchmark{
+		bench("BenchmarkEngineBatchSweepInterval", 100, 28),
+		bench("BenchmarkEngineBatchSweepSampled", 100, 600),
+		bench("BenchmarkEnginePairSweepInterval", 100, 28),
+	}}
+	fresh := &Snapshot{Benchmarks: []Benchmark{bench("BenchmarkEnginePairSweepInterval", 100, 28)}}
+	res := compareSnapshots(old, fresh, 10, regexp.MustCompile("Interval"))
+	if res.failures != 2 || res.hard != 1 {
+		t.Fatalf("want 2 failures, 1 hard, got %d, %d: %v", res.failures, res.hard, res.lines)
+	}
+	var sawHard bool
+	for _, l := range res.lines {
+		sawHard = sawHard || strings.HasPrefix(l, "HARD BenchmarkEngineBatchSweepInterval: in baseline but not in this run")
+	}
+	if !sawHard {
+		t.Fatalf("missing HARD line for the gone interval row: %v", res.lines)
+	}
+	// The same rows all present pass.
+	if res := compareSnapshots(old, old, 10, regexp.MustCompile("Interval")); res.failures != 0 {
+		t.Fatalf("identical snapshots must pass, got %v", res.lines)
 	}
 }
 

@@ -46,7 +46,7 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	compareWith := flag.String("compare", "", "compare fresh -bench output on stdin against this snapshot; exit 1 on regression")
 	threshold := flag.Float64("threshold", 10, "ns/op regression gate in percent (compare mode); allocs/op may never increase")
-	hardAllocs := flag.String("hard-allocs", "", "regexp of benchmark names whose allocs/op increases hard-fail; every other regression is reported but exits 0 (CI soft/hard split)")
+	hardAllocs := flag.String("hard-allocs", "", "regexp of benchmark names whose allocs/op increases or missing rows hard-fail; every other regression is reported but exits 0 (CI soft/hard split)")
 	flag.Parse()
 
 	snap, err := parseSnapshot(os.Stdin, os.Stderr)
@@ -78,14 +78,15 @@ func main() {
 			fmt.Println(l)
 		}
 		if hardRe != nil {
-			// Soft/hard split: only allocs/op increases on rows
-			// matching -hard-allocs gate the exit status; everything
-			// else is advisory (CI shows it, the job stays green).
+			// Soft/hard split: only allocs/op increases and missing
+			// rows matching -hard-allocs gate the exit status;
+			// everything else is advisory (CI shows it, the job stays
+			// green).
 			if res.hard > 0 {
-				fatal(fmt.Errorf("%d hard allocs/op regression(s) vs %s (pattern %q)", res.hard, *compareWith, *hardAllocs))
+				fatal(fmt.Errorf("%d hard allocs/op regression(s) or missing row(s) vs %s (pattern %q)", res.hard, *compareWith, *hardAllocs))
 			}
 			if res.failures > 0 {
-				fmt.Fprintf(os.Stderr, "benchsnap: %d soft regression(s) vs %s (advisory; no hard allocs/op failures)\n", res.failures, *compareWith)
+				fmt.Fprintf(os.Stderr, "benchsnap: %d soft regression(s) vs %s (advisory; no hard failures)\n", res.failures, *compareWith)
 			} else {
 				fmt.Fprintf(os.Stderr, "benchsnap: no regressions vs %s\n", *compareWith)
 			}

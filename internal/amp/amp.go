@@ -685,28 +685,6 @@ func (s *System) Run(limit uint64) (Result, error) {
 // time) and the hot-loop cost of cancelability.
 const ctxCheckMask = 1<<12 - 1
 
-// RunContext is Run with cooperative cancellation: when ctx is
-// canceled the run stops at the next check point and returns the
-// partial Result with ctx.Err() — a flagged early return, not a wedge
-// (errors.Is(err, ErrWedged) is false). A context that can never be
-// canceled costs the loop one nil comparison per cycle.
-//
-// RunContext is one Stepper driven to completion; batch drivers that
-// interleave many systems use NewStepper directly.
-//
-//ampvet:hotpath
-func (s *System) RunContext(ctx context.Context, limit uint64) (Result, error) {
-	var st Stepper
-	st.init(s, ctx, limit)
-	for !st.Step(runChunkWindows) {
-	}
-	return st.Result()
-}
-
-// runChunkWindows is the Step batch RunContext uses: large enough that
-// the outer loop adds no measurable overhead to a full run.
-const runChunkWindows = 1 << 20
-
 // MustRun is Run panicking on a wedge: for examples, benchmarks and
 // tests where the workload is statically known to make progress.
 func (s *System) MustRun(limit uint64) Result {

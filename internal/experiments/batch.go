@@ -8,25 +8,21 @@ import (
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
 	"ampsched/internal/fault"
-	"ampsched/internal/interval"
 	"ampsched/internal/metrics"
 	"ampsched/internal/monitor"
-	"ampsched/internal/profilegen"
 	"ampsched/internal/sched"
 )
 
 // Pair execution: every pair run — the sweep's, the server's and each
-// RunPair call's — goes through RunPairsBatch, which feeds
-// interval.BatchRunner. Many pair runs — each an independent
-// (threads, system, scheduler) triple — are advanced through one
-// interleaved pass, so runs that share calibration and phase tables
-// keep them cache-resident across the whole batch. A lone run is a
+// RunPair call's — goes through RunPairsBatch, which runs its runs one
+// after another, each to completion, on one pooled set of threads and
+// (where the engines allow it) one pooled system. A lone run is a
 // batch of one.
 //
-// Interleaving is invisible to results: runs share no mutable state,
-// so a run in a batch of N is bit-identical to the same run in a batch
-// of one (TestRunPairsBatchMatchesPairAtATime pins this at every
-// fidelity).
+// Pooling is invisible to results: the threads and the system are
+// reset in place, bit-identically to fresh construction, so a run in a
+// batch of N is bit-identical to the same run in a batch of one
+// (TestRunPairsBatchMatchesPairAtATime pins this at every fidelity).
 
 // PairRun is one scheduler run of one pair inside a batch, and the
 // outcome RunPairsBatch stores back into it.
@@ -45,65 +41,20 @@ type PairRun struct {
 	Err    error
 }
 
-// PairsPerPass is how many pairs (three scheduler runs each) share one
-// interleaved pass: the sweep's chunk claim and the server's pair
-// batcher both read it. Interval runs take about a millisecond and win
-// from sharing tables and pooled systems across a 24-run pass. A
-// detailed or sampled pair runs for seconds: a larger chunk would only
-// hold each pair's delivery to the end of its chunk and leave sweep
-// workers idle behind uneven chunks.
-func (r *Runner) PairsPerPass() int {
-	if r.Opt.Fidelity == interval.FidelityInterval {
-		return 8
-	}
-	return 1
-}
-
-// batchRun is one run's reusable state inside a worker's batch
-// scratch. The stepper is a value so re-arming it per run allocates
-// nothing.
-type batchRun struct {
+// runScratch is one caller's reusable run state, pooled on
+// Runner.scratch.
+type runScratch struct {
 	threads [2]amp.Thread
-	// sys, between batches, is a system Reset can re-arm; a run that
+	// sys, between runs, is a system Reset can re-arm; a run that
 	// cannot return its system to the pool clears it.
 	sys *amp.System
-	st  amp.Stepper
 	// perRun marks a system built with per-run construction state (an
 	// event observer or a fault plan); it never re-enters the pool.
 	perRun bool
-	// panicked is the value a panicking scheduler raised inside Step.
-	panicked any
 }
 
-// Step implements interval.PairStepper. A panic fails only this run:
-// it completes with the panic recorded and the batch's other runs keep
-// stepping.
-func (b *batchRun) Step(windows int) (done bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			b.panicked = rec
-			done = true
-		}
-	}()
-	return b.st.Step(windows)
-}
-
-// batchScratch is one worker's reusable batched-run state, pooled on
-// Runner.batchPool.
-type batchScratch struct {
-	runs []*batchRun
-	br   interval.BatchRunner
-}
-
-// grow makes sure the scratch holds at least n runs.
-func (sc *batchScratch) grow(n int) {
-	for len(sc.runs) < n {
-		sc.runs = append(sc.runs, &batchRun{})
-	}
-}
-
-// RunPairsBatch executes runs in one interleaved pass, storing each
-// run's outcome in its Result and Err. Each run fails independently: a
+// RunPairsBatch executes runs one after another, storing each run's
+// outcome in its Result and Err. Each run fails independently: a
 // wedged, canceled or panicking run reports its error without
 // disturbing the others. Fault plans and RunObserver observers are
 // armed per run.
@@ -118,60 +69,48 @@ func (r *Runner) RunPairsBatch(ctx context.Context, runs []PairRun) {
 	if len(runs) == 0 {
 		return
 	}
-	start := time.Now() //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	sc, _ := r.batchPool.Get().(*batchScratch)
+	sc, _ := r.scratch.Get().(*runScratch)
 	if sc == nil {
-		sc = &batchScratch{}
+		sc = &runScratch{}
 	}
-	sc.grow(len(runs))
-	sc.br.Windows = r.batchWindows
 	for i := range runs {
 		pr := &runs[i]
-		pr.Result = amp.Result{}
-		if pr.Err = r.arm(ctx, sc.runs[i], pr); pr.Err == nil {
-			sc.br.Add(sc.runs[i])
-		}
+		start := time.Now() //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
+		pr.Result, pr.Err = r.runOne(ctx, sc, pr)
+		r.observeRun(pr.Pair, time.Since(start), pr.Err) //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
 	}
-	sc.br.Run()
-	// Per-run wall time cannot be attributed inside an interleaved
-	// pass; the histogram gets each run's share of the batch instead.
-	share := time.Since(start) / time.Duration(len(runs)) //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	for i := range runs {
-		pr, b := &runs[i], sc.runs[i]
-		switch {
-		case pr.Err != nil: // never armed
-		case b.panicked != nil:
-			pr.Err = fmt.Errorf("experiments: pair %s panicked: %v", pr.Pair.Label(), b.panicked)
-			b.sys, b.panicked = nil, nil
-		default:
-			pr.Result, pr.Err = b.st.Result()
-			if pr.Err != nil {
-				pr.Err = fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), pr.Err)
-			}
-			if b.perRun || !b.sys.Poolable() {
-				b.sys = nil
-			}
-		}
-		if b.sys == nil {
-			b.st = amp.Stepper{} // the pooled scratch must not keep a dropped system alive
-		}
-		r.observeRun(pr.Pair, share, pr.Err)
-	}
-	r.batchPool.Put(sc)
+	r.scratch.Put(sc)
 }
 
-// arm builds run pr into b and readies its stepper. A scheduler
-// factory or system constructor that panics fails only this run.
-func (r *Runner) arm(ctx context.Context, b *batchRun, pr *PairRun) (err error) {
+// runOne arms pr on sc and runs it to completion. A scheduler factory,
+// system constructor or run that panics fails only this run, and its
+// system never re-enters the pool.
+func (r *Runner) runOne(ctx context.Context, sc *runScratch, pr *PairRun) (res amp.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			b.sys = nil // possibly half reset: never reuse it
-			err = fmt.Errorf("experiments: pair %s panicked: %v", pr.Pair.Label(), rec)
+			sc.sys = nil // possibly half reset or half run: never reuse it
+			res, err = amp.Result{}, fmt.Errorf("experiments: pair %s panicked: %v", pr.Pair.Label(), rec)
 		}
 	}()
+	if err := r.arm(sc, pr); err != nil {
+		return amp.Result{}, fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), err)
+	}
+	res, err = sc.sys.RunContext(ctx, r.Opt.InstrLimit)
+	if err != nil {
+		err = fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), err)
+	}
+	if sc.perRun || !sc.sys.Poolable() {
+		sc.sys = nil
+	}
+	return res, err
+}
+
+// arm builds run pr into sc: the threads re-seeded in place, and the
+// pooled system reset or a new one built.
+func (r *Runner) arm(sc *runScratch, pr *PairRun) error {
 	_, schedOpts, ampOpts, err := r.runOpts()
 	if err != nil {
-		return fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), err)
+		return err
 	}
 	// Fault plans and observers are per-run state: append them onto
 	// copies of the cached option slices. These runs allocate freely —
@@ -196,14 +135,14 @@ func (r *Runner) arm(ctx context.Context, b *batchRun, pr *PairRun) (err error) 
 		}
 	}
 
-	if b.sys != nil {
+	if sc.sys != nil {
 		// Flush the previous run's deferred engine state into the old
 		// threads before recycling them (see System.Detach).
-		b.sys.Detach()
+		sc.sys.Detach()
 	}
-	b.threads[0].Reset(0, pr.Pair.A, r.pairSeed(pr.Index, 0), 0)
-	b.threads[1].Reset(1, pr.Pair.B, r.pairSeed(pr.Index, 1), 1<<40)
-	threads := [2]*amp.Thread{&b.threads[0], &b.threads[1]}
+	sc.threads[0].Reset(0, pr.Pair.A, r.pairSeed(pr.Index, 0), 0)
+	sc.threads[1].Reset(1, pr.Pair.B, r.pairSeed(pr.Index, 1), 1<<40)
+	threads := [2]*amp.Thread{&sc.threads[0], &sc.threads[1]}
 	var s amp.MoveScheduler
 	if pr.Factory != nil {
 		s = pr.Factory(schedOpts...)
@@ -212,49 +151,57 @@ func (r *Runner) arm(ctx context.Context, b *batchRun, pr *PairRun) (err error) 
 		SwapOverheadCycles: r.Opt.SwapOverhead,
 		CycleBudget:        r.Opt.CycleBudget,
 	}
-	if b.sys != nil && !perRun {
-		err = b.sys.Reset(threads, s, cfg)
+	if sc.sys != nil && !perRun {
+		err = sc.sys.Reset(threads, s, cfg)
 	} else {
-		b.sys, err = amp.NewSystem([2]*cpu.Config{r.IntCfg, r.FPCfg}, threads, s, cfg, ampOpts...)
+		sc.sys, err = amp.NewSystem([2]*cpu.Config{r.IntCfg, r.FPCfg}, threads, s, cfg, ampOpts...)
 	}
 	if err != nil {
-		b.sys = nil
-		return fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), err)
+		sc.sys = nil
+		return err
 	}
-	b.perRun = perRun
-	b.st.Reset(b.sys, ctx, r.Opt.InstrLimit)
+	sc.perRun = perRun
 	return nil
 }
 
-// runOutcomeBatch runs a chunk of sweep pairs under the three schemes
-// (all the chunk's runs advance through one interleaved pass) and
-// downgrades any failure to a flagged outcome.
-func (r *Runner) runOutcomeBatch(ctx context.Context, idxs []int, pairs []Pair, matrix *profilegen.RatioMatrix, out []PairOutcome) {
-	proposed, hpe, rr := r.ProposedFactory(), r.HPEFactory(matrix), r.RRFactory(1)
-	runs := make([]PairRun, 0, 3*len(idxs))
-	for _, i := range idxs {
-		p := pairs[i]
-		runs = append(runs,
-			PairRun{Index: i, Pair: p, Factory: proposed},
-			PairRun{Index: i, Pair: p, Factory: hpe},
-			PairRun{Index: i, Pair: p, Factory: rr})
+// RunComparison runs pair i's three scheduler runs — Proposed, HPE on
+// the ratio matrix, and Round Robin at the context-switch interval —
+// one after another, and returns their results with the first run's
+// error. The sweep and the server compare pairs through it.
+func (r *Runner) RunComparison(ctx context.Context, i int, p Pair) (proposed, hpe, rr amp.Result, err error) {
+	matrix, err := r.Matrix()
+	if err != nil {
+		return amp.Result{}, amp.Result{}, amp.Result{}, err
 	}
-	r.RunPairsBatch(ctx, runs)
-	for k, i := range idxs {
-		po := PairOutcome{Pair: pairs[i], Proposed: runs[3*k].Result, HPE: runs[3*k+1].Result, RR: runs[3*k+2].Result}
-		var err error
-		for j := 3 * k; j < 3*k+3 && err == nil; j++ {
-			err = runs[j].Err
-		}
-		if err == nil {
-			if po.VsHPE, err = metrics.Compare(po.Proposed, po.HPE); err == nil {
-				po.VsRR, err = metrics.Compare(po.Proposed, po.RR)
-			}
-		}
-		if err != nil {
-			po.Failed = true
-			po.Err = err.Error()
-		}
-		out[i] = po
+	runs := [3]PairRun{
+		{Index: i, Pair: p, Factory: r.ProposedFactory()},
+		{Index: i, Pair: p, Factory: r.HPEFactory(matrix)},
+		{Index: i, Pair: p, Factory: r.RRFactory(1)},
 	}
+	r.RunPairsBatch(ctx, runs[:])
+	for _, run := range runs {
+		if run.Err != nil {
+			err = run.Err
+			break
+		}
+	}
+	return runs[0].Result, runs[1].Result, runs[2].Result, err
+}
+
+// runOutcome runs sweep pair i under the three schemes and downgrades
+// any failure to a flagged outcome.
+func (r *Runner) runOutcome(ctx context.Context, i int, p Pair) PairOutcome {
+	po := PairOutcome{Pair: p}
+	var err error
+	po.Proposed, po.HPE, po.RR, err = r.RunComparison(ctx, i, p)
+	if err == nil {
+		if po.VsHPE, err = metrics.Compare(po.Proposed, po.HPE); err == nil {
+			po.VsRR, err = metrics.Compare(po.Proposed, po.RR)
+		}
+	}
+	if err != nil {
+		po.Failed = true
+		po.Err = err.Error()
+	}
+	return po
 }

@@ -15,20 +15,18 @@ import (
 )
 
 // batchFidelities are the engine fidelities the batch identity tests
-// pin: the interleaved batch pass must be invisible to results at
-// every one of them.
+// pin: running many runs through one call, on pooled systems, must be
+// invisible to results at every one of them.
 var batchFidelities = []string{cpu.FidelityDetailed, interval.FidelityInterval, interval.FidelitySampled}
 
-// batchRunners returns two fresh Runners over opt: got interleaves its
-// batches in 7-window turns (many round-robin turns per run), ref is
-// the batch-of-one reference.
+// batchRunners returns two fresh Runners over opt: got runs the
+// batches under test, ref is the batch-of-one reference.
 func batchRunners(t *testing.T, opt Options) (got, ref *Runner) {
 	t.Helper()
 	got, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.batchWindows = 7
 	ref, err = NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -37,14 +35,18 @@ func batchRunners(t *testing.T, opt Options) (got, ref *Runner) {
 }
 
 // checkAgainstSolo requires every run of a finished batch to match the
-// same run executed alone on ref.
+// same run executed alone, on a system built fresh, through ref's
+// options and observer.
 func checkAgainstSolo(t *testing.T, ref *Runner, runs []PairRun) {
 	t.Helper()
 	for k, pr := range runs {
 		if pr.Err != nil {
 			t.Fatalf("run %d (%s): %v", k, pr.Pair.Label(), pr.Err)
 		}
-		want, err := ref.RunPairContext(context.Background(), pr.Index, pr.Pair, pr.Factory)
+		// A derived runner starts with an empty pool.
+		solo := ref.Derived(ref.Opt)
+		solo.RunObserver = ref.RunObserver
+		want, err := solo.RunPairContext(context.Background(), pr.Index, pr.Pair, pr.Factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,9 +58,9 @@ func checkAgainstSolo(t *testing.T, ref *Runner, runs []PairRun) {
 }
 
 // TestRunPairsBatchMatchesPairAtATime is the batch identity contract:
-// every run of a batch of N — interleaved in small round-robin chunks,
-// with pooled systems reused across runs — is bit-identical to the
-// same run in a batch of one (RunPairContext).
+// every run of a batch of N — run one after another, with pooled
+// threads and systems reused across runs — is bit-identical to the
+// same run alone (RunPairContext) on a system built fresh.
 func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
@@ -142,8 +144,9 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesPairAtATime pins the sweep-level contract:
-// the chunk-claiming sweep produces byte-identical outcomes to running
-// each pair as its own one-pair chunk.
+// the parallel sweep, whose workers share pooled systems across pairs,
+// produces byte-identical outcomes to running each pair alone in
+// order.
 func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	opt := tinyOptions()
 	opt.Fidelity = interval.FidelityInterval
@@ -157,31 +160,23 @@ func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	// Share the profiling artifacts so the comparison only exercises
 	// the sweep paths.
 	got := ref.Derived(opt)
-	got.batchWindows = 7
-	if got.PairsPerPass() < 2 {
-		t.Fatal("interval sweeps should claim multi-pair chunks")
-	}
-	matrix, err := ref.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	pairs := RandomPairs(opt.Pairs, opt.Seed)
 	want := make([]PairOutcome, len(pairs))
-	for i := range pairs {
-		ref.runOutcomeBatch(context.Background(), []int{i}, pairs, matrix, want)
+	for i, p := range pairs {
+		want[i] = ref.runOutcome(context.Background(), i, p)
 	}
 	have, err := got.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, have.Outcomes) {
-		t.Fatalf("chunked sweep diverges from one-pair chunks")
+		t.Fatalf("parallel sweep diverges from pairs run alone")
 	}
 }
 
 // TestRunPairsBatchFaultPlansPerRun checks that fault-injected runs
-// share one interleaved batch, each armed with its own plan, and each
+// passed in one batch are each armed with their own plan, and each
 // equals its batch-of-one run.
 func TestRunPairsBatchFaultPlansPerRun(t *testing.T) {
 	opt := tinyOptions()

@@ -234,12 +234,8 @@ type Runner struct {
 	schedOpts     []sched.Option
 	ampOpts       []amp.Option
 
-	// batchPool pools per-worker batched-run state; see batchScratch.
-	batchPool sync.Pool
-	// batchWindows overrides the interleaved pass's per-run chunk
-	// (0 = interval.DefaultBatchWindows); tests shrink it to force many
-	// round-robin turns.
-	batchWindows int
+	// scratch pools per-caller run state; see runScratch.
+	scratch sync.Pool
 
 	// Progress, if non-nil, receives one-line status updates.
 	Progress func(string)
@@ -266,8 +262,8 @@ type Runner struct {
 	// Store, if non-nil, is the pair store a sweep resumes from:
 	// SweepContext restores every pair outcome it holds (counted in
 	// "experiments.pairs_restored") and stores and saves each clean
-	// outcome after its chunk, so an interrupted sweep simulates only
-	// the pairs it lacks. See store.go.
+	// outcome as soon as it finishes, so an interrupted sweep simulates
+	// only the pairs it lacks. See store.go.
 	Store *pairstore.Cache
 }
 
@@ -546,8 +542,7 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 	if r.sweep != nil {
 		return r.sweep, nil
 	}
-	matrix, err := r.Matrix()
-	if err != nil {
+	if _, err := r.Matrix(); err != nil {
 		return nil, err
 	}
 	pairs := RandomPairs(r.Opt.Pairs, r.Opt.Seed)
@@ -562,10 +557,8 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		workers = len(todo)
 	}
 
-	// Workers claim chunks of PairsPerPass pairs from the ones left to
-	// simulate and advance each chunk's runs through one interleaved
-	// batch pass.
-	chunk := r.PairsPerPass()
+	// Workers claim one pair at a time from the ones left to simulate
+	// and store each outcome as soon as it finishes.
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
@@ -576,32 +569,26 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			idxs := make([]int, 0, chunk)
 			for {
-				base := int(next.Add(int64(chunk))) - chunk
-				if base >= len(todo) {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
 					return
 				}
-				idxs = idxs[:0]
-				for _, i := range todo[base:min(base+chunk, len(todo))] {
-					if cerr := ctx.Err(); cerr != nil {
-						// Don't start new simulations after cancellation;
-						// the pair is flagged, not silently zero.
-						out.Outcomes[i] = PairOutcome{Pair: pairs[i], Failed: true,
-							Err: fmt.Sprintf("experiments: pair %s: %v", pairs[i].Label(), cerr)}
-						continue
-					}
-					idxs = append(idxs, i)
+				i := todo[k]
+				if cerr := ctx.Err(); cerr != nil {
+					// Don't start new simulations after cancellation;
+					// the pair is flagged, not silently zero.
+					out.Outcomes[i] = PairOutcome{Pair: pairs[i], Failed: true,
+						Err: fmt.Sprintf("experiments: pair %s: %v", pairs[i].Label(), cerr)}
+					continue
 				}
-				r.runOutcomeBatch(ctx, idxs, pairs, matrix, out.Outcomes)
-				r.persist(keys, idxs, out.Outcomes)
-				for _, i := range idxs {
-					r.observeOutcome(&out.Outcomes[i])
-					if e := out.Outcomes[i].Err; e != "" {
-						r.progress("pair %d/%d DEGRADED (%s): %s", done.Add(1), len(pairs), pairs[i].Label(), e)
-					} else {
-						r.progress("pair %d/%d done (%s)", done.Add(1), len(pairs), pairs[i].Label())
-					}
+				out.Outcomes[i] = r.runOutcome(ctx, i, pairs[i])
+				r.persist(keys, i, out.Outcomes[i])
+				r.observeOutcome(&out.Outcomes[i])
+				if e := out.Outcomes[i].Err; e != "" {
+					r.progress("pair %d/%d DEGRADED (%s): %s", done.Add(1), len(pairs), pairs[i].Label(), e)
+				} else {
+					r.progress("pair %d/%d done (%s)", done.Add(1), len(pairs), pairs[i].Label())
 				}
 			}
 		}()

@@ -90,26 +90,22 @@ func (r *Runner) restore(pairs []Pair, out []PairOutcome) (keys []string, todo [
 	return keys, todo
 }
 
-// persist stores a finished chunk's clean outcomes and saves the
-// store. Degraded and canceled outcomes are never stored, so a rerun
+// persist stores pair i's outcome, if clean, and saves the store.
+// Degraded and canceled outcomes are never stored, so a rerun
 // simulates them again. A failed save never fails the sweep: it is
-// reported, and its records stay dirty for the next chunk's Save.
-func (r *Runner) persist(keys []string, idxs []int, out []PairOutcome) {
+// reported, and its records stay dirty for the next pair's Save.
+func (r *Runner) persist(keys []string, i int, po PairOutcome) {
 	if r.Store == nil {
 		return
 	}
-	for _, i := range idxs {
-		if out[i].Failed {
-			continue
+	if !po.Failed {
+		rec := po
+		rec.Pair = Pair{} // the key names both benchmarks; restore re-attaches them
+		if data, err := json.Marshal(rec); err != nil {
+			r.progress("pair store: encoding pair %s: %v", po.Pair.Label(), err)
+		} else {
+			r.Store.Put(keys[i], data)
 		}
-		po := out[i]
-		po.Pair = Pair{} // the key names both benchmarks; restore re-attaches them
-		data, err := json.Marshal(po)
-		if err != nil {
-			r.progress("pair store: encoding pair %s: %v", out[i].Pair.Label(), err)
-			continue
-		}
-		r.Store.Put(keys[i], data)
 	}
 	if err := r.Store.Save(); err != nil {
 		r.progress("pair store save failed: %v", err)

@@ -18,8 +18,8 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// storeOptions sizes the store tests: interval fidelity, so a sweep is
-// two chunks of PairsPerPass pairs on one worker.
+// storeOptions sizes the store tests: interval fidelity on one worker,
+// which runs and stores the pairs one at a time, in order.
 func storeOptions() Options {
 	opt := tinyOptions()
 	opt.Pairs = 12
@@ -115,7 +115,7 @@ func TestSweepCheckpointsAndResumes(t *testing.T) {
 }
 
 // TestSaveFailureRetriedByFlush: a failed Save never fails the sweep.
-// Its records stay dirty, and the next chunk's Save flushes them.
+// Its records stay dirty, and the next pair's Save flushes them.
 func TestSaveFailureRetriedByFlush(t *testing.T) {
 	opt := storeOptions()
 	base, err := NewRunner(opt)
@@ -130,7 +130,7 @@ func TestSaveFailureRetriedByFlush(t *testing.T) {
 	failFirstSave := func(name string, data []byte, perm os.FileMode) error {
 		mu.Lock()
 		calls++
-		fail := calls <= base.PairsPerPass() // every write of the first chunk's Save
+		fail := calls == 1 // the first pair's Save
 		mu.Unlock()
 		if fail {
 			return errors.New("disk full")
@@ -192,7 +192,7 @@ func TestSweepStoresNoFailedPairs(t *testing.T) {
 		t.Errorf("store holds %d records, want %d", got, len(pairs)-1)
 	}
 
-	// Cancel once the first chunk is delivered: the second never runs.
+	// Cancel once the first pair is delivered: the rest never run.
 	r = base.Derived(opt)
 	r.Store = newStore(t, pairstore.CacheConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -212,9 +212,9 @@ func TestSweepStoresNoFailedPairs(t *testing.T) {
 			stored++
 		}
 	}
-	if stored != r.PairsPerPass() || sw.Failed() != len(pairs)-stored {
-		t.Errorf("stored %d pairs with %d canceled; want the first chunk of %d stored, the rest canceled",
-			stored, sw.Failed(), r.PairsPerPass())
+	if stored != 1 || sw.Failed() != len(pairs)-stored {
+		t.Errorf("stored %d pairs with %d canceled; want the first pair stored, the rest canceled",
+			stored, sw.Failed())
 	}
 }
 

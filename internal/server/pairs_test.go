@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"reflect"
 	"sync/atomic"
@@ -17,18 +16,15 @@ import (
 )
 
 // TestBatchedResultsIdenticalToSerial pins the server-level identity
-// contract: a job served through the pair batcher (interleaved
-// RunPairsBatch groups) returns exactly the records that each pair's
-// three runs produce in-process as batches of one.
+// contract: a job's pairs, each run through RunComparison on the
+// runner's pooled systems, come back as exactly the records that each
+// pair's three runs produce in-process through RunPair.
 func TestBatchedResultsIdenticalToSerial(t *testing.T) {
 	s := newTestService(t, nil)
 	spec := JobSpec{Pairs: 6}
 	final := s.waitDone(t, s.postJob(t, spec).ID)
 	if final.State != "done" || len(final.Results) != 6 {
 		t.Fatalf("state %q with %d results, want done with 6", final.State, len(final.Results))
-	}
-	if got := s.tel.Counter("server.pair_batches").Value(); got == 0 {
-		t.Fatal("server ran no pair batches")
 	}
 	if got := s.tel.Counter("server.batched_pairs").Value(); got != 6 {
 		t.Fatalf("server.batched_pairs = %d, want 6", got)
@@ -67,7 +63,7 @@ func TestBatchedResultsIdenticalToSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(final.Results[i], want) {
-			t.Fatalf("pair %d diverges from its batches of one:\nbatched: %+v\nsolo:    %+v",
+			t.Fatalf("pair %d diverges from its runs through RunPair:\nserved: %+v\nsolo:   %+v",
 				i, final.Results[i], want)
 		}
 	}
@@ -125,41 +121,43 @@ func TestJoinerSurvivesLeaderCancel(t *testing.T) {
 	}
 }
 
-// TestAbandonedBatchStops: a batch whose every request has been
-// abandoned stops simulating instead of running on until the server
-// closes. Its 200M-instruction detailed runs would take minutes.
-func TestAbandonedBatchStops(t *testing.T) {
+// TestCanceledJobStopsSimulating: canceling a running job stops its
+// pair's simulation at the next check point instead of running it to
+// the end. Its 200M-instruction detailed runs would take minutes.
+func TestCanceledJobStopsSimulating(t *testing.T) {
 	s := newTestService(t, func(cfg *Config) {
 		opt := testOptions()
 		opt.InstrLimit = 200_000_000
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
 	})
-	opt, err := s.srv.optionsFor(JobSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := s.srv.runnerFor(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runner.Matrix(); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, _, err := s.srv.batcherFor(runner).run(ctx, 0, experiments.RandomPairs(1, opt.Seed)[0])
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("abandoned request returned %v, want context.Canceled", err)
+	id := s.postJob(t, JobSpec{Pairs: 1}).ID
+	// The job builds its profile before its unit loop, so the pair's
+	// cache miss means its simulation has started.
+	waitCounter := func(name, what string) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		for s.tel.Counter(name).Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(time.Millisecond)
 		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("abandoned batch kept simulating")
+	}
+	waitCounter("server.cache_misses", "the job never started simulating")
+	req, err := http.NewRequest(http.MethodDelete, s.ts.URL+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	// The counter moves once the pair's three runs have returned.
+	waitCounter("server.batched_pairs", "the canceled job kept simulating")
+	if st := s.waitDone(t, id); st.State != "canceled" || len(st.Results) != 0 {
+		t.Fatalf("job ended %q with %d results, want canceled with none", st.State, len(st.Results))
 	}
 }
 

@@ -102,10 +102,9 @@ type Server struct {
 	baseOpt    experiments.Options
 	coreDigest string
 
-	mu       sync.Mutex
-	jobs     map[string]*jobEntry
-	runners  map[string]*experiments.Runner
-	batchers map[*experiments.Runner]*pairBatcher
+	mu      sync.Mutex
+	jobs    map[string]*jobEntry
+	runners map[string]*experiments.Runner
 
 	// remote / publish are the fleet hooks (SetCluster, fleet.go):
 	// consulted on pair cache misses and fed locally computed records.
@@ -113,12 +112,6 @@ type Server struct {
 	// cluster layer is wired.
 	remote  RemoteLookup
 	publish ResultPublish
-
-	// batchCtx bounds shared batch execution to the server's lifetime
-	// (a batch serves requests from many jobs, so no single job's
-	// context may cancel it); Close cancels it.
-	batchCtx    context.Context
-	batchCancel context.CancelFunc
 
 	idPrefix string // from Config.JobIDSpace; "" in single-node mode
 	nextID   atomic.Uint64
@@ -138,8 +131,12 @@ type Server struct {
 	profileShares     *telemetry.Counter
 	journalErrors     *telemetry.Counter
 	pairsServed       *telemetry.Counter
-	jobLatencyUS      *telemetry.Histogram
-	httpRequests      *telemetry.Counter
+	// pairsSimulated counts pairs run locally. Its name,
+	// "server.batched_pairs", predates the one-pair-at-a-time compute
+	// path; load generators and the fleet smoke read it.
+	pairsSimulated *telemetry.Counter
+	jobLatencyUS   *telemetry.Histogram
+	httpRequests   *telemetry.Counter
 }
 
 // New builds a Server and starts its worker pool.
@@ -230,7 +227,6 @@ func New(cfg Config) (*Server, error) {
 		baseOpt:    baseOpt,
 		jobs:       make(map[string]*jobEntry),
 		runners:    make(map[string]*experiments.Runner),
-		batchers:   make(map[*experiments.Runner]*pairBatcher),
 		coreDigest: pairstore.CoreDigest(cpu.IntCoreConfig(), cpu.FPCoreConfig()),
 		idPrefix:   jobIDPrefix(cfg.JobIDSpace),
 
@@ -244,13 +240,10 @@ func New(cfg Config) (*Server, error) {
 		profileShares:     tel.Counter("server.profile_shares"),
 		journalErrors:     tel.Counter("server.journal_errors"),
 		pairsServed:       tel.Counter("server.pairs_served"),
+		pairsSimulated:    tel.Counter("server.batched_pairs"),
 		jobLatencyUS:      tel.Histogram("server.job_latency_us"),
 		httpRequests:      tel.Counter("server.http_requests"),
 	}
-	// Batches outlive any one job's context (a shared flush must not
-	// die with the job that filled it), so they run under a
-	// server-lifetime context canceled in Close.
-	s.batchCtx, s.batchCancel = context.WithCancel(context.Background()) //ampvet:allow ctxcheck server-lifetime root for cross-job batches, canceled in Close
 	// The interval engine's process-global calibration ledger reports
 	// through the same registry ("interval.calibrations",
 	// "interval.cal_cache_hits"): its cross-run reuse saves every cold
@@ -483,7 +476,6 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 type jobPlan struct {
 	demand
 	opt   experiments.Options
-	nxm   bool // the units are nxm rungs, not pairs
 	units []unit
 }
 
@@ -521,7 +513,6 @@ func (s *Server) plan(sp JobSpec) (*jobPlan, error) {
 	p := &jobPlan{
 		demand: demand{fidelity: opt.Fidelity, cost: jobCost(opt.Fidelity, n)},
 		opt:    opt,
-		nxm:    sp.NXM != nil,
 		units:  make([]unit, n),
 	}
 	for i, cores := range nxm.Cores {
@@ -535,8 +526,9 @@ func (s *Server) plan(sp JobSpec) (*jobPlan, error) {
 
 // pairUnit is pair i's comparison record. A miss asks the fleet first
 // — a peer may already hold the record, and byte identity across nodes
-// makes the source indistinguishable — then computes the pair's three
-// runs through the runner's shared batcher and publishes the record.
+// makes the source indistinguishable — then runs the pair's three
+// runs under ctx, the context of the job leading the cache flight, and
+// publishes the record.
 func (s *Server) pairUnit(opt experiments.Options, i int, p experiments.Pair) unit {
 	key := pairstore.CacheKey(experiments.PairKeySpec(s.coreDigest, opt, i, p))
 	return unit{label: p.Label(), key: key, compute: func(ctx context.Context, runner *experiments.Runner) ([]byte, error) {
@@ -546,7 +538,11 @@ func (s *Server) pairUnit(opt experiments.Options, i int, p experiments.Pair) un
 				return data, nil
 			}
 		}
-		proposed, hpe, rr, err := s.batcherFor(runner).run(ctx, i, p)
+		proposed, hpe, rr, err := runner.RunComparison(ctx, i, p)
+		s.pairsSimulated.Inc()
+		if cerr := ctx.Err(); err != nil && cerr != nil {
+			return nil, cerr // the job's own reason, bare: a deadline, say
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -652,77 +648,45 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 		return err
 	}
 
-	// Units are served through a bounded in-flight window while outcomes
-	// are emitted strictly in unit order — append order is the
-	// streaming API's contract. The window is one pass of pairs
-	// (Runner.PairsPerPass), so a job's pairs co-batch in the shared
-	// pairBatcher, and with other jobs'. A rung is a whole manycore
-	// simulation that nothing batches: rungs run one at a time.
-	window := runner.PairsPerPass()
-	if p.nxm {
-		window = 1
-	}
-	type served struct {
-		data   []byte
-		cached bool
-		err    error
-	}
-	serves := make([]served, len(p.units))
-	ready := make([]chan struct{}, len(p.units))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	sem := make(chan struct{}, window)
-	go func() {
-		for i := range p.units {
-			sem <- struct{}{}
-			go func(i int, u *unit) {
-				defer func() { <-sem }()
-				defer close(ready[i])
-				if cerr := ctx.Err(); cerr != nil {
-					serves[i] = served{err: cerr}
-					return
-				}
-				data, cached, err := s.cache.Do(ctx, u.key, func() ([]byte, error) { return u.compute(ctx, runner) })
-				serves[i] = served{data: data, cached: cached, err: err}
-			}(i, &p.units[i])
-		}
-	}()
-
+	// Units are served one at a time, in order: append order is the
+	// streaming API's contract.
 	var firstWedge error
 	for i := range p.units {
 		u := &p.units[i]
-		<-ready[i]
-		sv := serves[i]
-		if sv.err != nil {
-			if errors.Is(sv.err, context.Canceled) || errors.Is(sv.err, context.DeadlineExceeded) {
-				s.finishJob(j, start, sv.err)
-				return sv.err
+		if cerr := ctx.Err(); cerr != nil {
+			s.finishJob(j, start, cerr)
+			return cerr
+		}
+		data, cached, err := s.cache.Do(ctx, u.key, func() ([]byte, error) { return u.compute(ctx, runner) })
+		if err != nil {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				s.finishJob(j, start, err)
+				return err
 			}
 			// Degraded unit: record and continue, like Sweep.
-			s.admission.record(p.fidelity, errors.Is(sv.err, amp.ErrWedged))
-			if firstWedge == nil && errors.Is(sv.err, amp.ErrWedged) {
-				firstWedge = sv.err
+			s.admission.record(p.fidelity, errors.Is(err, amp.ErrWedged))
+			if firstWedge == nil && errors.Is(err, amp.ErrWedged) {
+				firstWedge = err
 			}
 			j.appendResult(PairResult{
 				Index: i, Pair: u.label, Key: u.key,
-				Failed: true, Err: sv.err.Error(),
+				Failed: true, Err: err.Error(),
 			})
 			s.pairsServed.Inc()
 			continue
 		}
-		if !sv.cached { // cache hits say nothing about engine health
+		if !cached { // cache hits say nothing about engine health
 			s.admission.record(p.fidelity, false)
 		}
 		var r PairResult
-		if err := json.Unmarshal(sv.data, &r); err != nil {
+		if err := json.Unmarshal(data, &r); err != nil {
 			s.finishJob(j, start, fmt.Errorf("server: corrupt cache entry %s: %w", u.key, err))
 			return nil // corrupt entry is not retryable
 		}
 		// A rung's key leaves out its position, so jobs listing the same
 		// core count share the record; the position is job-local.
 		r.Index = i
-		r.Cached = sv.cached
+		r.Cached = cached
 		j.appendResult(r)
 		s.pairsServed.Inc()
 	}
@@ -873,7 +837,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // closes the journal).
 func (s *Server) Close() error {
 	s.draining.Store(true)
-	s.batchCancel() // in-flight shared batches end at their next cancellation check
 	s.queue.Close()
 	s.stopFlusher()
 	err := s.cache.Save()
@@ -935,8 +898,8 @@ func apiError(w http.ResponseWriter, status int, err error) {
 
 // handleSubmit implements POST /v1/jobs: one JobSpec object, or a
 // JSON array of specs submitted as one group (all accepted or all
-// refused; the group enqueues adjacently so its pairs co-batch). An
-// object is answered with a status object, an array with an array.
+// refused; the group enqueues adjacently). An object is answered with
+// a status object, an array with an array.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
