@@ -182,11 +182,21 @@ fleet-smoke:
 	"$$tmp/ampfleet" -ampserve "$$tmp/ampserve" -workdir "$$tmp/work"
 
 # N×M scaling smoke: the nxm sweep at 64x512 and 256x2048 under the
-# sampled engine must complete (~30s) — guards the incremental decision
+# sampled engine must complete (~20s) — guards the incremental decision
 # loop and the big topologies against wedging or blowing up in cost.
+# The 10k-cycle quantum gives 10 epochs in the horizon, enough for
+# Rank's 5-epoch vote, so the target also fails when no thread changes
+# flavor class. Rank and its HPE variant differ only in how they score
+# a thread, so without a class flip they make the same moves and their
+# columns read alike on every row (1.000 each when nothing moves at
+# all, the time-sharing cost alone when only the share rotation does).
 nxm-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/ampexperiments -run nxm -fidelity sampled \
-		-nxmcores 64,256 -nxmcycles 100000 -nxmquantum 50000 -v
+		-nxmcores 64,256 -nxmcycles 100000 -nxmquantum 10000 -v >"$$tmp/out"; \
+	cat "$$tmp/out"; \
+	awk '$$4 == "abs" { rows++; if ($$6 != $$7) flips++ } \
+		END { if (rows == 0 || flips == 0) { print "nxm-smoke: FAIL: rank and hpe read alike on every row: no thread changed flavor class"; exit 1 } }' "$$tmp/out"
 
 # Regenerate every table and figure of the paper (minutes).
 experiments:

@@ -18,6 +18,10 @@
 //     and assert the recovered results are byte-identical to an
 //     execution that never saw a fault or a crash.
 //
+// Servers are started and driven through internal/serveclient; every
+// server the harness started is killed on the way out, failure
+// included.
+//
 // Usage (see `make chaos-smoke`):
 //
 //	ampchaos -ampserve bin/ampserve [-rate 0.05] [-jobs 10] [-v]
@@ -27,18 +31,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"syscall"
+	"slices"
 	"time"
+
+	"ampsched/internal/serveclient"
+	"ampsched/internal/server"
 )
 
 var (
@@ -51,36 +53,56 @@ var (
 	verbose  = flag.Bool("v", false, "pass server stderr through and log each check")
 )
 
-var deadline time.Time
-
 func main() {
 	flag.Parse()
-	if *jobsN < 4 {
-		fatal(fmt.Errorf("-jobs must be >= 4 (need both a completed and an in-flight batch)"))
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	err := run(ctx)
+	cancel()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ampchaos: FAIL:", err)
+		os.Exit(1)
 	}
-	deadline = time.Now().Add(*timeout)
+}
 
+func run(ctx context.Context) error {
+	if *jobsN < 4 {
+		return fmt.Errorf("-jobs must be >= 4 (need both a completed and an in-flight batch)")
+	}
 	dir := *workdir
 	if dir == "" {
 		var err error
 		if dir, err = os.MkdirTemp("", "ampchaos-*"); err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		return err
+	}
+	l := &serveclient.Launcher{Bin: *ampserve, Dir: dir}
+	if *verbose {
+		l.Out = os.Stderr
+	}
+	defer l.Close()
+	// start launches a server with small, fast simulation parameters.
+	start := func(name, journalDir, cacheDir string, extra ...string) (*serveclient.Proc, error) {
+		return l.Start(ctx, name, "", append([]string{
+			"-journaldir", journalDir, "-cachedir", cacheDir,
+			"-flushevery", "100ms",
+			"-limit", "40000", "-contextswitch", "10000",
+			"-profilelimit", "30000", "-fidelity", "interval",
+			"-workers", "4",
+		}, extra...)...)
 	}
 	journalDir := filepath.Join(dir, "journal")
 	cacheDir := filepath.Join(dir, "cache")
 
 	// ---- Phase 1: chaos ------------------------------------------------
 	logf("phase 1: chaos server (fault rate %g)", *rate)
-	p1, err := startServer(dir, "p1", journalDir, cacheDir,
+	p1, err := start("p1", journalDir, cacheDir,
 		"-faultservice", fmt.Sprint(*rate), "-faultseed", "7")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer p1.kill()
 
 	nA := *jobsN / 2
 	type acked struct {
@@ -91,75 +113,69 @@ func main() {
 	var ackedJobs []acked
 
 	for i := 0; i < nA; i++ {
-		spec := jobSpec{Pairs: *pairs, Seed: 100 + uint64(i)}
-		id, err := submit(p1.base, spec)
+		spec := server.JobSpec{Pairs: *pairs, Seed: 100 + uint64(i)}
+		st, err := p1.Submit(ctx, spec)
 		if err != nil {
-			fatal(fmt.Errorf("phase 1 submit A%d: %w", i, err))
+			return fmt.Errorf("phase 1 submit A%d: %w", i, err)
 		}
-		ackedJobs = append(ackedJobs, acked{id, spec.Seed, spec.Pairs})
+		ackedJobs = append(ackedJobs, acked{st.ID, spec.Seed, spec.Pairs})
 	}
 	// Batch A runs to completion under fault injection; its result
 	// bytes are the crash-survival corpus.
 	preKill := map[string][]byte{} // pair key -> raw cached record
 	for _, a := range ackedJobs {
-		st, err := waitTerminal(p1.base, a.id)
+		st, err := p1.Wait(ctx, a.id)
 		if err != nil {
-			fatal(fmt.Errorf("phase 1 job %s: %w", a.id, err))
+			return fmt.Errorf("phase 1 job %s: %w", a.id, err)
 		}
 		logf("phase 1: job %s (seed %d) %s, %d pairs", a.id, a.seed, st.State, len(st.Results))
 		for _, r := range st.Results {
 			if r.Failed || r.Key == "" {
 				continue
 			}
-			data, err := fetchResult(p1.base, r.Key)
-			if err != nil {
-				fatal(fmt.Errorf("phase 1 result %s: %w", r.Key, err))
+			if preKill[r.Key], err = p1.Result(ctx, r.Key); err != nil {
+				return fmt.Errorf("phase 1: %w", err)
 			}
-			preKill[r.Key] = data
 		}
 	}
 	if len(preKill) == 0 {
-		fatal(fmt.Errorf("phase 1 completed no pairs; nothing to assert over"))
+		return fmt.Errorf("phase 1 completed no pairs; nothing to assert over")
 	}
 
 	// Batch B is acknowledged but (very likely) unfinished when the
 	// SIGKILL lands — the jobs recovery must not lose. Double pairs
 	// keep them in flight.
 	for i := nA; i < *jobsN; i++ {
-		spec := jobSpec{Pairs: 2 * *pairs, Seed: 200 + uint64(i)}
-		id, err := submit(p1.base, spec)
+		spec := server.JobSpec{Pairs: 2 * *pairs, Seed: 200 + uint64(i)}
+		st, err := p1.Submit(ctx, spec)
 		if err != nil {
-			fatal(fmt.Errorf("phase 1 submit B%d: %w", i, err))
+			return fmt.Errorf("phase 1 submit B%d: %w", i, err)
 		}
-		ackedJobs = append(ackedJobs, acked{id, spec.Seed, spec.Pairs})
+		ackedJobs = append(ackedJobs, acked{st.ID, spec.Seed, spec.Pairs})
 	}
 	logf("phase 1: SIGKILL with %d jobs acknowledged", len(ackedJobs))
-	p1.kill()
+	p1.Kill()
 
 	// ---- Phase 2: recovery ---------------------------------------------
 	logf("phase 2: recovery server on the same journal and cache")
-	p2, err := startServer(dir, "p2", journalDir, cacheDir)
+	p2, err := start("p2", journalDir, cacheDir)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer p2.kill()
-
-	recovered, err := metricValue(p2.base, "server.jobs_recovered")
+	m, err := p2.Metrics(ctx)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	recovered := m["server.jobs_recovered"].Value
 	logf("phase 2: server.jobs_recovered = %.0f", recovered)
 
 	postKill := map[string][]byte{}
 	seedKeys := map[uint64][]string{} // seed -> sorted pair keys of done jobs
 	requeuedDone := 0
 	for _, a := range ackedJobs {
-		st, err := waitTerminal(p2.base, a.id)
+		st, err := p2.Wait(ctx, a.id)
 		if err != nil {
-			fatal(fmt.Errorf("phase 2: acknowledged job %s lost: %w", a.id, err))
-		}
-		if !terminalState(st.State) {
-			fatal(fmt.Errorf("phase 2: job %s stuck in %q", a.id, st.State))
+			return fmt.Errorf("phase 2: acknowledged job %s lost: %w", a.id, err)
 		}
 		if st.State == "done" && len(st.Results) > 0 {
 			requeuedDone++
@@ -168,326 +184,87 @@ func main() {
 				if r.Failed || r.Key == "" {
 					continue
 				}
-				data, err := fetchResult(p2.base, r.Key)
-				if err != nil {
-					fatal(fmt.Errorf("phase 2 result %s: %w", r.Key, err))
+				if postKill[r.Key], err = p2.Result(ctx, r.Key); err != nil {
+					return fmt.Errorf("phase 2: %w", err)
 				}
-				postKill[r.Key] = data
 				keys = append(keys, r.Key)
 			}
-			sort.Strings(keys)
+			slices.Sort(keys)
 			seedKeys[a.seed] = keys
 		}
 		logf("phase 2: job %s %s (recovered=%v)", a.id, st.State, st.Recovered)
 	}
 	if recovered < 1 && requeuedDone <= nA {
-		// Only fatal when nothing from batch B was actually re-run —
+		// Only fail when nothing from batch B was actually re-run —
 		// i.e. recovery truly did nothing despite in-flight work.
-		fatal(fmt.Errorf("phase 2: no job was recovered from the journal"))
+		return fmt.Errorf("phase 2: no job was recovered from the journal")
 	}
 
 	// Every pre-kill byte must survive the crash unchanged.
 	for key, want := range preKill {
-		data, err := fetchResult(p2.base, key)
+		data, err := p2.Result(ctx, key)
 		if err != nil {
-			fatal(fmt.Errorf("phase 2: pre-kill result %s unreadable after crash: %w", key, err))
+			return fmt.Errorf("phase 2: pre-kill result unreadable after crash: %w", err)
 		}
 		if !bytes.Equal(data, want) {
-			fatal(fmt.Errorf("phase 2: result %s changed across the crash", key))
+			return fmt.Errorf("phase 2: result %s changed across the crash", key)
 		}
 	}
 	logf("phase 2: all %d pre-kill results byte-identical", len(preKill))
-	if err := p2.stop(); err != nil {
-		fatal(fmt.Errorf("phase 2 graceful stop: %w", err))
+	if err := p2.Stop(ctx); err != nil {
+		return fmt.Errorf("phase 2 graceful stop: %w", err)
 	}
 
 	// ---- Phase 3: oracle -----------------------------------------------
 	logf("phase 3: pristine server, fresh dirs, same specs")
-	p3, err := startServer(dir, "p3",
-		filepath.Join(dir, "journal3"), filepath.Join(dir, "cache3"))
+	p3, err := start("p3", filepath.Join(dir, "journal3"), filepath.Join(dir, "cache3"))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer p3.kill()
 
 	checked := 0
 	for _, a := range ackedJobs {
 		if _, ok := seedKeys[a.seed]; !ok {
 			continue // job ended failed/canceled in phase 2; no oracle to compare
 		}
-		id, err := submit(p3.base, jobSpec{Pairs: a.n, Seed: a.seed})
-		if err != nil {
-			fatal(fmt.Errorf("phase 3 submit seed %d: %w", a.seed, err))
-		}
-		st, err := waitTerminal(p3.base, id)
+		st, err := p3.Run(ctx, server.JobSpec{Pairs: a.n, Seed: a.seed})
 		if err != nil || st.State != "done" {
-			fatal(fmt.Errorf("phase 3 job seed %d: state %q, err %v", a.seed, st.State, err))
+			return fmt.Errorf("phase 3 job seed %d: state %q, err %v", a.seed, st.State, err)
 		}
 		var keys []string
 		for _, r := range st.Results {
 			if r.Key == "" {
 				continue
 			}
-			data, err := fetchResult(p3.base, r.Key)
+			data, err := p3.Result(ctx, r.Key)
 			if err != nil {
-				fatal(fmt.Errorf("phase 3 result %s: %w", r.Key, err))
+				return fmt.Errorf("phase 3: %w", err)
 			}
 			if got, ok := postKill[r.Key]; ok {
 				if !bytes.Equal(got, data) {
-					fatal(fmt.Errorf("phase 3: result %s differs between recovered and pristine runs", r.Key))
+					return fmt.Errorf("phase 3: result %s differs between recovered and pristine runs", r.Key)
 				}
 				checked++
 			}
 			keys = append(keys, r.Key)
 		}
-		sort.Strings(keys)
-		if want := seedKeys[a.seed]; !equalStrings(keys, want) {
-			fatal(fmt.Errorf("phase 3: seed %d produced keys %v, recovered run had %v", a.seed, keys, want))
+		slices.Sort(keys)
+		if want := seedKeys[a.seed]; !slices.Equal(keys, want) {
+			return fmt.Errorf("phase 3: seed %d produced keys %v, recovered run had %v", a.seed, keys, want)
 		}
 	}
 	if checked == 0 {
-		fatal(fmt.Errorf("phase 3 compared no results"))
+		return fmt.Errorf("phase 3 compared no results")
 	}
-	if err := p3.stop(); err != nil {
-		fatal(fmt.Errorf("phase 3 graceful stop: %w", err))
+	if err := p3.Stop(ctx); err != nil {
+		return fmt.Errorf("phase 3 graceful stop: %w", err)
 	}
 
 	fmt.Printf("chaos-smoke PASS: %d jobs acknowledged, %.0f recovered, %d pre-kill results intact, %d pairs oracle-verified\n",
 		len(ackedJobs), recovered, len(preKill), checked)
-}
-
-// ---- server process management -----------------------------------------
-
-type proc struct {
-	cmd    *exec.Cmd
-	base   string
-	exited chan struct{}
-	werr   error
-}
-
-// startServer launches ampserve on a free port with small, fast
-// simulation parameters and waits until it answers /healthz.
-func startServer(dir, name, journalDir, cacheDir string, extra ...string) (*proc, error) {
-	addrFile := filepath.Join(dir, name+".addr")
-	_ = os.Remove(addrFile)
-	args := append([]string{
-		"-addr", "127.0.0.1:0", "-addrfile", addrFile,
-		"-journaldir", journalDir, "-cachedir", cacheDir,
-		"-flushevery", "100ms",
-		"-limit", "40000", "-contextswitch", "10000",
-		"-profilelimit", "30000", "-fidelity", "interval",
-		"-workers", "4",
-	}, extra...)
-	cmd := exec.Command(*ampserve, args...)
-	if *verbose {
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	} else {
-		cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", name, err)
-	}
-	p := &proc{cmd: cmd, exited: make(chan struct{})}
-	go func() {
-		p.werr = cmd.Wait()
-		close(p.exited)
-	}()
-	for {
-		if time.Now().After(deadline) {
-			p.kill()
-			return nil, fmt.Errorf("%s: server never became healthy", name)
-		}
-		select {
-		case <-p.exited:
-			return nil, fmt.Errorf("%s: server exited before becoming healthy: %v", name, p.werr)
-		default:
-		}
-		if addr, err := os.ReadFile(addrFile); err == nil && len(addr) > 0 {
-			p.base = "http://" + string(bytes.TrimSpace(addr))
-			if resp, err := http.Get(p.base + "/healthz"); err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return p, nil
-				}
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// kill is the chaos primitive: SIGKILL, no drain, no flush. Idempotent
-// so it doubles as cleanup.
-func (p *proc) kill() {
-	select {
-	case <-p.exited:
-		return
-	default:
-	}
-	_ = p.cmd.Process.Kill()
-	<-p.exited
-}
-
-// stop drains gracefully via SIGTERM and requires a clean exit.
-func (p *proc) stop() error {
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case <-p.exited:
-	case <-time.After(time.Until(deadline)):
-		p.kill()
-		return fmt.Errorf("server did not drain before the harness deadline")
-	}
-	if p.werr != nil {
-		return fmt.Errorf("unclean exit: %w", p.werr)
-	}
 	return nil
-}
-
-// ---- HTTP client helpers ------------------------------------------------
-
-type jobSpec struct {
-	Pairs int    `json:"pairs"`
-	Seed  uint64 `json:"seed,omitempty"`
-}
-
-type pairResult struct {
-	Key    string `json:"key"`
-	Failed bool   `json:"failed,omitempty"`
-}
-
-type jobStatus struct {
-	ID        string       `json:"id"`
-	State     string       `json:"state"`
-	Recovered bool         `json:"recovered,omitempty"`
-	Results   []pairResult `json:"results,omitempty"`
-}
-
-func terminalState(s string) bool { return s == "done" || s == "failed" || s == "canceled" }
-
-// submit POSTs one job, retrying overload pushback (429/503) with the
-// server's Retry-After hint, and returns the acknowledged id.
-func submit(base string, spec jobSpec) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	for {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			if time.Now().After(deadline) {
-				return "", fmt.Errorf("submit timed out on backpressure")
-			}
-			time.Sleep(retryAfter(resp))
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			resp.Body.Close()
-			return "", fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		return st.ID, nil
-	}
-}
-
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 && secs <= 5 {
-		return time.Duration(secs) * time.Second
-	}
-	return 50 * time.Millisecond
-}
-
-// waitTerminal polls a job until it reaches a terminal state.
-func waitTerminal(base, id string) (jobStatus, error) {
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			return jobStatus{}, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return jobStatus{}, fmt.Errorf("status: HTTP %d", resp.StatusCode)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return jobStatus{}, err
-		}
-		if terminalState(st.State) {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s at harness deadline", id, st.State)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// fetchResult reads one content-addressed pair record's raw bytes.
-func fetchResult(base, key string) ([]byte, error) {
-	resp, err := http.Get(base + "/v1/results/" + key)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result %s: HTTP %d", key, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// metricValue reads one counter/gauge from /metrics.
-func metricValue(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Metrics []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return 0, err
-	}
-	for _, m := range snap.Metrics {
-		if m.Name == name {
-			return m.Value, nil
-		}
-	}
-	return 0, nil // absent = never incremented
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ampchaos: "+format+"\n", args...)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ampchaos: FAIL:", err)
-	os.Exit(1)
 }

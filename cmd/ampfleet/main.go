@@ -30,6 +30,10 @@
 //     byte-identical. Compute location — owner or forward fallback —
 //     must be unobservable in the bytes.
 //
+// Servers are started and driven through internal/serveclient; every
+// server the harness started is killed on the way out, failure
+// included.
+//
 // Usage (see `make fleet-smoke`):
 //
 //	ampfleet -ampserve bin/ampserve [-jobs 18] [-v]
@@ -39,20 +43,17 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
+
+	"ampsched/internal/serveclient"
+	"ampsched/internal/server"
 )
 
 var (
@@ -64,12 +65,6 @@ var (
 	verbose  = flag.Bool("v", false, "pass server stderr through and log each check")
 )
 
-var deadline time.Time
-
-// procs tracks every child server so fatal (os.Exit skips defers)
-// still reaps them instead of leaking daemons into CI.
-var procs []*proc
-
 const (
 	hotSeed  = 500 // the skewed half of the load batch pins this seed
 	coldSeed = 600
@@ -79,61 +74,86 @@ const (
 
 func main() {
 	flag.Parse()
-	if *jobsN < 6 {
-		fatal(fmt.Errorf("-jobs must be >= 6 (need hot and cold keys on every node)"))
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	err := run(ctx)
+	cancel()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ampfleet: FAIL:", err)
+		os.Exit(1)
 	}
-	deadline = time.Now().Add(*timeout)
+}
 
+func run(ctx context.Context) error {
+	if *jobsN < 6 {
+		return fmt.Errorf("-jobs must be >= 6 (need hot and cold keys on every node)")
+	}
 	dir := *workdir
 	if dir == "" {
 		var err error
 		if dir, err = os.MkdirTemp("", "ampfleet-*"); err != nil {
-			fatal(err)
+			return err
 		}
 		defer os.RemoveAll(dir)
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		fatal(err)
+		return err
+	}
+	l := &serveclient.Launcher{Bin: *ampserve, Dir: dir}
+	if *verbose {
+		l.Out = os.Stderr
+	}
+	defer l.Close()
+	// start launches one node with small, fast simulation parameters.
+	// They must match across every node and the oracle: content
+	// addresses hash them.
+	start := func(name, addr string, extra ...string) (*serveclient.Proc, error) {
+		return l.Start(ctx, name, addr, append([]string{
+			"-journaldir", filepath.Join(dir, name+"-journal"),
+			"-cachedir", filepath.Join(dir, name+"-cache"),
+			"-flushevery", "100ms",
+			"-limit", "40000", "-contextswitch", "10000",
+			"-profilelimit", "30000", "-fidelity", "interval",
+		}, extra...)...)
 	}
 
 	// ---- Phase 1: boot the fleet ---------------------------------------
-	addrs, err := freeAddrs(3)
+	addrs, err := serveclient.FreeAddrs(3)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	peerList := strings.Join(addrs, ",")
 	logf("phase 1: booting 3 nodes: %s", peerList)
-	fleet := make([]*proc, 3)
+	fleet := make([]*serveclient.Proc, 3)
 	for i, a := range addrs {
-		name := fmt.Sprintf("n%d", i+1)
-		fleet[i], err = startServer(dir, name, a,
+		fleet[i], err = start(fmt.Sprintf("n%d", i+1), a,
 			"-peers", peerList,
 			"-heartbeat", "200ms",
 			"-workers", "2",
 		)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		defer fleet[i].kill()
 	}
 
 	// ---- Phase 2: skewed fleet load ------------------------------------
 	type tracked struct {
-		spec jobSpec
+		spec server.JobSpec
 		node int // submission target
 		id   string
 	}
-	specFor := func(i int) jobSpec {
+	specFor := func(i int) server.JobSpec {
 		if i%2 == 0 {
-			return jobSpec{Pairs: 2 * *pairs, Seed: hotSeed}
+			return server.JobSpec{Pairs: 2 * *pairs, Seed: hotSeed}
 		}
-		return jobSpec{Pairs: *pairs, Seed: coldSeed + uint64(i)}
+		return server.JobSpec{Pairs: *pairs, Seed: coldSeed + uint64(i)}
 	}
 	var load []tracked
 	for i := 0; i < *jobsN; i++ {
 		tr := tracked{spec: specFor(i), node: i % 3}
-		if tr.id, err = submit(fleet[tr.node].base, tr.spec); err != nil {
-			fatal(fmt.Errorf("phase 2 submit %d via n%d: %w", i, tr.node+1, err))
+		ack, err := fleet[tr.node].Submit(ctx, tr.spec)
+		if err != nil {
+			return fmt.Errorf("phase 2 submit %d via n%d: %w", i, tr.node+1, err)
 		}
+		tr.id = ack.ID
 		load = append(load, tr)
 	}
 	logf("phase 2: %d jobs sprayed (half pinned to seed %d)", len(load), hotSeed)
@@ -141,15 +161,15 @@ func main() {
 	results := map[string][]byte{}    // pair key -> raw record bytes
 	specKeys := map[uint64][]string{} // seed -> sorted pair keys
 	for _, tr := range load {
-		st, err := waitTerminal(fleet[tr.node].base, tr.id)
+		st, err := fleet[tr.node].Wait(ctx, tr.id)
 		if err != nil {
-			fatal(fmt.Errorf("phase 2 job %s on n%d: %w", tr.id, tr.node+1, err))
+			return fmt.Errorf("phase 2 job %s on n%d: %w", tr.id, tr.node+1, err)
 		}
 		if st.State != "done" {
-			fatal(fmt.Errorf("phase 2 job %s (seed %d): state %q, error %q", tr.id, tr.spec.Seed, st.State, st.Error))
+			return fmt.Errorf("phase 2 job %s (seed %d): state %q, error %q", tr.id, tr.spec.Seed, st.State, st.Error)
 		}
-		if err := recordResults(fleet[tr.node].base, st, tr.spec.Seed, results, specKeys); err != nil {
-			fatal(fmt.Errorf("phase 2: %w", err))
+		if err := recordResults(ctx, fleet[tr.node].Client, st, tr.spec.Seed, results, specKeys); err != nil {
+			return fmt.Errorf("phase 2: %w", err)
 		}
 		// Remote lookup check: the same key fetched from a node the job
 		// was not submitted to must return the identical bytes.
@@ -158,29 +178,34 @@ func main() {
 			if r.Key == "" || r.Failed {
 				continue
 			}
-			data, err := fetchResult(other.base, r.Key)
+			data, err := other.Result(ctx, r.Key)
 			if err != nil {
-				fatal(fmt.Errorf("phase 2: key %s unreachable via peer: %w", r.Key, err))
+				return fmt.Errorf("phase 2: key %s unreachable via peer: %w", r.Key, err)
 			}
 			if !bytes.Equal(data, results[r.Key]) {
-				fatal(fmt.Errorf("phase 2: key %s differs between nodes", r.Key))
+				return fmt.Errorf("phase 2: key %s differs between nodes", r.Key)
 			}
 		}
 	}
-	c, err := fleetSums(fleet, "cluster.forwards", "cluster.remote_hits", "server.batched_pairs",
-		"cluster.ring_rebuilds", "cluster.forward_fallbacks")
-	if err != nil {
-		fatal(fmt.Errorf("phase 2: %w", err))
+	c := map[string]float64{} // every counter, summed over the fleet
+	for _, p := range fleet {
+		m, err := p.Metrics(ctx)
+		if err != nil {
+			return fmt.Errorf("phase 2: %w", err)
+		}
+		for name, v := range m {
+			c[name] += v.Value
+		}
 	}
 	forwards, sims, keys := c["cluster.forwards"], c["server.batched_pairs"], len(results)
 	logf("phase 2: forwards=%.0f remote_hits=%.0f simulations=%.0f over %d keys (ring_rebuilds=%.0f forward_fallbacks=%.0f)",
 		forwards, c["cluster.remote_hits"], sims, keys, c["cluster.ring_rebuilds"], c["cluster.forward_fallbacks"])
 	if forwards < 1 {
-		fatal(fmt.Errorf("phase 2: cluster.forwards = 0 — the ring never routed work between nodes"))
+		return fmt.Errorf("phase 2: cluster.forwards = 0 — the ring never routed work between nodes")
 	}
 	if c["cluster.ring_rebuilds"] == 0 && c["cluster.forward_fallbacks"] == 0 {
 		if sims != float64(keys) {
-			fatal(fmt.Errorf("phase 2: %.0f simulations for %d distinct pair keys with no failures — each key must be simulated exactly once", sims, keys))
+			return fmt.Errorf("phase 2: %.0f simulations for %d distinct pair keys with no failures — each key must be simulated exactly once", sims, keys)
 		}
 		logf("phase 2: exactly-once holds")
 	} else {
@@ -191,34 +216,36 @@ func main() {
 	nB := 6
 	var batchB []tracked
 	for i := 0; i < nB; i++ {
-		tr := tracked{spec: jobSpec{Pairs: *pairs, Seed: bSeed + uint64(i)}, node: i % 3}
-		if tr.id, err = submit(fleet[tr.node].base, tr.spec); err != nil {
-			fatal(fmt.Errorf("phase 3 submit %d via n%d: %w", i, tr.node+1, err))
+		tr := tracked{spec: server.JobSpec{Pairs: *pairs, Seed: bSeed + uint64(i)}, node: i % 3}
+		ack, err := fleet[tr.node].Submit(ctx, tr.spec)
+		if err != nil {
+			return fmt.Errorf("phase 3 submit %d via n%d: %w", i, tr.node+1, err)
 		}
+		tr.id = ack.ID
 		batchB = append(batchB, tr)
 	}
 	logf("phase 3: SIGKILL n3 with %d jobs in flight", nB)
-	fleet[2].kill()
+	fleet[2].Kill()
 
 	for _, tr := range batchB {
-		st, err := waitOrResubmit(fleet, tr.node, tr.id, tr.spec)
+		node, st, err := waitOrResubmit(ctx, fleet, tr.node, tr.id, tr.spec)
 		if err != nil {
-			fatal(fmt.Errorf("phase 3 job seed %d: %w", tr.spec.Seed, err))
+			return fmt.Errorf("phase 3 job seed %d: %w", tr.spec.Seed, err)
 		}
-		if err := recordResults(st.base, st.status, tr.spec.Seed, results, specKeys); err != nil {
-			fatal(fmt.Errorf("phase 3: %w", err))
+		if err := recordResults(ctx, node, st, tr.spec.Seed, results, specKeys); err != nil {
+			return fmt.Errorf("phase 3: %w", err)
 		}
 	}
 
 	// Survivors must detect the death and rebuild the ring.
 	for i := 0; i < 2; i++ {
 		for {
-			rebuilds, err := metricValue(fleet[i].base, "cluster.ring_rebuilds")
-			if err == nil && rebuilds >= 1 {
+			m, err := fleet[i].Metrics(ctx)
+			if err == nil && m["cluster.ring_rebuilds"].Value >= 1 {
 				break
 			}
-			if time.Now().After(deadline) {
-				fatal(fmt.Errorf("phase 3: n%d never rebuilt the ring after n3 died", i+1))
+			if ctx.Err() != nil {
+				return fmt.Errorf("phase 3: n%d never rebuilt the ring after n3 died", i+1)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -227,58 +254,45 @@ func main() {
 
 	// Post-death probe: both survivors still accept and finish work.
 	for i := 0; i < 2; i++ {
-		spec := jobSpec{Pairs: *pairs, Seed: postSeed + uint64(i)}
-		id, err := submit(fleet[i].base, spec)
-		if err != nil {
-			fatal(fmt.Errorf("phase 3 post-death submit via n%d: %w", i+1, err))
-		}
-		st, err := waitTerminal(fleet[i].base, id)
+		spec := server.JobSpec{Pairs: *pairs, Seed: postSeed + uint64(i)}
+		st, err := fleet[i].Run(ctx, spec)
 		if err != nil || st.State != "done" {
-			fatal(fmt.Errorf("phase 3 post-death job on n%d: state %q, err %v", i+1, st.State, err))
+			return fmt.Errorf("phase 3 post-death job on n%d: state %q, err %v", i+1, st.State, err)
 		}
-		if err := recordResults(fleet[i].base, st, spec.Seed, results, specKeys); err != nil {
-			fatal(fmt.Errorf("phase 3: %w", err))
+		if err := recordResults(ctx, fleet[i].Client, st, spec.Seed, results, specKeys); err != nil {
+			return fmt.Errorf("phase 3: %w", err)
 		}
 	}
 
 	// Survivors drain cleanly: SIGTERM, exit 0.
 	for i := 0; i < 2; i++ {
-		if err := fleet[i].stop(); err != nil {
-			fatal(fmt.Errorf("phase 3: n%d unclean drain: %w", i+1, err))
+		if err := fleet[i].Stop(ctx); err != nil {
+			return fmt.Errorf("phase 3: n%d unclean drain: %w", i+1, err)
 		}
 	}
 	logf("phase 3: survivors drained cleanly")
 
 	// ---- Phase 4: single-node oracle -----------------------------------
 	logf("phase 4: single-node oracle, same specs, no cluster layer")
-	oracleAddrs, err := freeAddrs(1)
+	oracle, err := start("oracle", "")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	oracle, err := startServer(dir, "oracle", oracleAddrs[0])
-	if err != nil {
-		fatal(err)
-	}
-	defer oracle.kill()
 
 	seeds := make([]uint64, 0, len(specKeys))
 	for s := range specKeys {
 		seeds = append(seeds, s)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	checked := 0
 	for _, seed := range seeds {
-		spec := jobSpec{Pairs: *pairs, Seed: seed}
+		spec := server.JobSpec{Pairs: *pairs, Seed: seed}
 		if seed == hotSeed {
 			spec.Pairs = 2 * *pairs
 		}
-		id, err := submit(oracle.base, spec)
-		if err != nil {
-			fatal(fmt.Errorf("phase 4 submit seed %d: %w", seed, err))
-		}
-		st, err := waitTerminal(oracle.base, id)
+		st, err := oracle.Run(ctx, spec)
 		if err != nil || st.State != "done" {
-			fatal(fmt.Errorf("phase 4 job seed %d: state %q, err %v", seed, st.State, err))
+			return fmt.Errorf("phase 4 job seed %d: state %q, err %v", seed, st.State, err)
 		}
 		var keys []string
 		for _, r := range st.Results {
@@ -288,77 +302,81 @@ func main() {
 			keys = append(keys, r.Key)
 			want, ok := results[r.Key]
 			if !ok {
-				fatal(fmt.Errorf("phase 4: oracle produced key %s the fleet never did (seed %d)", r.Key, seed))
+				return fmt.Errorf("phase 4: oracle produced key %s the fleet never did (seed %d)", r.Key, seed)
 			}
-			data, err := fetchResult(oracle.base, r.Key)
+			data, err := oracle.Result(ctx, r.Key)
 			if err != nil {
-				fatal(fmt.Errorf("phase 4 result %s: %w", r.Key, err))
+				return fmt.Errorf("phase 4: %w", err)
 			}
 			if !bytes.Equal(data, want) {
-				fatal(fmt.Errorf("phase 4: result %s differs between fleet and single node", r.Key))
+				return fmt.Errorf("phase 4: result %s differs between fleet and single node", r.Key)
 			}
 			checked++
 		}
-		sort.Strings(keys)
-		if want := specKeys[seed]; !equalStrings(keys, want) {
-			fatal(fmt.Errorf("phase 4: seed %d produced keys %v, fleet had %v", seed, keys, want))
+		slices.Sort(keys)
+		if want := specKeys[seed]; !slices.Equal(keys, want) {
+			return fmt.Errorf("phase 4: seed %d produced keys %v, fleet had %v", seed, keys, want)
 		}
 	}
-	if err := oracle.stop(); err != nil {
-		fatal(fmt.Errorf("phase 4 graceful stop: %w", err))
+	if err := oracle.Stop(ctx); err != nil {
+		return fmt.Errorf("phase 4 graceful stop: %w", err)
 	}
 
 	fmt.Printf("fleet-smoke PASS: %d jobs across 3 nodes, %.0f forwards, %.0f phase-2 simulations for %d keys, 1 node killed, %d pair results byte-identical to single-node oracle\n",
 		len(load)+nB+2, forwards, sims, keys, checked)
+	return nil
 }
 
-// waitResult pairs a terminal status with the base URL it came from,
-// so result bytes are fetched from a node that actually answers.
-type waitResult struct {
-	base   string
-	status jobStatus
-}
-
-// waitOrResubmit polls a job on its submission node; if the node (or
-// the owner it proxies to) is dead, the spec is resubmitted to the
+// waitOrResubmit waits for a job on its submission node; if the node
+// (or the owner it proxies to) is dead, the spec is resubmitted to the
 // first survivor — the client-side retry story for a fleet without
 // job-state replication. Content addressing makes the retry safe:
-// recomputed pairs land on the same keys with the same bytes.
-func waitOrResubmit(fleet []*proc, node int, id string, spec jobSpec) (waitResult, error) {
-	base := fleet[node].base
+// recomputed pairs land on the same keys with the same bytes. It
+// returns the node whose status it returns, so result bytes are
+// fetched from a node that answers.
+func waitOrResubmit(ctx context.Context, fleet []*serveclient.Proc, node int, id string, spec server.JobSpec) (*serveclient.Client, server.JobStatus, error) {
 	if node != 2 { // submission node survives; owner may not
-		st, err := waitTerminalTolerant(base, id)
+		st, err := waitTolerant(ctx, fleet[node].Client, id)
 		if err == nil && st.State == "done" {
-			return waitResult{base, st}, nil
+			return fleet[node].Client, st, nil
 		}
 	}
-	base = fleet[0].base
-	id2, err := submit(base, spec)
+	survivor := fleet[0].Client
+	st, err := survivor.Run(ctx, spec)
 	if err != nil {
-		return waitResult{}, fmt.Errorf("resubmit: %w", err)
-	}
-	st, err := waitTerminal(base, id2)
-	if err != nil {
-		return waitResult{}, err
+		return nil, st, fmt.Errorf("resubmit: %w", err)
 	}
 	if st.State != "done" {
-		return waitResult{}, fmt.Errorf("resubmitted job %s: state %q, error %q", id2, st.State, st.Error)
+		return nil, st, fmt.Errorf("resubmitted job %s: state %q, error %q", st.ID, st.State, st.Error)
 	}
-	return waitResult{base, st}, nil
+	return survivor, st, nil
+}
+
+// waitTolerant is Client.Wait that takes only the fifth failed read
+// (transport or proxy errors) as the verdict "this job is stranded on
+// a dead node", instead of the first.
+func waitTolerant(ctx context.Context, c *serveclient.Client, id string) (server.JobStatus, error) {
+	for fails := 1; ; fails++ {
+		st, err := c.Wait(ctx, id)
+		if err == nil || ctx.Err() != nil || fails == 5 {
+			return st, err
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 }
 
 // recordResults files every successful pair of st into the shared
 // byte and key-set maps, requiring cross-job byte agreement on
 // shared keys.
-func recordResults(base string, st jobStatus, seed uint64, results map[string][]byte, specKeys map[uint64][]string) error {
+func recordResults(ctx context.Context, c *serveclient.Client, st server.JobStatus, seed uint64, results map[string][]byte, specKeys map[uint64][]string) error {
 	var keys []string
 	for _, r := range st.Results {
 		if r.Failed || r.Key == "" {
 			continue
 		}
-		data, err := fetchResult(base, r.Key)
+		data, err := c.Result(ctx, r.Key)
 		if err != nil {
-			return fmt.Errorf("result %s: %w", r.Key, err)
+			return err
 		}
 		if prev, ok := results[r.Key]; ok && !bytes.Equal(prev, data) {
 			return fmt.Errorf("key %s changed bytes between jobs", r.Key)
@@ -366,9 +384,9 @@ func recordResults(base string, st jobStatus, seed uint64, results map[string][]
 		results[r.Key] = data
 		keys = append(keys, r.Key)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	if prev, ok := specKeys[seed]; ok {
-		if !equalStrings(prev, keys) {
+		if !slices.Equal(prev, keys) {
 			return fmt.Errorf("seed %d produced keys %v, previously %v", seed, keys, prev)
 		}
 	} else {
@@ -377,311 +395,6 @@ func recordResults(base string, st jobStatus, seed uint64, results map[string][]
 	return nil
 }
 
-// fleetSums sums each named counter over every node; all nodes must
-// answer.
-func fleetSums(fleet []*proc, names ...string) (map[string]float64, error) {
-	sums := make(map[string]float64, len(names))
-	for _, p := range fleet {
-		for _, name := range names {
-			v, err := metricValue(p.base, name)
-			if err != nil {
-				return nil, fmt.Errorf("reading %s from %s: %w", name, p.base, err)
-			}
-			sums[name] += v
-		}
-	}
-	return sums, nil
-}
-
-// freeAddrs reserves n distinct loopback ports by binding and
-// releasing them. The tiny release-to-reuse race is acceptable in a
-// smoke harness; peers must know each other's ports before any node
-// starts, so ephemeral :0 binding cannot work here.
-func freeAddrs(n int) ([]string, error) {
-	addrs := make([]string, 0, n)
-	listeners := make([]net.Listener, 0, n)
-	defer func() {
-		for _, l := range listeners {
-			l.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners = append(listeners, l)
-		addrs = append(addrs, l.Addr().String())
-	}
-	return addrs, nil
-}
-
-// ---- server process management (mirrors cmd/ampchaos) -------------------
-
-type proc struct {
-	cmd    *exec.Cmd
-	base   string
-	exited chan struct{}
-	werr   error
-}
-
-// startServer launches ampserve on the given fixed address with
-// small, fast simulation parameters and waits until it answers
-// /healthz. The simulation parameters must match across every node
-// and the oracle: content addresses hash them.
-func startServer(dir, name, addr string, extra ...string) (*proc, error) {
-	args := append([]string{
-		"-addr", addr,
-		"-journaldir", filepath.Join(dir, name+"-journal"),
-		"-cachedir", filepath.Join(dir, name+"-cache"),
-		"-flushevery", "100ms",
-		"-limit", "40000", "-contextswitch", "10000",
-		"-profilelimit", "30000", "-fidelity", "interval",
-	}, extra...)
-	cmd := exec.Command(*ampserve, args...)
-	if *verbose {
-		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
-	} else {
-		cmd.Stdout, cmd.Stderr = io.Discard, io.Discard
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", name, err)
-	}
-	p := &proc{cmd: cmd, base: "http://" + addr, exited: make(chan struct{})}
-	procs = append(procs, p)
-	go func() {
-		p.werr = cmd.Wait()
-		close(p.exited)
-	}()
-	for {
-		if time.Now().After(deadline) {
-			p.kill()
-			return nil, fmt.Errorf("%s: server never became healthy", name)
-		}
-		select {
-		case <-p.exited:
-			return nil, fmt.Errorf("%s: server exited before becoming healthy: %v", name, p.werr)
-		default:
-		}
-		if resp, err := http.Get(p.base + "/healthz"); err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return p, nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// kill is the chaos primitive: SIGKILL, no drain, no flush. Idempotent
-// so it doubles as cleanup.
-func (p *proc) kill() {
-	select {
-	case <-p.exited:
-		return
-	default:
-	}
-	_ = p.cmd.Process.Kill()
-	<-p.exited
-}
-
-// stop drains gracefully via SIGTERM and requires a clean exit.
-func (p *proc) stop() error {
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case <-p.exited:
-	case <-time.After(time.Until(deadline)):
-		p.kill()
-		return fmt.Errorf("server did not drain before the harness deadline")
-	}
-	if p.werr != nil {
-		return fmt.Errorf("unclean exit: %w", p.werr)
-	}
-	return nil
-}
-
-// ---- HTTP client helpers ------------------------------------------------
-
-type jobSpec struct {
-	Pairs int    `json:"pairs"`
-	Seed  uint64 `json:"seed,omitempty"`
-}
-
-type pairResult struct {
-	Key    string `json:"key"`
-	Failed bool   `json:"failed,omitempty"`
-}
-
-type jobStatus struct {
-	ID      string       `json:"id"`
-	State   string       `json:"state"`
-	Error   string       `json:"error,omitempty"`
-	Results []pairResult `json:"results,omitempty"`
-}
-
-func terminalState(s string) bool { return s == "done" || s == "failed" || s == "canceled" }
-
-// submit POSTs one job, retrying overload pushback (429/503) with the
-// server's Retry-After hint, and returns the acknowledged id.
-func submit(base string, spec jobSpec) (string, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return "", err
-	}
-	for {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable {
-			resp.Body.Close()
-			if time.Now().After(deadline) {
-				return "", fmt.Errorf("submit timed out on backpressure")
-			}
-			time.Sleep(retryAfter(resp))
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			resp.Body.Close()
-			return "", fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-		}
-		var st jobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return "", err
-		}
-		return st.ID, nil
-	}
-}
-
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 && secs <= 5 {
-		return time.Duration(secs) * time.Second
-	}
-	return 50 * time.Millisecond
-}
-
-// waitTerminal polls a job until it reaches a terminal state.
-func waitTerminal(base, id string) (jobStatus, error) {
-	for {
-		st, err := pollOnce(base, id)
-		if err != nil {
-			return jobStatus{}, err
-		}
-		if terminalState(st.State) {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s at harness deadline", id, st.State)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// waitTerminalTolerant polls like waitTerminal but treats transport
-// and proxy errors as a verdict ("this job is stranded on a dead
-// node") after a few consecutive failures, instead of fatal.
-func waitTerminalTolerant(base, id string) (jobStatus, error) {
-	errs := 0
-	for {
-		st, err := pollOnce(base, id)
-		if err != nil {
-			errs++
-			if errs >= 5 {
-				return jobStatus{}, fmt.Errorf("job %s unreachable: %w", id, err)
-			}
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		errs = 0
-		if terminalState(st.State) {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s at harness deadline", id, st.State)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func pollOnce(base, id string) (jobStatus, error) {
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return jobStatus{}, fmt.Errorf("status: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var st jobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return jobStatus{}, err
-	}
-	return st, nil
-}
-
-// fetchResult reads one content-addressed pair record's raw bytes.
-func fetchResult(base, key string) ([]byte, error) {
-	resp, err := http.Get(base + "/v1/results/" + key)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result %s: HTTP %d", key, resp.StatusCode)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// metricValue reads one counter/gauge from /metrics.
-func metricValue(base, name string) (float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var snap struct {
-		Metrics []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return 0, err
-	}
-	for _, m := range snap.Metrics {
-		if m.Name == name {
-			return m.Value, nil
-		}
-	}
-	return 0, nil // absent = never incremented
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ampfleet: "+format+"\n", args...)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ampfleet: FAIL:", err)
-	for _, p := range procs {
-		p.kill()
-	}
-	os.Exit(1)
 }

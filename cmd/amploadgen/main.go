@@ -12,10 +12,11 @@
 // serve-smoke`): the exit status is non-zero when no job completes.
 //
 // Overload protection is backpressure, not failure: a 429 (load shed)
-// or 503 (circuit breaker open) is retried after the server's
-// Retry-After hint. -report-shed appends a summary of how often the
-// server pushed back and how long the loop honored its hints — the
-// observable half of the admission-control contract.
+// or 503 (circuit breaker open) is retried after the server's retry
+// hint, by the rule of internal/serveclient, the client this command
+// drives the service through. -report-shed appends a summary of how
+// often the server pushed back and how long the loop honored its
+// hints — the observable half of the admission-control contract.
 //
 // Fleet mode: -fleet takes a comma-separated node list and sprays
 // submissions round-robin across it, so every node sees every spec
@@ -28,44 +29,19 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ampsched/internal/serveclient"
+	"ampsched/internal/server"
 )
-
-type jobSpec struct {
-	Pairs    int    `json:"pairs"`
-	Seed     uint64 `json:"seed,omitempty"`
-	Fidelity string `json:"fidelity,omitempty"`
-	Priority int    `json:"priority,omitempty"`
-}
-
-type jobStatus struct {
-	ID        string `json:"id"`
-	State     string `json:"state"`
-	Completed int    `json:"completed"`
-	Failed    int    `json:"failed"`
-	CacheHits int    `json:"cache_hits"`
-	Error     string `json:"error,omitempty"`
-}
-
-// shedStats counts the server's overload pushback.
-type shedStats struct {
-	shed     atomic.Int64 // HTTP 429: cost-based load shedding
-	breaker  atomic.Int64 // HTTP 503: circuit breaker open
-	waitNano atomic.Int64 // total backoff honored before resubmitting
-}
-
-func (s *shedStats) rejections() int64 { return s.shed.Load() + s.breaker.Load() }
 
 func main() {
 	var (
@@ -95,9 +71,9 @@ func main() {
 	}
 
 	nodes := fleetNodes(*fleetFlag, *addr)
-	bases := make([]string, len(nodes))
+	clients := make([]*serveclient.Client, len(nodes))
 	for i, n := range nodes {
-		bases[i] = "http://" + n
+		clients[i] = serveclient.New("http://" + n)
 	}
 	var (
 		submitted atomic.Int64
@@ -105,7 +81,6 @@ func main() {
 		failed    atomic.Int64
 		pairsDone atomic.Int64
 		cacheHits atomic.Int64
-		shed      shedStats
 
 		latMu     sync.Mutex
 		latencies []time.Duration
@@ -118,13 +93,13 @@ func main() {
 	// first (hottest) seed instead. Targets rotate round-robin through
 	// the fleet, so in fleet mode every node receives every hot key
 	// and cross-node routing has to deduplicate the work.
-	next := func() (uint64, string, bool) {
+	next := func() (uint64, *serveclient.Client, bool) {
 		n := submitted.Add(1)
 		if *jobs > 0 && n > int64(*jobs) {
-			return 0, "", false
+			return 0, nil, false
 		}
 		if *jobs <= 0 && !time.Now().Before(deadline) {
-			return 0, "", false
+			return 0, nil, false
 		}
 		jobSeed := *seed + uint64((n-1)%int64(*distinct))
 		// Stride the hot jobs through the sequence (7919 is coprime to
@@ -133,7 +108,7 @@ func main() {
 		if ((n-1)*7919)%100 < int64(*skew*100) {
 			jobSeed = *seed
 		}
-		return jobSeed, bases[(n-1)%int64(len(bases))], true
+		return jobSeed, clients[(n-1)%int64(len(clients))], true
 	}
 
 	var wg sync.WaitGroup
@@ -142,14 +117,14 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for {
-				jobSeed, base, ok := next()
+				jobSeed, c, ok := next()
 				if !ok {
 					return
 				}
 				t0 := time.Now()
-				st, err := runJob(base, jobSpec{
-					Pairs: *pairs, Seed: jobSeed, Fidelity: *fidelity,
-				}, *timeout, &shed)
+				ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+				st, err := c.Run(ctx, server.JobSpec{Pairs: *pairs, Seed: jobSeed, Fidelity: *fidelity})
+				cancel()
 				if err != nil {
 					failed.Add(1)
 					fmt.Fprintln(os.Stderr, "amploadgen:", err)
@@ -176,9 +151,16 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
+	var shed serveclient.Pushback
+	for _, c := range clients {
+		p := c.Pushback()
+		shed.Shed += p.Shed
+		shed.Refused += p.Refused
+		shed.Waited += p.Waited
+	}
 	done := completed.Load()
 	fmt.Printf("jobs:       %d completed, %d failed, %d rejections retried\n",
-		done, failed.Load(), shed.rejections())
+		done, failed.Load(), shed.Shed+shed.Refused)
 	fmt.Printf("pairs:      %d served, %d from cache (%.0f%% hit ratio)\n",
 		pairsDone.Load(), cacheHits.Load(), 100*ratio(cacheHits.Load(), pairsDone.Load()))
 	fmt.Printf("throughput: %.2f jobs/s over %v at concurrency %d\n",
@@ -190,11 +172,10 @@ func main() {
 	}
 	if *reportShed {
 		fmt.Printf("shed:       %d load-shed (429), %d breaker-refused (503), %v backoff honored\n",
-			shed.shed.Load(), shed.breaker.Load(),
-			time.Duration(shed.waitNano.Load()).Round(time.Millisecond))
+			shed.Shed, shed.Refused, shed.Waited.Round(time.Millisecond))
 	}
 	if len(nodes) > 1 {
-		fleetReport(nodes, bases)
+		fleetReport(nodes, clients)
 	}
 	if done == 0 {
 		fatal(fmt.Errorf("no job completed"))
@@ -224,128 +205,25 @@ func fleetNodes(fleet, addr string) []string {
 // simulator = server.batched_pairs), how it moved (forwards, ring
 // rebuilds), and the fleet-wide cross-node cache-hit rate — remote
 // lookups that found the pair already computed elsewhere.
-func fleetReport(nodes, bases []string) {
+func fleetReport(nodes []string, clients []*serveclient.Client) {
 	fmt.Printf("fleet:      %-21s %8s %8s %8s %8s\n",
 		"node", "jobs", "simmed", "fwd", "rebuilds")
 	var remoteHits, remoteMisses float64
-	for i, base := range bases {
-		m, err := scrapeMetrics(base)
+	for i, c := range clients {
+		m, err := c.Metrics(context.Background())
 		if err != nil {
 			fmt.Printf("fleet:      %-21s unreachable: %v\n", nodes[i], err)
 			continue
 		}
 		fmt.Printf("fleet:      %-21s %8.0f %8.0f %8.0f %8.0f\n",
-			nodes[i], m["server.jobs_completed"], m["server.batched_pairs"],
-			m["cluster.forwards"], m["cluster.ring_rebuilds"])
-		remoteHits += m["cluster.remote_hits"]
-		remoteMisses += m["cluster.remote_misses"]
+			nodes[i], m["server.jobs_completed"].Value, m["server.batched_pairs"].Value,
+			m["cluster.forwards"].Value, m["cluster.ring_rebuilds"].Value)
+		remoteHits += m["cluster.remote_hits"].Value
+		remoteMisses += m["cluster.remote_misses"].Value
 	}
 	fmt.Printf("fleet:      cross-node cache-hit rate %.0f%% (%.0f/%.0f remote lookups)\n",
 		100*ratio(int64(remoteHits), int64(remoteHits+remoteMisses)),
 		remoteHits, remoteHits+remoteMisses)
-}
-
-// scrapeMetrics reads one node's /metrics snapshot into name → value.
-func scrapeMetrics(base string) (map[string]float64, error) {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: HTTP %d", resp.StatusCode)
-	}
-	var snap struct {
-		Metrics []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"metrics"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(snap.Metrics))
-	for _, m := range snap.Metrics {
-		out[m.Name] = m.Value
-	}
-	return out, nil
-}
-
-// retryAfter extracts the server's backoff hint, clamped to keep a
-// misconfigured server from stalling the loop; fallback is the old
-// fixed 50ms poll.
-func retryAfter(resp *http.Response, fallback, max time.Duration) time.Duration {
-	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || secs <= 0 {
-		return fallback
-	}
-	d := time.Duration(secs) * time.Second
-	if d > max {
-		return max
-	}
-	return d
-}
-
-// runJob submits one job and polls it to a terminal state. A 429
-// (shed) or 503 (breaker) is backpressure, not failure: the closed
-// loop honors Retry-After and resubmits.
-func runJob(base string, spec jobSpec, timeout time.Duration, shed *shedStats) (jobStatus, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return jobStatus{}, err
-	}
-	deadline := time.Now().Add(timeout)
-	var st jobStatus
-	for {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return jobStatus{}, fmt.Errorf("submitting job: %w", err)
-		}
-		if resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable {
-			wait := retryAfter(resp, 50*time.Millisecond, 5*time.Second)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				shed.shed.Add(1)
-			} else {
-				shed.breaker.Add(1)
-			}
-			if !time.Now().Before(deadline) {
-				return jobStatus{}, fmt.Errorf("submit timed out on backpressure")
-			}
-			shed.waitNano.Add(int64(wait))
-			time.Sleep(wait)
-			continue
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			resp.Body.Close()
-			return jobStatus{}, fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return jobStatus{}, fmt.Errorf("decoding submit response: %w", err)
-		}
-		break
-	}
-
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + st.ID)
-		if err != nil {
-			return jobStatus{}, fmt.Errorf("polling job %s: %w", st.ID, err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return jobStatus{}, fmt.Errorf("decoding job %s status: %w", st.ID, err)
-		}
-		switch st.State {
-		case "done", "failed", "canceled":
-			return st, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return jobStatus{}, fmt.Errorf("job %s did not finish within %v", st.ID, timeout)
 }
 
 // pct returns the p-th percentile of sorted latencies.

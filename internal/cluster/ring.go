@@ -88,11 +88,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the sorted member list.
-func (r *Ring) Nodes() []string {
-	return append([]string(nil), r.nodes...)
-}
-
 // Owner returns the member owning key: the first virtual node at or
 // clockwise after the key's point. Empty ring returns "".
 func (r *Ring) Owner(key string) string {

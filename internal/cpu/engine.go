@@ -130,9 +130,6 @@ func (s EngineStats) Sub(o EngineStats) EngineStats {
 // Detailed is the cycle-level engine: the out-of-order Core itself.
 type Detailed = Core
 
-// NewDetailed builds a cycle-level engine (alias of NewCore).
-func NewDetailed(cfg *Config) *Detailed { return NewCore(cfg) }
-
 // DetailedFactory is the EngineFactory for the cycle-level core; it is
 // the default fidelity everywhere.
 func DetailedFactory(cfg *Config) (Engine, error) { return NewCore(cfg), nil }

@@ -172,9 +172,6 @@ func (v *Voter) Init(depth int) {
 	}
 }
 
-// Depth returns the configured history depth.
-func (v *Voter) Depth() int { return v.depth }
-
 // Len returns the number of votes currently held.
 func (v *Voter) Len() int { return v.n }
 

@@ -197,9 +197,6 @@ func (d *Detector) closeInterval() {
 	d.history = append(d.history, Transition{EndInstr: d.count, Phase: id})
 }
 
-// Current returns the current phase id (-1 before the first interval).
-func (d *Detector) Current() int { return d.current }
-
 // Phases returns the number of distinct phases discovered.
 func (d *Detector) Phases() int { return len(d.table) }
 

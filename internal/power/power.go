@@ -156,14 +156,6 @@ func SnapshotCaches(c *cpu.Core) CacheStats {
 	return CacheStats{L1I: h.L1I.Stats(), L1D: h.L1D.Stats(), L2: h.L2.Stats()}
 }
 
-// SnapshotEngine is SnapshotCaches for any simulation engine: the
-// counters come from the engine's EngineStats snapshot, which analytic
-// engines synthesize from calibration rates.
-func SnapshotEngine(e cpu.Engine) CacheStats {
-	st := e.Stats()
-	return CacheStats{L1I: st.L1I, L1D: st.L1D, L2: st.L2}
-}
-
 // Model computes energy for a specific core configuration.
 type Model struct {
 	cfg    *cpu.Config

@@ -58,9 +58,6 @@ func (s *JSONLSink) EmitSummary(snapshot []Metric) {
 	s.err = s.enc.Encode(summaryLine{Kind: "summary", Events: s.lines, Metrics: snapshot})
 }
 
-// Lines returns the number of event lines written so far.
-func (s *JSONLSink) Lines() uint64 { return s.lines }
-
 // Close flushes and reports the first write error.
 func (s *JSONLSink) Close() error {
 	ferr := s.w.Flush()
