@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal fuzz-engine clean
+.PHONY: all build vet ampvet analyze lint test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale repro-check fuzz fuzz-fault fuzz-wal fuzz-engine clean
 
 all: build lint test test-race
 
@@ -15,8 +15,7 @@ vet:
 # Project-specific analyzers (internal/analysis via cmd/ampvet):
 # determinism, hotpathalloc, obserrcheck, plus the dataflow-aware
 # lockcheck, unitcheck and ctxcheck; the full suite also reports stale
-# //ampvet:allow directives. Findings are cached per package content
-# hash; use -nocache to force a full re-analysis.
+# //ampvet:allow directives. Every run analyzes the whole tree afresh.
 ampvet:
 	$(GO) run ./cmd/ampvet ./...
 
@@ -32,17 +31,6 @@ lint: vet
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) run ./cmd/ampvet ./...
-
-# Time the analyzer suite over ./... cold (findings cache disabled) and
-# warm (second cached run) — the numbers recorded in EXPERIMENTS.md.
-lint-bench:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/ampvet" ./cmd/ampvet; \
-	t0=$$(date +%s%N); "$$tmp/ampvet" -nocache ./... >/dev/null; t1=$$(date +%s%N); \
-	echo "ampvet cold (no cache):      $$(( (t1 - t0) / 1000000 )) ms"; \
-	"$$tmp/ampvet" -cachedir "$$tmp/cache" ./... >/dev/null; \
-	t0=$$(date +%s%N); "$$tmp/ampvet" -cachedir "$$tmp/cache" ./... >/dev/null; t1=$$(date +%s%N); \
-	echo "ampvet warm (cache all-hit): $$(( (t1 - t0) / 1000000 )) ms"
 
 test:
 	$(GO) test ./...
@@ -210,6 +198,26 @@ experiments-paper:
 # minutes, via the two-tier sampled engine.
 paperscale:
 	$(GO) run ./cmd/ampexperiments -run fig7full -fidelity sampled -v
+
+# Regenerate the committed results files and fail on any difference
+# but the wall-clock "# total elapsed" line: fig7full at paper scale on
+# the sampled engine (under a minute on 2 CPUs), then every default
+# section (9-10 min). Prints its own wall time.
+repro-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	start=$$(date +%s); \
+	$(GO) build -o "$$tmp/" ./cmd/ampexperiments; \
+	"$$tmp/ampexperiments" -run fig7full -fidelity sampled >"$$tmp/results_fig7full.txt"; \
+	"$$tmp/ampexperiments" >"$$tmp/results_experiments.txt"; \
+	status=0; \
+	for f in results_fig7full.txt results_experiments.txt; do \
+		grep -v '^# total elapsed' "$$f" >"$$tmp/$$f.want"; \
+		grep -v '^# total elapsed' "$$tmp/$$f" >"$$tmp/$$f.got"; \
+		if diff -u "$$tmp/$$f.want" "$$tmp/$$f.got"; then echo "repro-check: $$f matches"; \
+		else echo "repro-check: FAIL: $$f differs from the committed file"; status=1; fi; \
+	done; \
+	echo "repro-check wall time: $$(( $$(date +%s) - start )) s"; \
+	exit $$status
 
 fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzRead -fuzztime 30s

@@ -37,10 +37,6 @@ const (
 	// EventCanceled fires when RunContext returns early because its
 	// context was canceled.
 	EventCanceled
-	// EventReassign fires when a manycore system applies a move batch
-	// (the N-core generalization of EventSwap). Overhead carries the
-	// per-core frozen-window length.
-	EventReassign
 )
 
 // String names the kind for sinks and logs.
@@ -64,8 +60,6 @@ func (k EventKind) String() string {
 		return "wedged"
 	case EventCanceled:
 		return "canceled"
-	case EventReassign:
-		return "reassign"
 	default:
 		return "unknown"
 	}

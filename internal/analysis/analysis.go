@@ -201,12 +201,9 @@ func isFullSuite(analyzers []*Analyzer) bool {
 }
 
 // RunSuite applies the analyzers to every package of a load under one
-// shared summary layer, fanning packages out across GOMAXPROCS.
-// skip(pkg) lets the driver serve a package from its findings cache
-// instead of analyzing it; results come back through the per-package
-// callback (called from multiple goroutines) and the merged, sorted
-// slice.
-func RunSuite(pkgs []*Package, analyzers []*Analyzer, skip func(*Package) ([]Diagnostic, bool)) ([]Diagnostic, error) {
+// shared summary layer, fanning packages out across GOMAXPROCS, and
+// returns the merged findings sorted by position.
+func RunSuite(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	sum := BuildSummaries(pkgs)
 	var (
 		mu    sync.Mutex
@@ -216,19 +213,6 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, skip func(*Package) ([]Dia
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for _, pkg := range pkgs {
-		if skip != nil {
-			if cached, ok := skip(pkg); ok {
-				stamped := make([]Diagnostic, len(cached))
-				copy(stamped, cached)
-				for i := range stamped {
-					stamped[i].Package = pkg.Path
-				}
-				mu.Lock()
-				diags = append(diags, stamped...)
-				mu.Unlock()
-				continue
-			}
-		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(pkg *Package) {

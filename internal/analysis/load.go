@@ -17,14 +17,12 @@ import (
 	"sync"
 )
 
-// ListedPackage is the subset of `go list -json` output the loader and
-// the findings cache consume.
-type ListedPackage struct {
+// listedPackage is the subset of `go list -json` output the loader
+// consumes.
+type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	Standard   bool
 	Error      *struct{ Err string }
@@ -33,13 +31,12 @@ type ListedPackage struct {
 // Package is one loaded, parsed and type-checked package, ready to be
 // handed to analyzers as a Pass.
 type Package struct {
-	Path     string
-	Dir      string
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Types    *types.Package
-	Info     *types.Info
-	Standard bool
+	Path  string
+	Dir   string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 	// TypeErrors holds soft type-checking problems. Analyzers still
 	// run on a package with type errors, but the driver surfaces them.
 	TypeErrors []error
@@ -78,7 +75,7 @@ type Loader struct {
 
 	// meta caches go list output keyed by resolved import path.
 	metaMu sync.Mutex
-	meta   map[string]*ListedPackage
+	meta   map[string]*listedPackage
 }
 
 // apiEntry is one memoized API-view build.
@@ -95,7 +92,7 @@ func NewLoader(dir string) *Loader {
 		GoCmd: "go",
 		Dir:   dir,
 		api:   map[string]*apiEntry{},
-		meta:  map[string]*ListedPackage{},
+		meta:  map[string]*listedPackage{},
 	}
 	unsafeEntry := &apiEntry{pkg: types.Unsafe}
 	unsafeEntry.once.Do(func() {})
@@ -105,7 +102,7 @@ func NewLoader(dir string) *Loader {
 
 // goList runs `go list -e -deps -json` over the patterns and returns
 // the decoded packages in dependency-first order.
-func (l *Loader) goList(patterns []string) ([]*ListedPackage, error) {
+func (l *Loader) goList(patterns []string) ([]*listedPackage, error) {
 	args := append([]string{"list", "-e", "-deps", "-json"}, patterns...)
 	cmd := exec.Command(l.GoCmd, args...)
 	cmd.Dir = l.Dir
@@ -116,10 +113,10 @@ func (l *Loader) goList(patterns []string) ([]*ListedPackage, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, errb.String())
 	}
-	var pkgs []*ListedPackage
+	var pkgs []*listedPackage
 	dec := json.NewDecoder(&out)
 	for {
-		var p ListedPackage
+		var p listedPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
@@ -130,42 +127,25 @@ func (l *Loader) goList(patterns []string) ([]*ListedPackage, error) {
 	return pkgs, nil
 }
 
-// List resolves the patterns to their dependency closure without
-// type-checking anything. The driver uses the listing to compute
-// findings-cache keys before deciding whether a full load is needed.
-func (l *Loader) List(patterns ...string) ([]*ListedPackage, error) {
+// Load resolves the patterns to their `go list -deps` closure and
+// returns fully type-checked Packages for every non-standard-library
+// package in it, sorted by import path. The targets are checked in
+// parallel, resolving their imports through the shared API cache.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	listed, err := l.goList(patterns)
 	if err != nil {
 		return nil, err
 	}
+	var targets []*listedPackage
 	l.metaMu.Lock()
 	for _, p := range listed {
 		l.meta[p.ImportPath] = p
-	}
-	l.metaMu.Unlock()
-	return listed, nil
-}
-
-// Load loads the packages matching the patterns (plus, transitively,
-// their dependencies) and returns fully type-checked Packages for the
-// matched, non-standard-library packages only, sorted by import path.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	listed, err := l.List(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var targets []*ListedPackage
-	for _, p := range listed {
 		if !p.Standard && p.ImportPath != "unsafe" {
 			targets = append(targets, p)
 		}
 	}
-	return l.LoadTargets(targets)
-}
+	l.metaMu.Unlock()
 
-// LoadTargets fully type-checks the given listed packages in parallel,
-// resolving dependencies through the shared API cache.
-func (l *Loader) LoadTargets(targets []*ListedPackage) ([]*Package, error) {
 	var (
 		mu    sync.Mutex
 		out   []*Package
@@ -176,7 +156,7 @@ func (l *Loader) LoadTargets(targets []*ListedPackage) ([]*Package, error) {
 	for _, p := range targets {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(p *ListedPackage) {
+		go func(p *listedPackage) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			full, err := l.fullCheck(p)
@@ -248,7 +228,7 @@ func isTestFile(name string) bool {
 }
 
 // lookupMeta fetches (or go-list-fetches) the listing for one path.
-func (l *Loader) lookupMeta(path string) (*ListedPackage, error) {
+func (l *Loader) lookupMeta(path string) (*listedPackage, error) {
 	l.metaMu.Lock()
 	p, ok := l.meta[path]
 	l.metaMu.Unlock()
@@ -317,7 +297,7 @@ func (l *Loader) buildAPI(path string) (*types.Package, error) {
 
 // fullCheck checks a target package with bodies and a full types.Info
 // for the analyzers.
-func (l *Loader) fullCheck(p *ListedPackage) (*Package, error) {
+func (l *Loader) fullCheck(p *listedPackage) (*Package, error) {
 	if p.Error != nil {
 		return nil, fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
 	}
@@ -329,17 +309,12 @@ func (l *Loader) fullCheck(p *ListedPackage) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	pkg, err := l.check(p.ImportPath, p.Dir, files, l.importerFor(p), false)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Standard = p.Standard
-	return pkg, nil
+	return l.check(p.ImportPath, p.Dir, files, l.importerFor(p), false)
 }
 
 // importerFor resolves a package's imports honoring its ImportMap
 // (std vendoring) through the API cache.
-func (l *Loader) importerFor(p *ListedPackage) types.Importer {
+func (l *Loader) importerFor(p *listedPackage) types.Importer {
 	return importerFunc(func(path string) (*types.Package, error) {
 		return l.importByPath(path, p.ImportMap)
 	})

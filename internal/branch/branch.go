@@ -6,8 +6,7 @@
 // history register. Workload phases control the achievable accuracy
 // through per-site outcome biases (see internal/workload), so phases
 // with low BranchPredictability produce real misprediction stalls in
-// the pipeline model. A simple bimodal predictor is provided as an
-// ablation baseline.
+// the pipeline model.
 package branch
 
 // Predictor is a branch direction predictor.
@@ -105,58 +104,6 @@ func (g *GShare) Reset() {
 
 // Stats implements Predictor.
 func (g *GShare) Stats() Stats { return g.stats }
-
-// Bimodal is a PC-indexed 2-bit counter predictor without history.
-type Bimodal struct {
-	mask  uint64
-	table []uint8
-	stats Stats
-}
-
-// NewBimodal returns a bimodal predictor with 2^indexBits counters.
-func NewBimodal(indexBits uint) *Bimodal {
-	if indexBits == 0 || indexBits > 24 {
-		panic("branch: indexBits must be in [1, 24]")
-	}
-	b := &Bimodal{
-		mask:  (1 << indexBits) - 1,
-		table: make([]uint8, 1<<indexBits),
-	}
-	b.Reset()
-	return b
-}
-
-// Predict implements Predictor.
-func (b *Bimodal) Predict(pc uint64) bool {
-	return b.table[(pc>>2)&b.mask] >= 2
-}
-
-// Update implements Predictor.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := (pc >> 2) & b.mask
-	b.stats.Lookups++
-	pred := b.table[i] >= 2
-	if pred != taken {
-		b.stats.Mispredicts++
-	}
-	if taken {
-		if b.table[i] < 3 {
-			b.table[i]++
-		}
-	} else if b.table[i] > 0 {
-		b.table[i]--
-	}
-}
-
-// Reset implements Predictor.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
-}
-
-// Stats implements Predictor.
-func (b *Bimodal) Stats() Stats { return b.stats }
 
 func b2u(v bool) uint64 {
 	if v {

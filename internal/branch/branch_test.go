@@ -93,28 +93,6 @@ func TestGShareSizePanics(t *testing.T) {
 	}
 }
 
-func TestBimodalLearnsPerPC(t *testing.T) {
-	b := NewBimodal(12)
-	taken := uint64(0x1000)
-	notTaken := uint64(0x2000)
-	for i := 0; i < 100; i++ {
-		b.Update(taken, true)
-		b.Update(notTaken, false)
-	}
-	if !b.Predict(taken) || b.Predict(notTaken) {
-		t.Fatal("bimodal failed to learn per-PC biases")
-	}
-}
-
-func TestBimodalSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBimodal(0) did not panic")
-		}
-	}()
-	NewBimodal(0)
-}
-
 func TestStatsSub(t *testing.T) {
 	a := Stats{Lookups: 10, Mispredicts: 3}
 	b := Stats{Lookups: 4, Mispredicts: 1}
@@ -146,5 +124,4 @@ func TestQuickMispredictsBounded(t *testing.T) {
 
 func TestPredictorInterface(t *testing.T) {
 	var _ Predictor = NewGShare(8)
-	var _ Predictor = NewBimodal(8)
 }

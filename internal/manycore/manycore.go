@@ -93,15 +93,12 @@ type System struct {
 	// engineFactory builds the engines (WithEngine); nil means
 	// cpu.DetailedFactory.
 	engineFactory cpu.EngineFactory
-	injector      amp.SwapInjector
-	obs           amp.Observer
 	tel           *telemetryHook
 
 	cycle        uint64 //ampvet:unit cycles
 	stride       uint64
 	reassigns    uint64 // applied move batches
 	moves        uint64 // individual relocations applied
-	failed       uint64 // batches dropped by the fault injector
 	invalid      uint64 // malformed batches ignored
 	lastReassign uint64
 	stallUntil   []uint64 // per-core frozen-window end
@@ -122,9 +119,8 @@ type System struct {
 // and deterministic: thread i binds to the lowest-indexed free core
 // whose pool its affinity mask allows; threads left over start parked.
 // sched may be nil (the initial assignment is kept). Zero-valued
-// Config knobs take their documented defaults. Instrumentation is
-// attached with functional options: WithObserver, WithFaultPlan,
-// WithEngine, WithTelemetry.
+// Config knobs take their documented defaults. The functional options
+// WithEngine and WithTelemetry select the fidelity and attach metrics.
 func New(cores []CoreSpec, threads []ThreadSpec, sched amp.MoveScheduler, cfg Config, opts ...Option) (*System, error) {
 	n, m := len(cores), len(threads)
 	if n < 1 {
@@ -245,9 +241,8 @@ func (s *System) ThreadEnergyNJ(thread int) float64 {
 // stall window ended (0 if none).
 func (s *System) LastSwapCycle() uint64 { return s.lastReassign }
 
-// SwapFailures implements amp.View: move batches the fault injector
-// dropped.
-func (s *System) SwapFailures() uint64 { return s.failed }
+// SwapFailures implements amp.View: no move batch is ever dropped.
+func (s *System) SwapFailures() uint64 { return 0 }
 
 // CoreConfig implements amp.View.
 func (s *System) CoreConfig(core int) *cpu.Config { return s.cores[core].Config() }
@@ -290,19 +285,6 @@ func (s *System) Engine(i int) cpu.Engine { return s.cores[i] }
 // Thread exposes a thread.
 func (s *System) Thread(i int) *amp.Thread { return s.threads[i] }
 
-// emit publishes an event if an observer is installed.
-//
-//ampvet:hotpath
-func (s *System) emit(e amp.Event) {
-	if s.obs == nil {
-		return
-	}
-	if len(s.binding) >= 2 {
-		e.ThreadOnCore = [2]int{s.binding[0], s.binding[1]}
-	}
-	s.obs.Event(e)
-}
-
 // flushCoreEnergy attributes core c's un-attributed energy to its
 // current occupant. Idle cores are power-gated: they accumulate no
 // activity, so there is nothing to attribute.
@@ -337,9 +319,8 @@ func (s *System) nextEpoch() uint64 {
 // any move names an out-of-range thread or core, relocates the same
 // thread twice, targets the same core twice, or violates the thread's
 // affinity mask. No-op moves (thread already where the move puts it)
-// are dropped; a batch reduced to nothing costs nothing. The fault
-// injector is consulted once per effective batch. The occupant of a
-// targeted core that is not itself relocated by the batch is
+// are dropped; a batch reduced to nothing costs nothing. The occupant
+// of a targeted core that is not itself relocated by the batch is
 // implicitly parked. Each affected core — move sources and targets —
 // freezes for the configured overhead; untouched cores keep running.
 //
@@ -377,20 +358,6 @@ func (s *System) applyMoves(mv []amp.Move) bool {
 	}
 	if len(s.batch) == 0 {
 		return false
-	}
-
-	factor := 1.0
-	if s.injector != nil {
-		out := s.injector.SwapOutcome(s.cycle)
-		if out.Fail {
-			s.failed++
-			s.tel.failedInc()
-			s.emit(amp.Event{Kind: amp.EventSwapFailed, Cycle: s.cycle})
-			return false
-		}
-		if out.OverheadFactor > 0 {
-			factor = out.OverheadFactor
-		}
 	}
 
 	// Affected cores: every move source and target, deduplicated with
@@ -448,15 +415,11 @@ func (s *System) applyMoves(mv []amp.Move) bool {
 		}
 	}
 
-	overhead := s.cfg.ReassignOverheadCycles
-	if factor != 1 {
-		overhead = uint64(float64(overhead) * factor)
-	}
 	// The batch lands at the end of cycle s.cycle (which already
 	// executed), so each affected core's frozen window is
 	// [cycle+1, cycle+overhead]; like amp, reassignments are dated from
 	// completion so interval-based rules measure execution time.
-	until := s.cycle + 1 + overhead
+	until := s.cycle + 1 + s.cfg.ReassignOverheadCycles
 	for _, c := range s.touched {
 		s.stallUntil[c] = until
 	}
@@ -464,7 +427,6 @@ func (s *System) applyMoves(mv []amp.Move) bool {
 	s.reassigns++
 	s.moves += uint64(len(s.batch))
 	s.tel.reassign(len(s.batch))
-	s.emit(amp.Event{Kind: amp.EventReassign, Cycle: s.cycle, Overhead: overhead, Delayed: factor != 1})
 	return true
 }
 
@@ -493,11 +455,9 @@ type Result struct {
 	// individual relocations inside them.
 	Reassigns uint64
 	Moves     uint64
-	// FailedReassigns counts batches the fault injector dropped;
 	// InvalidBatches counts malformed batches the system ignored.
-	FailedReassigns uint64
-	InvalidBatches  uint64
-	Threads         []ThreadResult
+	InvalidBatches uint64
+	Threads        []ThreadResult
 }
 
 // GeomeanIPCW returns the geometric mean of per-thread IPC/Watt. It
@@ -588,15 +548,6 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 	watchCycle := s.cycle
 	watchLast := s.totalCommitted()
 	done := ctx.Done()
-	s.emit(amp.Event{Kind: amp.EventRunStart, Cycle: s.cycle})
-
-	//ampvet:allow hotpathalloc finish is built once per run, not per cycle
-	finish := func(res Result, err error) (Result, error) {
-		s.emit(amp.Event{Kind: amp.EventRunEnd, Cycle: s.cycle})
-		s.tel.flushRunEnd(s)
-		return res, err
-	}
-
 	for {
 		if limit > 0 && s.anyCommitted(limit) {
 			break
@@ -636,8 +587,7 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 		if done != nil && s.cycle&ctxCheckMask < n {
 			select {
 			case <-done:
-				s.emit(amp.Event{Kind: amp.EventCanceled, Cycle: s.cycle})
-				return finish(s.result(), ctx.Err())
+				return s.finish(ctx.Err())
 			default:
 			}
 		}
@@ -646,8 +596,7 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 				Cycle: s.cycle, Window: s.cfg.CycleBudget,
 				Reason: "cycle budget exhausted", Detail: s.stateDump(),
 			}
-			s.emit(amp.Event{Kind: amp.EventWedged, Cycle: s.cycle, Reason: werr.Reason})
-			return finish(s.result(), werr)
+			return s.finish(werr)
 		}
 		if s.cycle-watchCycle >= s.cfg.WatchdogCycles {
 			total := s.totalCommitted()
@@ -656,15 +605,20 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 					Cycle: s.cycle, Window: s.cfg.WatchdogCycles,
 					Reason: "no commit progress", Detail: s.stateDump(),
 				}
-				s.emit(amp.Event{Kind: amp.EventWedged, Cycle: s.cycle, Reason: werr.Reason})
-				return finish(s.result(), werr)
+				return s.finish(werr)
 			}
 			watchLast = total
 			watchCycle = s.cycle
-			s.emit(amp.Event{Kind: amp.EventWatchdogReset, Cycle: s.cycle})
 		}
 	}
-	return finish(s.result(), nil)
+	return s.finish(nil)
+}
+
+// finish snapshots the run's result and publishes the run-end gauges.
+func (s *System) finish(err error) (Result, error) {
+	res := s.result()
+	s.tel.flushRunEnd(s)
+	return res, err
 }
 
 // anyCommitted reports whether any thread reached the commit limit.
@@ -707,8 +661,7 @@ func (s *System) result() Result {
 	s.flushEnergy()
 	res := Result{
 		Cycles: s.cycle, Reassigns: s.reassigns, Moves: s.moves,
-		FailedReassigns: s.failed, InvalidBatches: s.invalid,
-		Scheduler: "static",
+		InvalidBatches: s.invalid, Scheduler: "static",
 	}
 	if s.sched != nil {
 		res.Scheduler = s.sched.Name()

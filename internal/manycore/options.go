@@ -1,7 +1,6 @@
 package manycore
 
 import (
-	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
 	"ampsched/internal/telemetry"
 )
@@ -10,29 +9,6 @@ import (
 // package's instrumentation surface so pair-level call sites port to
 // N×M without relearning anything.
 type Option func(*System)
-
-// WithObserver installs an event observer. Multiple WithObserver (and
-// WithTelemetry) options compose: every observer sees every event.
-func WithObserver(o amp.Observer) Option {
-	return func(s *System) {
-		if o == nil {
-			return
-		}
-		s.obs = amp.MultiObserver(s.obs, o)
-	}
-}
-
-// WithFaultPlan routes every move batch through the injector
-// (typically a *fault.Plan): a batch may be dropped (FailedReassigns
-// advances, the binding is unchanged) or delayed (per-core overhead
-// multiplied).
-func WithFaultPlan(inj amp.SwapInjector) Option {
-	return func(s *System) {
-		if inj != nil {
-			s.injector = inj
-		}
-	}
-}
 
 // WithEngine selects the simulation fidelity: New builds every core
 // with f instead of the default cpu.DetailedFactory. A nil f keeps
@@ -47,7 +23,7 @@ func WithEngine(f cpu.EngineFactory) Option {
 }
 
 // WithTelemetry publishes the system's metrics into t: the manycore.*
-// counters (reassigns, moves, failed/invalid batches) and run-end
+// counters (reassigns, moves, invalid batches) and run-end
 // gauges (cycles, committed, energy). A nil t is ignored, keeping the
 // call site unconditional.
 func WithTelemetry(t *telemetry.Telemetry) Option {
@@ -65,7 +41,6 @@ type telemetryHook struct {
 	t         *telemetry.Telemetry
 	reassigns *telemetry.Counter
 	moves     *telemetry.Counter
-	failed    *telemetry.Counter
 	invalid   *telemetry.Counter
 }
 
@@ -74,7 +49,6 @@ func newTelemetryHook(t *telemetry.Telemetry) *telemetryHook {
 		t:         t,
 		reassigns: t.Counter("manycore.reassigns"),
 		moves:     t.Counter("manycore.moves"),
-		failed:    t.Counter("manycore.failed_reassigns"),
 		invalid:   t.Counter("manycore.invalid_batches"),
 	}
 }
@@ -88,16 +62,6 @@ func (h *telemetryHook) reassign(n int) {
 	}
 	h.reassigns.Inc()
 	h.moves.Add(uint64(n))
-}
-
-// failedInc records one injector-dropped batch.
-//
-//ampvet:hotpath
-func (h *telemetryHook) failedInc() {
-	if h == nil {
-		return
-	}
-	h.failed.Inc()
 }
 
 // invalidInc records one malformed batch.

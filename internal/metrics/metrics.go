@@ -53,13 +53,3 @@ func Compare(scheme, reference amp.Result) (PairComparison, error) {
 	pc.GeoPct = 100 * (math.Sqrt(pc.Ratios[0]*pc.Ratios[1]) - 1)
 	return pc, nil
 }
-
-// WeightedSpeedup returns the arithmetic mean of per-thread ratios.
-func WeightedSpeedup(ratios [2]float64) float64 {
-	return (ratios[0] + ratios[1]) / 2
-}
-
-// GeometricSpeedup returns the geometric mean of per-thread ratios.
-func GeometricSpeedup(ratios [2]float64) float64 {
-	return math.Sqrt(ratios[0] * ratios[1])
-}

@@ -66,22 +66,12 @@ func TestCompareNonPositive(t *testing.T) {
 	}
 }
 
-func TestSpeedupHelpers(t *testing.T) {
-	r := [2]float64{1.2, 0.8}
-	if WeightedSpeedup(r) != 1.0 {
-		t.Fatal("weighted wrong")
-	}
-	if math.Abs(GeometricSpeedup(r)-math.Sqrt(0.96)) > 1e-12 {
-		t.Fatal("geometric wrong")
-	}
-}
-
 func TestGeoPenalizesImbalance(t *testing.T) {
 	// Same weighted speedup, different balance: geometric must favor
 	// the balanced outcome (the paper's fairness rationale).
 	balanced := Compare2(t, 1.1, 1.1)
 	skewed := Compare2(t, 1.6, 0.6)
-	if WeightedSpeedup(balanced.Ratios) != WeightedSpeedup(skewed.Ratios) {
+	if balanced.WeightedPct != skewed.WeightedPct {
 		t.Fatal("test setup: weighted speedups differ")
 	}
 	if balanced.GeoPct <= skewed.GeoPct {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 
 	"ampsched/internal/amp"
@@ -10,7 +9,8 @@ import (
 // RoundRobin unconditionally swaps the two threads every Interval
 // cycles — the static reference scheme of §VII. The paper evaluates
 // decision intervals of 1 and 2 context-switch periods and finds 1×
-// (2 ms) better; NewRoundRobin takes the multiple so both can be run.
+// (2 ms) better; NewRoundRobinInterval takes the period in cycles so
+// both can be run.
 type RoundRobin struct {
 	interval uint64
 	next     uint64
@@ -19,27 +19,14 @@ type RoundRobin struct {
 	em       swapEmitter
 }
 
-// NewRoundRobin returns a Round Robin scheduler swapping every
-// multiple context-switch periods (multiple >= 1).
-func NewRoundRobin(multiple int, opts ...Option) *RoundRobin {
-	if multiple < 1 {
-		panic(fmt.Sprintf("sched: roundrobin: invalid multiple %d", multiple))
-	}
-	return newRoundRobin(uint64(multiple)*amp.ContextSwitchCycles, opts)
-}
-
-// NewRoundRobinInterval returns a Round Robin scheduler with an
-// explicit cycle interval (for tests and ablations).
+// NewRoundRobinInterval returns a Round Robin scheduler swapping every
+// cycles cycles (cycles >= 1).
 func NewRoundRobinInterval(cycles uint64, opts ...Option) *RoundRobin {
 	if cycles == 0 {
 		panic("sched: roundrobin: zero interval")
 	}
-	return newRoundRobin(cycles, opts)
-}
-
-func newRoundRobin(interval uint64, opts []Option) *RoundRobin {
 	o := buildOptions(opts)
-	return &RoundRobin{interval: interval, tel: newPolTel(o.tel, "roundrobin")}
+	return &RoundRobin{interval: cycles, tel: newPolTel(o.tel, "roundrobin")}
 }
 
 // Name implements amp.MoveScheduler.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 
 	"ampsched/internal/amp"
@@ -411,23 +412,24 @@ func TestRoundRobinSwapsEveryInterval(t *testing.T) {
 }
 
 func TestRoundRobinMultiple(t *testing.T) {
-	r1 := NewRoundRobin(1)
-	r2 := NewRoundRobin(2)
-	if r2.Interval() != 2*r1.Interval() {
-		t.Fatal("multiple not applied")
-	}
-	if r1.Interval() != amp.ContextSwitchCycles {
-		t.Fatal("1x interval is not the context-switch period")
+	// The paper's two decision intervals: 1 and 2 context-switch periods.
+	for _, k := range []uint64{1, 2} {
+		if got := NewRoundRobinInterval(k * amp.ContextSwitchCycles).Interval(); got != k*amp.ContextSwitchCycles {
+			t.Fatalf("%dx interval = %d, want %d", k, got, k*amp.ContextSwitchCycles)
+		}
 	}
 }
 
 func TestRoundRobinPanics(t *testing.T) {
+	// Zero context-switch periods is rejected, and the panic names
+	// the scheduler.
 	defer func() {
-		if recover() == nil {
-			t.Fatal("multiple 0 accepted")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "roundrobin") {
+			t.Fatalf("0x interval: panic = %q, want a roundrobin panic", msg)
 		}
 	}()
-	NewRoundRobin(0)
+	NewRoundRobinInterval(0 * amp.ContextSwitchCycles)
 }
 
 func TestRoundRobinIntervalPanics(t *testing.T) {

@@ -75,7 +75,7 @@ func TestSchedulerNamesDistinct(t *testing.T) {
 		Static{},
 		NewProposed(DefaultProposedConfig()),
 		NewProposedExt(DefaultExtendedConfig()),
-		NewRoundRobin(1),
+		NewRoundRobinInterval(amp.ContextSwitchCycles),
 		NewSampling(DefaultSamplingConfig()),
 	} {
 		if names[s.Name()] {
