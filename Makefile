@@ -232,10 +232,14 @@ fuzz-wal:
 	$(GO) test ./internal/wal -fuzz FuzzReplayBody -fuzztime 30s
 
 # Fuzz the engine span contract: one Run(now, w, n) call must leave the
-# interval and sampled engines' Stats and the thread's state exactly
-# where n one-window calls leave them.
+# interval and sampled engines' Stats, the thread's state and the
+# carried fraction exactly where n one-window calls leave them. Then
+# fuzz the run loop against its window-by-window reference: random
+# pairs, policies, fidelities, fault plans, swap overheads, timelines,
+# cycle budgets and cancellation points must give identical records.
 fuzz-engine:
 	$(GO) test ./internal/interval -fuzz FuzzRunSpan -fuzztime 30s
+	$(GO) test ./internal/amp -fuzz FuzzReferenceLoop -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

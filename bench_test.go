@@ -370,24 +370,39 @@ func BenchmarkEngineRunLoopProposedSampled(b *testing.B) {
 	benchRunLoop(b, interval.SampledFactory(), benchProposed)
 }
 
+func benchHPE() amp.MoveScheduler { return sched.NewHPE(sched.DefaultHPEConfig(), benchEstimator{}) }
+
+func benchRoundRobin() amp.MoveScheduler {
+	return sched.NewRoundRobinInterval(amp.ContextSwitchCycles)
+}
+
 // BenchmarkEngineRunLoopHPESampled wakes once per quantum.
 func BenchmarkEngineRunLoopHPESampled(b *testing.B) {
-	benchRunLoop(b, interval.SampledFactory(), func() amp.MoveScheduler {
-		return sched.NewHPE(sched.DefaultHPEConfig(), benchEstimator{})
-	})
+	benchRunLoop(b, interval.SampledFactory(), benchHPE)
 }
 
 // BenchmarkEngineRunLoopRoundRobinSampled wakes once per quantum.
 func BenchmarkEngineRunLoopRoundRobinSampled(b *testing.B) {
-	benchRunLoop(b, interval.SampledFactory(), func() amp.MoveScheduler {
-		return sched.NewRoundRobinInterval(amp.ContextSwitchCycles)
-	})
+	benchRunLoop(b, interval.SampledFactory(), benchRoundRobin)
 }
 
 // BenchmarkEngineRunLoopProposedInterval is Proposed on the interval
 // engine alone (ampserve's fidelity); its allocs/op are hard-gated.
 func BenchmarkEngineRunLoopProposedInterval(b *testing.B) {
 	benchRunLoop(b, interval.Factory(), benchProposed)
+}
+
+// BenchmarkEngineRunLoopHPEInterval is HPE on the interval engine
+// alone: its quantum-long spans run in closed form, which the sampled
+// rows' warm-ups hide. Its allocs/op are hard-gated.
+func BenchmarkEngineRunLoopHPEInterval(b *testing.B) {
+	benchRunLoop(b, interval.Factory(), benchHPE)
+}
+
+// BenchmarkEngineRunLoopRoundRobinInterval is Round Robin on the
+// interval engine alone; its allocs/op are hard-gated.
+func BenchmarkEngineRunLoopRoundRobinInterval(b *testing.B) {
+	benchRunLoop(b, interval.Factory(), benchRoundRobin)
 }
 
 // --- microbenchmarks of the substrate --------------------------------

@@ -1,12 +1,12 @@
 package amp_test
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"sort"
 	"testing"
 
 	"ampsched/internal/amp"
@@ -117,7 +117,8 @@ func goldenPolicies() []goldenPolicy {
 }
 
 // goldenRun is one pair run's inputs beyond the fidelity: the pair,
-// the scheduler, system options and an optional timeline.
+// the scheduler, system options, an optional timeline and an optional
+// cancellation point.
 type goldenRun struct {
 	a, b     string
 	seed     uint64
@@ -125,55 +126,98 @@ type goldenRun struct {
 	cfg      amp.Config
 	opts     []amp.Option
 	timeline uint64
+	cancelAt int // cancel the run's context at its cancelAt-th event (0: never)
 }
 
-// digestRun runs r and folds everything observable into h: the whole
+// pairRecord is everything observable about one pair run: the whole
 // Result, the run error, the event recorder's canonical bytes, the
 // engines' final ledgers and any timeline.
-func digestRun(h hash.Hash64, f goldenFidelity, r goldenRun) {
+type pairRecord struct {
+	result, events, timeline []byte
+	err, stats               string
+}
+
+// recordRun runs r with RunContext, or with the window-by-window
+// reference loop, and records it.
+func recordRun(f goldenFidelity, r goldenRun, reference bool) pairRecord {
 	ta := amp.NewThread(0, workload.MustByName(r.a), r.seed, 0)
 	tb := amp.NewThread(1, workload.MustByName(r.b), r.seed+1, 1<<40)
 	rec := &amp.EventRecorder{}
 	opts := append([]amp.Option{amp.WithEngine(f.factory), amp.WithObserver(rec)}, r.opts...)
+	ctx := context.Background()
+	if r.cancelAt > 0 {
+		c, cancel := context.WithCancel(ctx)
+		defer cancel()
+		events := 0
+		opts = append(opts, amp.WithObserver(amp.ObserverFunc(func(amp.Event) {
+			if events++; events == r.cancelAt {
+				cancel()
+			}
+		})))
+		ctx = c
+	}
 	sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
 		[2]*amp.Thread{ta, tb}, r.sched, r.cfg, opts...)
 	if r.timeline > 0 {
 		sys.EnableTimeline(r.timeline)
 	}
-	res, err := sys.Run(f.limit)
-	blob, jerr := json.Marshal(res)
-	if jerr != nil {
+	run := sys.RunContext
+	if reference {
+		run = sys.RunReference
+	}
+	res, err := run(ctx, f.limit)
+	var out pairRecord
+	var jerr error
+	if out.result, jerr = json.Marshal(res); jerr != nil {
 		panic(jerr)
 	}
-	h.Write(blob)
-	fmt.Fprintf(h, "|%v|", err)
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(rec.TraceBytes())))
-	h.Write(n[:])
-	h.Write(rec.TraceBytes())
+	out.err = fmt.Sprint(err)
+	out.events = rec.TraceBytes()
 	sys.Detach()
-	fmt.Fprintf(h, "|%+v|%+v|", sys.Engine(0).Stats(), sys.Engine(1).Stats())
+	out.stats = fmt.Sprintf("%+v|%+v", sys.Engine(0).Stats(), sys.Engine(1).Stats())
 	if r.timeline > 0 {
-		tl, jerr := json.Marshal(sys.Timeline())
-		if jerr != nil {
+		if out.timeline, jerr = json.Marshal(sys.Timeline()); jerr != nil {
 			panic(jerr)
 		}
-		h.Write(tl)
 	}
+	return out
 }
 
-// goldenDigests runs every case of one fidelity and returns a digest
-// per case name.
-func goldenDigests(f goldenFidelity) map[string]uint64 {
-	out := map[string]uint64{}
+// digest folds the record into h.
+func (p pairRecord) digest(h hash.Hash64) {
+	h.Write(p.result)
+	fmt.Fprintf(h, "|%s|", p.err)
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(p.events)))
+	h.Write(n[:])
+	h.Write(p.events)
+	fmt.Fprintf(h, "|%s|", p.stats)
+	h.Write(p.timeline)
+}
+
+// goldenCase is one digest of TestPairRunGolden: the runs it folds, in
+// order. Each call of a run builds fresh inputs, schedulers and fault
+// plans included.
+type goldenCase struct {
+	name string
+	runs []func() goldenRun
+}
+
+// goldenCases lists every case of one fidelity: each policy over the
+// golden pairs, then the fault-plan, observer, timeline and
+// cycle-budget runs.
+func goldenCases(f goldenFidelity) []goldenCase {
+	var cases []goldenCase
 	for _, p := range goldenPolicies() {
-		h := fnv.New64a()
+		c := goldenCase{name: p.name}
 		for i, pr := range goldenPairs {
 			seed := uint64(11 + 7*i)
-			a, b := workload.MustByName(pr[0]), workload.MustByName(pr[1])
-			digestRun(h, f, goldenRun{a: pr[0], b: pr[1], seed: seed, sched: p.mk(f, a, b, seed)})
+			c.runs = append(c.runs, func() goldenRun {
+				a, b := workload.MustByName(pr[0]), workload.MustByName(pr[1])
+				return goldenRun{a: pr[0], b: pr[1], seed: seed, sched: p.mk(f, a, b, seed)}
+			})
 		}
-		out[p.name] = h.Sum64()
+		cases = append(cases, c)
 	}
 
 	proposed := func() amp.MoveScheduler {
@@ -221,11 +265,9 @@ func goldenDigests(f goldenFidelity) map[string]uint64 {
 		}},
 	}
 	for _, x := range extras {
-		h := fnv.New64a()
-		digestRun(h, f, x.run())
-		out[x.name] = h.Sum64()
+		cases = append(cases, goldenCase{name: x.name, runs: []func() goldenRun{x.run}})
 	}
-	return out
+	return cases
 }
 
 // TestPairRunGolden pins whole dual-core pair runs — every policy at
@@ -290,17 +332,15 @@ func TestPairRunGolden(t *testing.T) {
 	}
 	seen := 0
 	for _, f := range goldenFidelities() {
-		got := goldenDigests(f)
-		seen += len(got)
-		names := make([]string, 0, len(got))
-		for name := range got {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			key := f.name + "/" + name
-			if w, ok := want[key]; !ok || w != got[name] {
-				t.Errorf("%q: %#016x, want %#016x", key, got[name], w)
+		for _, c := range goldenCases(f) {
+			h := fnv.New64a()
+			for _, run := range c.runs {
+				recordRun(f, run(), false).digest(h)
+			}
+			seen++
+			key := f.name + "/" + c.name
+			if w, ok := want[key]; !ok || w != h.Sum64() {
+				t.Errorf("%q: %#016x, want %#016x", key, h.Sum64(), w)
 			}
 		}
 	}

@@ -72,16 +72,7 @@ func (s *System) loop(ctx context.Context, limit uint64) (Result, error) {
 			if s.sched != nil && (s.cycle >= s.wakeCycle ||
 				s.threads[0].Arch.Committed >= s.wakeCommit[0] ||
 				s.threads[1].Arch.Committed >= s.wakeCommit[1]) {
-				if mv := s.sched.Tick(s); len(mv) != 0 && s.movesSwap(mv) {
-					s.requestSwap()
-				} else if s.morphPol != nil {
-					switch act, strong := s.morphPol.MorphTick(s); {
-					case act == MorphOn && !s.morphed:
-						s.morph(true, strong)
-					case act == MorphOff && s.morphed:
-						s.morph(false, -1)
-					}
-				}
+				s.tick()
 				if s.waker != nil {
 					s.wakeCycle, s.wakeCommit = s.waker.NextWake()
 				}
@@ -121,6 +112,23 @@ func (s *System) loop(ctx context.Context, limit uint64) (Result, error) {
 			lastCommitted = total
 			lastProgressCycle = s.cycle
 			s.emit(Event{Kind: EventWatchdogReset, Cycle: s.cycle})
+		}
+	}
+}
+
+// tick runs the scheduler's Tick for the window that just ran and
+// applies its answer: a swap, or else the morph policy's verdict.
+//
+//ampvet:hotpath
+func (s *System) tick() {
+	if mv := s.sched.Tick(s); len(mv) != 0 && s.movesSwap(mv) {
+		s.requestSwap()
+	} else if s.morphPol != nil {
+		switch act, strong := s.morphPol.MorphTick(s); {
+		case act == MorphOn && !s.morphed:
+			s.morph(true, strong)
+		case act == MorphOff && s.morphed:
+			s.morph(false, -1)
 		}
 	}
 }

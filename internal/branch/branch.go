@@ -1,27 +1,13 @@
-// Package branch implements the branch direction predictors used by
-// the core model.
+// Package branch implements the branch direction predictor of the
+// core model.
 //
-// The default predictor is gshare (McFarling): a table of 2-bit
+// The predictor is gshare (McFarling): a table of 2-bit
 // saturating counters indexed by the XOR of the branch PC and a global
 // history register. Workload phases control the achievable accuracy
 // through per-site outcome biases (see internal/workload), so phases
 // with low BranchPredictability produce real misprediction stalls in
 // the pipeline model.
 package branch
-
-// Predictor is a branch direction predictor.
-type Predictor interface {
-	// Predict returns the predicted direction for the branch at pc.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the actual outcome.
-	Update(pc uint64, taken bool)
-	// Reset clears all state (used when a core is reinitialized; a
-	// thread swap does NOT reset — the migrated thread retrains on
-	// the destination core's tables, a real migration cost).
-	Reset()
-	// Stats returns monotonic lookup/mispredict counters.
-	Stats() Stats
-}
 
 // Stats are monotonic predictor counters.
 type Stats struct {
@@ -69,13 +55,14 @@ func (g *GShare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
 }
 
-// Predict implements Predictor.
+// Predict returns the predicted direction for the branch at pc.
 func (g *GShare) Predict(pc uint64) bool {
 	return g.table[g.index(pc)] >= 2
 }
 
-// Update implements Predictor. It counts a lookup+train pair, updates
-// the counter and shifts the outcome into the global history.
+// Update trains the predictor with the branch's actual outcome. It
+// counts a lookup+train pair, updates the counter and shifts the
+// outcome into the global history.
 func (g *GShare) Update(pc uint64, taken bool) {
 	i := g.index(pc)
 	g.stats.Lookups++
@@ -93,8 +80,11 @@ func (g *GShare) Update(pc uint64, taken bool) {
 	g.history = ((g.history << 1) | b2u(taken)) & g.mask
 }
 
-// Reset implements Predictor. Counters start weakly not-taken and the
-// history clears; statistics are preserved (they are monotonic).
+// Reset clears the tables (used when a core is reinitialized; a thread
+// swap does not reset — the migrated thread retrains on the
+// destination core's tables, a real migration cost). Counters start
+// weakly not-taken and the history clears; statistics are preserved
+// (they are monotonic).
 func (g *GShare) Reset() {
 	for i := range g.table {
 		g.table[i] = 1
@@ -102,7 +92,7 @@ func (g *GShare) Reset() {
 	g.history = 0
 }
 
-// Stats implements Predictor.
+// Stats returns the monotonic lookup/mispredict counters.
 func (g *GShare) Stats() Stats { return g.stats }
 
 func b2u(v bool) uint64 {

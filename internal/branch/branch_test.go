@@ -121,7 +121,3 @@ func TestQuickMispredictsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPredictorInterface(t *testing.T) {
-	var _ Predictor = NewGShare(8)
-}

@@ -114,7 +114,7 @@ type robEntry struct {
 type Core struct {
 	cfg  *Config
 	hier *cache.Hierarchy
-	bp   branch.Predictor
+	bp   *branch.GShare
 	act  Activity
 
 	// units is the effective execution-unit set; it starts as
@@ -239,9 +239,6 @@ func (c *Core) Config() *Config { return c.cfg }
 // Hierarchy exposes the cache hierarchy (for power accounting and
 // tests).
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
-
-// Predictor exposes the branch predictor.
-func (c *Core) Predictor() branch.Predictor { return c.bp }
 
 // Activity returns the monotonic event ledger.
 func (c *Core) Activity() Activity { return c.act }

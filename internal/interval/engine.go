@@ -18,6 +18,8 @@ package interval
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"ampsched/internal/cpu"
 	"ampsched/internal/isa"
@@ -72,6 +74,10 @@ type Engine struct {
 
 	fracCommit float64
 	classFrac  [isa.NumClasses]float64
+
+	// closedWindows counts the windows Run took in closed form
+	// (closedSpan), bumped once per closed stretch.
+	closedWindows uint64
 
 	// acc holds the event-rate ledger of all *previous* binds; the
 	// current bind's share is cal.Rates[i]*sinceBind, computed lazily
@@ -194,6 +200,7 @@ func (e *Engine) ResetState() {
 	e.activeCycles = 0
 	e.stallCycles = 0
 	e.committed = 0
+	e.closedWindows = 0
 	e.acc = rateVec{}
 }
 
@@ -202,17 +209,28 @@ func (e *Engine) ResetState() {
 //ampvet:hotpath
 func (e *Engine) StallCycles(n uint64) { e.stallCycles += n }
 
+// closedSpanMin is the longest span Run keeps entirely in the window
+// loop: a longer one runs its quiet stretches in closed form
+// (closedSpan). Proposed's spans end at its 1000-instruction edges
+// after about 6–8 windows, so they never pay the closed form's set-up.
+// Chosen by measurement (EXPERIMENTS.md, "Closed-form interval spans").
+const closedSpanMin = 16
+
 // Run advances the engine by n windows of window cycles each: per
 // window, the current phase's calibrated IPC (cold-start adjusted)
 // converts cycles to committed instructions, with the fractional
 // remainder carried across windows.
 //
-// The span loop performs exactly the per-window float operations in
-// the same order, so n windows here are bit for bit n single-window
-// calls; only the bookkeeping moves into locals. Commits that stay
-// inside the current phase accumulate in done and land in the ledgers
-// once (integer sums are order-free); a window that reaches a phase
-// boundary writes everything back and takes commitBatch.
+// n windows here are bit for bit n single-window calls. The window
+// loop performs each window's float operations in the original order;
+// a span longer than closedSpanMin hands its post-ramp stretches inside
+// one phase to closedSpan, whose integer arithmetic gives the same
+// commits and fraction, and decides again after each phase crossing,
+// after each ramp window and after a window that puts the fraction on
+// the new phase's grid. Commits that stay inside the current phase
+// accumulate in done and land in the ledgers once (integer sums are
+// order-free); a window that reaches a phase boundary writes everything
+// back and takes commitBatch.
 //
 //ampvet:hotpath
 func (e *Engine) Run(now, window, n uint64) {
@@ -227,33 +245,112 @@ func (e *Engine) Run(now, window, n uint64) {
 	sinceBind := e.sinceBind
 	phaseRem := e.phaseRem
 	var done uint64 //ampvet:unit instructions
-	for ; n > 0; n-- {
-		ipc := ipc0
-		if sinceBind < rampInstr {
-			ipc *= coldFactor(sinceBind)
+	for n > 0 {
+		// The window loop below runs until n reaches stop or a window
+		// crosses a phase edge; then the closed form may take over.
+		var stop uint64
+		if n > closedSpanMin {
+			if sinceBind < rampInstr {
+				stop = n - 1
+			} else {
+				j, k, f, retry := closedSpan(float64(ipc0*cycles), frac, phaseRem, n)
+				e.closedWindows += j
+				frac = f
+				done += k
+				sinceBind += k
+				phaseRem -= k
+				n -= j
+				if retry {
+					stop = n - 1
+				}
+			}
 		}
-		frac += ipc * cycles
-		k := uint64(frac)
-		if k == 0 {
-			continue
+		for ; n > stop; n-- {
+			ipc := ipc0
+			if sinceBind < rampInstr {
+				ipc *= coldFactor(sinceBind)
+			}
+			// The conversion rounds the product, so no platform fuses it
+			// into the sum: closedSpan relies on the rounded c.
+			frac += float64(ipc * cycles)
+			k := uint64(frac)
+			if k == 0 {
+				continue
+			}
+			frac -= float64(k)
+			if k < phaseRem {
+				// Common case: the whole batch lands inside the current
+				// phase. Class attribution and the generator advance are
+				// deferred (phaseN / pendingSkip).
+				done += k
+				sinceBind += k
+				phaseRem -= k
+				continue
+			}
+			e.land(done, phaseRem)
+			done = 0
+			e.commitBatch(k)
+			ipc0, sinceBind, phaseRem = e.curIPC, e.sinceBind, e.phaseRem
+			n--
+			break
 		}
-		frac -= float64(k)
-		if k < phaseRem {
-			// Common case: the whole batch lands inside the current
-			// phase. Class attribution and the generator advance are
-			// deferred (phaseN / pendingSkip).
-			done += k
-			sinceBind += k
-			phaseRem -= k
-			continue
-		}
-		e.land(done, phaseRem)
-		done = 0
-		e.commitBatch(k)
-		ipc0, sinceBind, phaseRem = e.curIPC, e.sinceBind, e.phaseRem
 	}
 	e.fracCommit = frac
 	e.land(done, phaseRem)
+}
+
+// closedSpan runs up to n post-ramp windows of one phase in closed
+// form. Each window adds c = IPC × window to the carried fraction frac;
+// the loop commits the sum's integer part and keeps the rest. Let c lie
+// in [2^E, 2^(E+1) − 1] with E ≥ 0, and frac be a multiple of
+// ulp(c) = 2^(E−52). Then every sum stays below 2^(E+1) on c's grid, so
+// it is exact, and every window commits at least one instruction. So j
+// windows are integer arithmetic in units of ulp(c): with M = 1/ulp(c),
+// F = frac·M and C = c·M (c's significand), they commit
+// ⌊(F + j·C)/M⌋ instructions and leave the fraction ((F + j·C) mod M)/M.
+// The span stops before the window whose commits reach phaseRem: that
+// window crosses the phase edge, and the loop runs it.
+//
+// It returns the windows run, their commits and the new fraction. With
+// c outside the range nothing runs. With frac off c's grid nothing runs
+// either, and retry asks for one loop window first: the loop's
+// subtraction leaves a multiple of ulp(c).
+//
+//ampvet:hotpath
+func closedSpan(c, frac float64, phaseRem, n uint64) (j, k uint64, fracOut float64, retry bool) {
+	b := math.Float64bits(c)
+	exp := int(b>>52) - 1023 // E: c is positive, and 0, NaN and ±Inf fall out of range
+	if exp < 0 || exp > 52 {
+		return 0, 0, frac, false
+	}
+	s := uint(52 - exp)
+	m := uint64(1) << s       // M
+	cm := b&(1<<52-1) | 1<<52 // C
+	if cm > 1<<53-m {
+		return 0, 0, frac, false // c > 2^(E+1) − 1: a sum can reach 2^(E+1) and round
+	}
+	fm := frac * float64(m) // exact: M is a power of two
+	f := uint64(fm)
+	if float64(f) != fm {
+		return 0, 0, frac, true
+	}
+	// Window i stays inside the phase while F + i·C < phaseRem·M, a
+	// 128-bit product as n·C is; divide only when the edge binds.
+	capHi, capLo := phaseRem>>(64-s), phaseRem<<s
+	hi, lo := bits.Mul64(n, cm)
+	lo, carry := bits.Add64(lo, f, 0)
+	hi += carry
+	j = n
+	if hi > capHi || hi == capHi && lo >= capLo {
+		// j = ⌊(phaseRem·M − F − 1)/C⌋. The high word is at most
+		// capHi < M ≤ C, so Div64 cannot overflow.
+		rLo, borrow := bits.Sub64(capLo, f+1, 0)
+		j, _ = bits.Div64(capHi-borrow, rLo, cm)
+		hi, lo = bits.Mul64(j, cm)
+		lo, carry = bits.Add64(lo, f, 0)
+		hi += carry
+	}
+	return j, hi<<(64-s) | lo>>s, float64(lo&(m-1)) / float64(m), false
 }
 
 // land credits done in-phase commits to every ledger and installs the

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"math"
 	"testing"
 
 	"ampsched/internal/cpu"
@@ -32,6 +33,15 @@ func spanEngine(kind uint8, cfg *cpu.Config) cpu.Engine {
 	return New(cfg)
 }
 
+// carried is the fraction of an instruction the engine's interval
+// model carries into its next window.
+func carried(e cpu.Engine) float64 {
+	if s, ok := e.(*Sampled); ok {
+		return s.ivl.fracCommit
+	}
+	return e.(*Engine).fracCommit
+}
+
 // maxSpanWindows bounds a fuzzed span: past 2^16 windows, so a span at
 // the interval stride crosses the default schedule's 8M-cycle period
 // wrap from any position.
@@ -48,9 +58,10 @@ const maxSpanWindows = 70_000
 // Two copies of one engine and thread run warm windows as one span
 // each, optionally unbind and re-bind the thread (a swap, which the
 // sampled engine's warm-up memo resumes in its interval tier), then
-// one copy runs n windows in one call and the other one at a time. A
-// further span on both must keep them equal, so no hidden schedule
-// state may diverge either.
+// one copy runs n windows in one call and the other one at a time.
+// The carried fraction is compared too: a one-ulp error in it can wash
+// out at a later rounding tie. A further span on both must keep them
+// equal, so no hidden schedule state may diverge either.
 func FuzzRunSpan(f *testing.F) {
 	f.Add(uint8(spanInterval), uint8(0), uint64(1), uint16(0), uint32(0), uint32(1), false, false)
 	f.Add(uint8(spanInterval), uint8(3), uint64(7), uint16(0), uint32(0), uint32(40), false, false)
@@ -63,6 +74,12 @@ func FuzzRunSpan(f *testing.F) {
 	f.Add(uint8(spanSampledShort), uint8(1), uint64(4), uint16(0), uint32(0), uint32(1_000), false, false)
 	f.Add(uint8(spanSampledShort), uint8(9), uint64(6), uint16(0), uint32(30), uint32(maxSpanWindows-1), true, true)
 	f.Add(uint8(spanSampledShort), uint8(17), uint64(10), uint16(199), uint32(351), uint32(2_345), false, false)
+	// Past the cold-start ramp on both cores, so the span opens in
+	// closed form.
+	f.Add(uint8(spanInterval), uint8(2), uint64(12), uint16(0), uint32(3_000), uint32(40_000), false, false)
+	f.Add(uint8(spanInterval), uint8(15), uint64(13), uint16(0), uint32(3_000), uint32(40_000), false, true)
+	f.Add(uint8(spanSampled), uint8(2), uint64(12), uint16(0), uint32(3_000), uint32(40_000), false, false)
+	f.Add(uint8(spanSampled), uint8(15), uint64(13), uint16(0), uint32(3_000), uint32(40_000), false, true)
 	f.Fuzz(func(t *testing.T, kind, benchIdx uint8, seed uint64, w uint16, warm, n uint32, rebind, fp bool) {
 		window := uint64(DefaultStride)
 		if w != 0 {
@@ -108,6 +125,10 @@ func FuzzRunSpan(f *testing.F) {
 			if !a.arch.Equal(b.arch) {
 				t.Fatalf("%s: %s engine, %s, warm %d, window %d, span %d: Arch diverges\n span:    %+v\n windows: %+v",
 					stage, a.e.Fidelity(), bench.Name, warmN, window, spanN, *a.arch, *b.arch)
+			}
+			if fa, fb := carried(a.e), carried(b.e); math.Float64bits(fa) != math.Float64bits(fb) {
+				t.Fatalf("%s: %s engine, %s, warm %d, window %d, span %d: carried fraction %x after the span, %x after single windows",
+					stage, a.e.Fidelity(), bench.Name, warmN, window, spanN, fa, fb)
 			}
 		}
 		sides[0].e.Run(now, window, spanN)

@@ -10,6 +10,17 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// fromRows builds a matrix from row slices of equal length.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -33,21 +44,8 @@ func TestNewMatrixPanics(t *testing.T) {
 	NewMatrix(0, 3)
 }
 
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	if m.At(1, 0) != 3 {
-		t.Fatal("FromRows wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ragged rows accepted")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
 		t.Fatalf("transpose wrong: %+v", tr)
@@ -55,8 +53,8 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	c := a.Mul(b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
@@ -78,7 +76,7 @@ func TestMulDimensionPanics(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	v := m.MulVec([]float64{1, 1})
 	if v[0] != 3 || v[1] != 7 {
 		t.Fatalf("MulVec = %v", v)
@@ -86,7 +84,7 @@ func TestMulVec(t *testing.T) {
 }
 
 func TestSolveKnownSystem(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := Solve(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +96,7 @@ func TestSolveKnownSystem(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Zero on the diagonal requires a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
 	x, err := Solve(a, []float64{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("singular system solved")
 	}
@@ -125,7 +123,7 @@ func TestSolveShapeErrors(t *testing.T) {
 }
 
 func TestSolveDoesNotModifyInputs(t *testing.T) {
-	a := FromRows([][]float64{{3, 1}, {1, 2}})
+	a := fromRows([][]float64{{3, 1}, {1, 2}})
 	b := []float64{4, 5}
 	orig := a.Clone()
 	if _, err := Solve(a, b); err != nil {
@@ -143,7 +141,7 @@ func TestSolveDoesNotModifyInputs(t *testing.T) {
 
 func TestLeastSquaresExactFit(t *testing.T) {
 	// y = 2 + 3x fitted from 4 exact points.
-	x := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	x := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	y := []float64{2, 5, 8, 11}
 	beta, err := LeastSquares(x, y)
 	if err != nil {

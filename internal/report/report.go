@@ -27,24 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row of formatted values; each value is rendered
-// with %v except float64 which uses %.3f and percentages the caller
-// formats directly.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.3f", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	t.AddRow(row...)
-}
-
 // Fprint writes the table, aligned, to w.
 func (t *Table) Fprint(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

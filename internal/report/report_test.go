@@ -60,14 +60,6 @@ func TestAddRowPadding(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tab := &Table{Headers: []string{"s", "f", "i"}}
-	tab.AddRowf("x", 1.23456, 42)
-	if tab.Rows[0][0] != "x" || tab.Rows[0][1] != "1.235" || tab.Rows[0][2] != "42" {
-		t.Fatalf("AddRowf: %v", tab.Rows[0])
-	}
-}
-
 func TestCSV(t *testing.T) {
 	tab := &Table{Headers: []string{"name", "note"}}
 	tab.AddRow("plain", `has "quotes", and commas`)

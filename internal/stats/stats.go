@@ -104,14 +104,6 @@ func Mode(xs []float64, step float64) (float64, error) {
 	return b.sum / float64(b.n), nil
 }
 
-// PctImprovement returns 100*(a/b - 1): how much better a is than b.
-func PctImprovement(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * (a/b - 1)
-}
-
 // SortedCopy returns an ascending-sorted copy.
 func SortedCopy(xs []float64) []float64 {
 	out := make([]float64, len(xs))

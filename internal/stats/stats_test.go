@@ -84,15 +84,6 @@ func TestModeRetainsSubStepPrecision(t *testing.T) {
 	}
 }
 
-func TestPctImprovement(t *testing.T) {
-	if PctImprovement(1.1, 1.0) < 9.99 || PctImprovement(1.1, 1.0) > 10.01 {
-		t.Fatal("pct improvement wrong")
-	}
-	if PctImprovement(1, 0) != 0 {
-		t.Fatal("division by zero not guarded")
-	}
-}
-
 func TestTopBottomK(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
 	if got := BottomK(xs, 2); got[0] != 1 || got[1] != 2 {
