@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ampvet analyze lint test test-short test-race test-perfbench bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale repro-check fuzz fuzz-fault fuzz-wal fuzz-engine clean
+.PHONY: all build vet ampvet analyze lint test test-short test-race test-perfbench bench bench-snapshot bench-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale repro-check fuzz fuzz-fault fuzz-wal fuzz-engine clean
 
 all: build lint test test-race
 
@@ -51,85 +51,30 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable snapshot of the substrate microbenchmarks (one
-# core's cycle, instruction synthesis), written to BENCH_telemetry.json.
+# The microbenchmarks BENCH_micro.json pins, 33 rows in five packages:
+# the simulation engines, the dual-core run loop and the §V profiling
+# pass, one core's cycle and instruction synthesis (root package); the
+# pair store's key hashing and warm lookups; the queue round trip; the
+# N×M scheduler's off-quantum gate and epochs; the fleet's ring lookup,
+# routing key and peer result fetch. They run with the collector off:
+# a collection clears sync.Pools (the runner pools its run state) and
+# refilling one allocates, so with it on allocs/op follow GC timing.
+# go test runs the packages' benchmarks one after another, each binary
+# peaking at up to about 0.5 GB RSS (pair store, cluster): garbage is
+# never collected, so the peak grows with the rows' iteration counts.
+MICROBENCH = GOGC=off $(GO) test -run NONE -benchmem \
+	-bench '^Benchmark(Engine|DualCoreSystem|ProfileCollect|CoreSimulation|WorkloadGenerator|ServerCache|QueueSubmitComplete|ManycoreTickGate|ManycoreEpoch|Cluster)' \
+	. ./internal/pairstore ./internal/jobqueue ./internal/manycore ./internal/cluster
+
+# Re-record the committed baseline BENCH_micro.json.
 bench-snapshot:
-	$(GO) test -run NONE -bench 'BenchmarkCoreSimulation|BenchmarkWorkloadGenerator' -benchmem . \
-		| $(GO) run ./cmd/benchsnap -o BENCH_telemetry.json
+	$(MICROBENCH) | $(GO) run ./cmd/benchsnap -o BENCH_micro.json
 
-# The simulation-engine benchmarks: detailed vs interval vs sampled
-# hot loops, the dual-core run loop (one cycle under the proposed
-# scheduler, and paper-quantum pair runs per policy), and the §V
-# profiling pass that runs the detailed core.
-BENCH_CORE = 'BenchmarkEngine|BenchmarkDualCoreSystem|BenchmarkProfileCollect'
-
-# The engine benchmarks run with the collector off: a collection
-# clears sync.Pools (the runner pools its run state) and refilling one
-# allocates, so with it on the sampled rows' allocs/op follow GC
-# timing. The bench process then peaks at about 36 MB RSS (14 MB with
-# the collector on).
-BENCH_CORE_GO = GOGC=off $(GO)
-
-# Snapshot the engine benchmarks into the committed baseline
-# BENCH_core.json.
-bench-core:
-	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
-		| $(GO) run ./cmd/benchsnap -o BENCH_core.json
-
-# Regression gate: rerun the engine benchmarks and compare against the
-# committed baseline (fails past +10% ns/op, any allocs/op increase or
-# a baseline row the run no longer produces).
+# Regression gate against BENCH_micro.json, the same locally and in
+# CI: fails on any row's allocs/op increase or a baseline row the run
+# no longer produces; prints rows past +10% ns/op without failing.
 bench-check:
-	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
-		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json
-
-# CI form of the engine gate: the interval-fidelity rows' allocs/op
-# counts and presence hard-fail (the zero-alloc pooled-run guarantees
-# live there), while ns/op drift and the other rows stay advisory — CI
-# machines are too noisy for a hard ns gate.
-bench-core-check:
-	$(BENCH_CORE_GO) test -run NONE -bench $(BENCH_CORE) -benchmem . \
-		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
-
-# Snapshot the service hot-path benchmarks (pair-store key hashing,
-# warm cache lookups, queue round trip) into BENCH_server.json.
-bench-server:
-	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/pairstore ./internal/jobqueue \
-		| $(GO) run ./cmd/benchsnap -o BENCH_server.json
-
-# Regression gate for the service hot paths against the committed
-# baseline (fails past +10% ns/op or any allocs/op increase).
-bench-server-check:
-	$(GO) test -run NONE -bench 'BenchmarkServerCache|BenchmarkQueueSubmitComplete' -benchmem ./internal/pairstore ./internal/jobqueue \
-		| $(GO) run ./cmd/benchsnap -compare BENCH_server.json
-
-# Snapshot the N×M scheduler decision-loop benchmarks (O(1) off-quantum
-# gate, full-epoch cost at 64x512 and 256x2048) into BENCH_manycore.json.
-bench-manycore:
-	$(GO) test -run NONE -bench 'BenchmarkManycore' -benchmem ./internal/manycore \
-		| $(GO) run ./cmd/benchsnap -o BENCH_manycore.json
-
-# Regression gate for the N×M decision loop against the committed
-# baseline. The off-quantum gate rows sit near timer granularity
-# (~2 ns/op), so the ns gate is widened to 25%; that still catches any
-# complexity regression (orders of magnitude) and allocs/op increases
-# are rejected unconditionally.
-bench-manycore-check:
-	$(GO) test -run NONE -bench 'BenchmarkManycore' -benchmem ./internal/manycore \
-		| $(GO) run ./cmd/benchsnap -compare BENCH_manycore.json -threshold 25
-
-# Snapshot the cluster hot-path benchmarks (ring lookup, job routing
-# key, two-node forward round trip) into BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -run NONE -bench 'BenchmarkCluster' -benchmem ./internal/cluster \
-		| $(GO) run ./cmd/benchsnap -o BENCH_fleet.json
-
-# Regression gate for the cluster hot paths against the committed
-# baseline. The peer result fetch goes through real loopback HTTP, so
-# the ns gate is widened to 25%; allocs/op still hard-fails.
-bench-fleet-check:
-	$(GO) test -run NONE -bench 'BenchmarkCluster' -benchmem ./internal/cluster \
-		| $(GO) run ./cmd/benchsnap -compare BENCH_fleet.json -threshold 25
+	$(MICROBENCH) | $(GO) run ./cmd/benchsnap -compare BENCH_micro.json
 
 # End-to-end service smoke: boot ampserve on an ephemeral port, drive
 # it with amploadgen (4 concurrent sweep jobs exercising the cache),

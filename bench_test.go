@@ -257,12 +257,12 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 	b.ReportMetric(gain, "prefetch_ipc_gain_pct")
 }
 
-// --- engine fidelity benches (BENCH_core.json / make bench-check) ----
+// --- engine fidelity benches (BENCH_micro.json / make bench-check) ---
 
 // benchFidelityPairs runs the Fig. 7-style pair sweep (every random
 // pair under proposed, HPE and Round Robin) at the given fidelity.
 // The detailed/interval pairing of these benches records the interval
-// engine's speedup in BENCH_core.json; profiling (always detailed) is
+// engine's speedup in BENCH_micro.json; profiling (always detailed) is
 // shared and untimed, and one untimed warm-up sweep populates the
 // interval calibration cache.
 func benchFidelityPairs(b *testing.B, fidelity string) {
@@ -387,20 +387,20 @@ func BenchmarkEngineRunLoopRoundRobinSampled(b *testing.B) {
 }
 
 // BenchmarkEngineRunLoopProposedInterval is Proposed on the interval
-// engine alone (ampserve's fidelity); its allocs/op are hard-gated.
+// engine alone (ampserve's fidelity).
 func BenchmarkEngineRunLoopProposedInterval(b *testing.B) {
 	benchRunLoop(b, interval.Factory(), benchProposed)
 }
 
 // BenchmarkEngineRunLoopHPEInterval is HPE on the interval engine
 // alone: its quantum-long spans run in closed form, which the sampled
-// rows' warm-ups hide. Its allocs/op are hard-gated.
+// rows' warm-ups hide.
 func BenchmarkEngineRunLoopHPEInterval(b *testing.B) {
 	benchRunLoop(b, interval.Factory(), benchHPE)
 }
 
 // BenchmarkEngineRunLoopRoundRobinInterval is Round Robin on the
-// interval engine alone; its allocs/op are hard-gated.
+// interval engine alone.
 func BenchmarkEngineRunLoopRoundRobinInterval(b *testing.B) {
 	benchRunLoop(b, interval.Factory(), benchRoundRobin)
 }

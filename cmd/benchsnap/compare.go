@@ -4,15 +4,22 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"regexp"
 	"strings"
 )
 
+// nsReportPct is the ns/op rise, in percent, past which a row is
+// printed as slow. Wall time follows the host, so it never fails the
+// gate; allocs/op, counted with the collector off, does.
+const nsReportPct = 10
+
 // parseSnapshot reads `go test -bench` text from r into a Snapshot.
-// Non-benchmark lines (PASS, ok, ...) pass through to passthrough so
-// the snapshot never silently swallows a test failure.
+// Every row takes the package of the `pkg:` header above it, so the
+// output of one `go test` over several packages parses into one
+// snapshot. Non-benchmark lines (PASS, ok, ...) pass through to
+// passthrough so the snapshot never silently swallows a test failure.
 func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 	var snap Snapshot
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -23,11 +30,12 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			snap.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			snap.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
+				b.Package = pkg
 				snap.Benchmarks = append(snap.Benchmarks, b)
 			} else {
 				fmt.Fprintln(passthrough, line)
@@ -41,88 +49,69 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 	return snap, sc.Err()
 }
 
-// compareResult is the outcome of one baseline comparison: the
-// per-benchmark report lines plus how many regressed past a gate.
-// hard counts the subset of failures on benchmarks matching the
-// -hard-allocs pattern that are allocs/op increases or missing rows;
-// CI fails on those even where it tolerates ordinary
-// (machine-variance-prone) ns/op drift.
+// compareResult is the outcome of one baseline comparison: a report
+// line per row, tagged FAIL, slow or ok, the rows that fail the gate
+// and the rows past nsReportPct.
 type compareResult struct {
 	lines    []string
 	failures int
-	hard     int
+	slow     int
 }
 
+// rowKey names a row across packages.
+func rowKey(b Benchmark) string { return b.Package + "." + b.Name }
+
 // compareSnapshots gates fresh against the committed baseline old. A
-// benchmark fails when its ns/op grew more than thresholdPct percent,
-// or when its allocs/op increased at all (the snapshot exists to pin
-// the hot-path zero-alloc guarantees, so any increase is a
-// regression). A baseline benchmark the fresh run did not produce
-// fails too: otherwise deleting or renaming a gated row would drop it
+// row fails when its allocs/op rose at all, or by more than its
+// AllocsSlack exemption: the snapshot exists to pin the hot paths'
+// allocation counts. A baseline row the fresh run did not produce
+// fails too: otherwise deleting or renaming a benchmark would drop it
 // from the gate unnoticed, so such a change re-records the baseline.
-// An allocs/op increase or a missing row on a benchmark matching
-// hardAllocs (nil = none) is additionally counted as a hard failure.
-// A benchmark with no baseline row is reported and never fails.
-func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *regexp.Regexp) compareResult {
+// An ns/op rise past nsReportPct is reported and never fails. A row
+// with no baseline is reported and never fails.
+func compareSnapshots(old, fresh *Snapshot) compareResult {
 	var res compareResult
 	oldBy := make(map[string]Benchmark, len(old.Benchmarks))
 	for _, b := range old.Benchmarks {
-		oldBy[b.Name] = b
+		oldBy[rowKey(b)] = b
 	}
 	seen := make(map[string]bool, len(fresh.Benchmarks))
 	for _, nb := range fresh.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
+		key := rowKey(nb)
+		seen[key] = true
+		ob, ok := oldBy[key]
 		if !ok {
-			res.lines = append(res.lines,
-				fmt.Sprintf("new  %s: %.1f ns/op (no baseline)", nb.Name, nb.NsPerOp))
+			res.lines = append(res.lines, fmt.Sprintf("new  %s: %.1f ns/op, %d allocs/op (no baseline)",
+				key, nb.NsPerOp, nb.AllocsPerOp))
 			continue
 		}
-		failed := false
+		pct := 0.0
 		if ob.NsPerOp > 0 {
-			pct := 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
-			if pct > thresholdPct {
-				failed = true
-				res.failures++
-				res.lines = append(res.lines,
-					fmt.Sprintf("FAIL %s: %.1f -> %.1f ns/op (%+.1f%%, gate +%.1f%%)",
-						nb.Name, ob.NsPerOp, nb.NsPerOp, pct, thresholdPct))
-			}
+			pct = 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
 		}
-		if nb.AllocsPerOp > ob.AllocsPerOp {
-			failed = true
+		tag, note := "ok  ", ""
+		if pct > nsReportPct {
+			res.slow++
+			tag = "slow"
+		}
+		if ob.AllocsSlack > 0 {
+			note = fmt.Sprintf(" (exempt up to +%d)", ob.AllocsSlack)
+		}
+		if nb.AllocsPerOp > ob.AllocsPerOp+ob.AllocsSlack {
 			res.failures++
-			tag := "FAIL"
-			if hardAllocs != nil && hardAllocs.MatchString(nb.Name) {
-				res.hard++
-				tag = "HARD"
+			tag = "FAIL"
+			if note == "" {
+				note = " (any increase fails)"
 			}
-			res.lines = append(res.lines,
-				fmt.Sprintf("%s %s: allocs/op %d -> %d (any increase fails)",
-					tag, nb.Name, ob.AllocsPerOp, nb.AllocsPerOp))
 		}
-		if !failed {
-			pct := 0.0
-			if ob.NsPerOp > 0 {
-				pct = 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
-			}
-			res.lines = append(res.lines,
-				fmt.Sprintf("ok   %s: %.1f -> %.1f ns/op (%+.1f%%)",
-					nb.Name, ob.NsPerOp, nb.NsPerOp, pct))
-		}
+		res.lines = append(res.lines, fmt.Sprintf("%s %s: %.1f -> %.1f ns/op (%+.1f%%), allocs/op %d -> %d%s",
+			tag, key, ob.NsPerOp, nb.NsPerOp, pct, ob.AllocsPerOp, nb.AllocsPerOp, note))
 	}
 	for _, ob := range old.Benchmarks {
-		if seen[ob.Name] {
-			continue
+		if key := rowKey(ob); !seen[key] {
+			res.failures++
+			res.lines = append(res.lines, fmt.Sprintf("FAIL %s: in baseline but not in this run (re-record the baseline)", key))
 		}
-		res.failures++
-		tag := "FAIL"
-		if hardAllocs != nil && hardAllocs.MatchString(ob.Name) {
-			res.hard++
-			tag = "HARD"
-		}
-		res.lines = append(res.lines,
-			fmt.Sprintf("%s %s: in baseline but not in this run (re-record the baseline)", tag, ob.Name))
 	}
 	return res
 }

@@ -1,26 +1,34 @@
 // Command benchsnap converts `go test -bench -benchmem` output on
-// stdin into a machine-readable JSON snapshot, so benchmark baselines
-// can be committed and diffed (see the Makefile's bench-snapshot
-// target).
+// stdin into a machine-readable JSON snapshot, so microbenchmark
+// baselines can be committed and diffed, and gates a fresh run against
+// one. The Makefile's bench-snapshot target records BENCH_micro.json
+// and bench-check compares against it:
 //
-//	go test -run NONE -bench . -benchmem . | benchsnap -o BENCH.json
+//	go test -run NONE -bench . -benchmem ./... | benchsnap -o BENCH_micro.json
+//	go test -run NONE -bench . -benchmem ./... | benchsnap -compare BENCH_micro.json
 //
-// Non-benchmark lines (PASS, ok, goos, ...) pass through to stderr so
-// the snapshot never silently swallows a test failure.
+// Each row carries the package it ran in, so one snapshot holds the
+// rows of several packages. The gate's policy is fixed (see
+// compareSnapshots). Non-benchmark lines (PASS, ok, ...) pass through
+// to stderr so the snapshot never silently swallows a test failure.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
-	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
+	Package    string  `json:"pkg"`
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -31,87 +39,121 @@ type Benchmark struct {
 
 	// Extra holds custom -benchmem style metrics (pct_vs_hpe, ...).
 	Extra map[string]float64 `json:"extra,omitempty"`
+
+	// AllocsSlack exempts a row whose allocs/op does not repeat from
+	// the any-increase rule: the gate fails it only past this rise.
+	// Set by hand in the baseline; a re-record keeps it.
+	AllocsSlack int64 `json:"allocs_slack,omitempty"`
 }
 
-// Snapshot is the file's top-level shape.
+// Snapshot is the file's top-level shape. GoVersion is the toolchain
+// that ran the benchmarks: rows that call into the standard library
+// (net/http in the cluster rows) take their allocs/op from it.
 type Snapshot struct {
+	GoVersion  string      `json:"go,omitempty"`
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
-	Package    string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
-	out := flag.String("o", "", "output file (default stdout)")
-	compareWith := flag.String("compare", "", "compare fresh -bench output on stdin against this snapshot; exit 1 on regression")
-	threshold := flag.Float64("threshold", 10, "ns/op regression gate in percent (compare mode); allocs/op may never increase")
-	hardAllocs := flag.String("hard-allocs", "", "regexp of benchmark names whose allocs/op increases or missing rows hard-fail; every other regression is reported but exits 0 (CI soft/hard split)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	snap, err := parseSnapshot(os.Stdin, os.Stderr)
+// run is the command with its streams passed in; it returns the exit
+// status: 1 when the gate fails or the input is unusable, else 0.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("benchsnap", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	out := flags.String("o", "", "output file (default stdout)")
+	compareWith := flags.String("compare", "", "compare fresh -bench output on stdin against this snapshot; exit 1 on an allocs/op increase or a missing row")
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchsnap:", err)
+		return 1
+	}
+
+	snap, err := parseSnapshot(stdin, stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if len(snap.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark lines on stdin"))
+		return fail(fmt.Errorf("no benchmark lines on stdin"))
 	}
+	// benchsnap runs under the toolchain that ran the benchmarks
+	// (`go run` in the same pipeline).
+	snap.GoVersion = runtime.Version()
 
 	if *compareWith != "" {
-		data, err := os.ReadFile(*compareWith)
+		old, err := readSnapshot(*compareWith)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		var old Snapshot
-		if err := json.Unmarshal(data, &old); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *compareWith, err))
+		if old.GoVersion != snap.GoVersion {
+			fmt.Fprintf(stdout, "note: %s was recorded with %s, this run is %s; rows that allocate in the standard library may differ\n",
+				*compareWith, old.GoVersion, snap.GoVersion)
 		}
-		var hardRe *regexp.Regexp
-		if *hardAllocs != "" {
-			hardRe, err = regexp.Compile(*hardAllocs)
-			if err != nil {
-				fatal(fmt.Errorf("bad -hard-allocs pattern: %w", err))
-			}
-		}
-		res := compareSnapshots(&old, &snap, *threshold, hardRe)
+		res := compareSnapshots(&old, &snap)
 		for _, l := range res.lines {
-			fmt.Println(l)
+			fmt.Fprintln(stdout, l)
 		}
-		if hardRe != nil {
-			// Soft/hard split: only allocs/op increases and missing
-			// rows matching -hard-allocs gate the exit status;
-			// everything else is advisory (CI shows it, the job stays
-			// green).
-			if res.hard > 0 {
-				fatal(fmt.Errorf("%d hard allocs/op regression(s) or missing row(s) vs %s (pattern %q)", res.hard, *compareWith, *hardAllocs))
-			}
-			if res.failures > 0 {
-				fmt.Fprintf(os.Stderr, "benchsnap: %d soft regression(s) vs %s (advisory; no hard failures)\n", res.failures, *compareWith)
-			} else {
-				fmt.Fprintf(os.Stderr, "benchsnap: no regressions vs %s\n", *compareWith)
-			}
-			return
+		if res.slow > 0 {
+			fmt.Fprintf(stderr, "benchsnap: %d row(s) past +%d%% ns/op vs %s (reported, never fails)\n", res.slow, nsReportPct, *compareWith)
 		}
 		if res.failures > 0 {
-			fatal(fmt.Errorf("%d regression(s) vs %s", res.failures, *compareWith))
+			return fail(fmt.Errorf("%d allocs/op increase(s) or missing row(s) vs %s", res.failures, *compareWith))
 		}
-		fmt.Fprintf(os.Stderr, "benchsnap: no regressions vs %s\n", *compareWith)
-		return
+		fmt.Fprintf(stderr, "benchsnap: no allocs/op increase or missing row vs %s\n", *compareWith)
+		return 0
+	}
+
+	if *out != "" {
+		// A re-record keeps each row's exemption.
+		prev, err := readSnapshot(*out)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fail(err)
+		}
+		slack := make(map[string]int64)
+		for _, b := range prev.Benchmarks {
+			slack[rowKey(b)] = b.AllocsSlack
+		}
+		for i := range snap.Benchmarks {
+			snap.Benchmarks[i].AllocsSlack = slack[rowKey(snap.Benchmarks[i])]
+		}
 	}
 
 	enc, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	enc = append(enc, '\n')
 	if *out == "" {
-		os.Stdout.Write(enc)
-		return
+		if _, err := stdout.Write(enc); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "benchsnap: wrote %d benchmarks to %s\n", len(snap.Benchmarks), *out)
+	fmt.Fprintf(stderr, "benchsnap: wrote %d benchmarks to %s\n", len(snap.Benchmarks), *out)
+	return 0
+}
+
+// readSnapshot loads a committed snapshot.
+func readSnapshot(path string) (Snapshot, error) {
+	var snap Snapshot
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return snap, err
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return snap, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return snap, nil
 }
 
 // parseLine parses one result line:
@@ -155,9 +197,4 @@ func parseLine(line string) (Benchmark, bool) {
 		}
 	}
 	return b, true
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchsnap:", err)
-	os.Exit(1)
 }

@@ -7,7 +7,7 @@ import (
 
 // HotPathAllocAnalyzer checks functions annotated //ampvet:hotpath —
 // the per-cycle step/observer/telemetry paths whose "0 allocs/op with
-// telemetry off" contract BENCH_telemetry.json records — for
+// telemetry off" contract BENCH_micro.json records — for
 // allocation-forcing constructs:
 //
 //   - calls into package fmt (Sprintf and friends allocate and box),

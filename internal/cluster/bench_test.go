@@ -8,7 +8,7 @@ import (
 	"ampsched/internal/server"
 )
 
-// The fleet hot paths benchsnap gates in BENCH_fleet.json: every
+// The fleet hot paths benchsnap gates in BENCH_micro.json: every
 // submission pays one routing-key hash and one ring lookup, and every
 // cross-node cache miss pays one peer result round trip over loopback
 // HTTP.

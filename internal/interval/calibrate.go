@@ -214,34 +214,10 @@ type calKey struct {
 	bench string
 }
 
-// DefaultCalCacheBytes is the calibration cache's default byte budget:
-// hundreds of entries — every (core, benchmark) combination a dual-core
-// sweep can produce fits with room to spare — while a long-lived
-// ampserve process cycling through morphed unit sets and client core
-// configurations stays bounded instead of growing per distinct key.
-const DefaultCalCacheBytes = 1 << 20
-
-// calEntryOverhead approximates one cache entry's fixed footprint: the
-// Calibration struct (rateVec included), the map slot and the key copy
-// (a cpu.Config by value).
-const calEntryOverhead = 1024
-
-// calEntry is one cached calibration with its recency stamp. The stamp
-// is atomic so cache hits stay on the read lock — eviction order is
-// approximate LRU, which is all a correctness-free cache needs.
-type calEntry struct {
-	cal     *Calibration
-	size    uint64 // approximate footprint in bytes
-	lastUse atomic.Uint64
-}
-
 var (
-	calMu     sync.RWMutex
-	calCache  = map[calKey]*calEntry{}
-	calBytes  uint64 // sum of resident entry sizes in bytes
-	calBudget uint64 = DefaultCalCacheBytes
-	calClock  atomic.Uint64
-	calTel    atomic.Pointer[telemetry.Telemetry]
+	calMu    sync.RWMutex
+	calCache = map[calKey]*Calibration{}
+	calTel   atomic.Pointer[telemetry.Telemetry]
 )
 
 // SetTelemetry wires the package's calibration counters — the
@@ -250,77 +226,28 @@ var (
 // concurrently with running engines.
 func SetTelemetry(t *telemetry.Telemetry) { calTel.Store(t) }
 
-// SetCalibrationCacheBudget replaces the calibration cache's byte
-// budget (0 restores DefaultCalCacheBytes), evicting oldest-first
-// down to the new bound.
-func SetCalibrationCacheBudget(bytes uint64) {
-	if bytes == 0 {
-		bytes = DefaultCalCacheBytes
-	}
-	calMu.Lock()
-	calBudget = bytes
-	calEvictLocked()
-	calMu.Unlock()
-}
-
-// calSize estimates one calibration's cache footprint.
-func calSize(c *Calibration) uint64 {
-	s := uint64(calEntryOverhead) + 8*uint64(len(c.PhaseIPC))
-	for _, cs := range c.classes {
-		s += 24 + 16*uint64(len(cs))
-	}
-	return s
-}
-
-// calEvictLocked drops approximately-least-recently-used entries until
-// the cache fits its budget, always keeping the newest entry so an
-// oversized budget cannot thrash a single working calibration.
-func calEvictLocked() {
-	for calBytes > calBudget && len(calCache) > 1 {
-		var (
-			oldestKey calKey
-			oldest    *calEntry
-		)
-		// Map order only breaks recency-stamp ties between eviction
-		// victims; a re-calibrated entry is bit-identical to the
-		// evicted one, so results never see the order.
-		for k, e := range calCache { //ampvet:allow determinism eviction-order ties cannot reach results; calibration is a pure function of its key
-			if oldest == nil || e.lastUse.Load() < oldest.lastUse.Load() {
-				oldestKey, oldest = k, e
-			}
-		}
-		delete(calCache, oldestKey)
-		calBytes -= oldest.size
-	}
-}
-
 // calibrationFor returns the (cached) calibration for running bench on
 // a core with configuration cfg and effective units. Hits touch only
-// the read lock (the recency stamp is atomic); misses run the detailed
-// calibration outside any lock and may evict older entries on insert.
+// the read lock; misses run the detailed calibration outside any lock.
+// The cache is never trimmed: a process's keys are bounded by its
+// core configurations, their morph unit sets and the benchmark pool.
 func calibrationFor(cfg *cpu.Config, units [cpu.NumUnitKinds]cpu.UnitSpec, bench *workload.Benchmark) *Calibration {
 	key := calKey{cfg: *cfg, units: units, bench: bench.Name}
 	calMu.RLock()
-	e := calCache[key]
+	cal := calCache[key]
 	calMu.RUnlock()
 	tel := calTel.Load()
-	if e != nil {
-		e.lastUse.Store(calClock.Add(1))
+	if cal != nil {
 		tel.Counter("interval.cal_cache_hits").Inc()
-		return e.cal
+		return cal
 	}
-	cal := Calibrate(cfg, units, bench)
+	cal = Calibrate(cfg, units, bench)
 	tel.Counter("interval.calibrations").Inc()
 	calMu.Lock()
 	if prior := calCache[key]; prior != nil {
-		prior.lastUse.Store(calClock.Add(1))
-		cal = prior.cal // another goroutine computed the identical result
+		cal = prior // another goroutine computed the identical result
 	} else {
-		e := &calEntry{cal: cal, size: calSize(cal)}
-		e.lastUse.Store(calClock.Add(1))
-		calCache[key] = e
-		calBytes += e.size
-		calEvictLocked()
+		calCache[key] = cal
 	}
 	calMu.Unlock()
 	return cal

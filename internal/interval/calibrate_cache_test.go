@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"ampsched/internal/cpu"
@@ -10,30 +11,26 @@ import (
 )
 
 // resetCalCacheForTest empties the process-global calibration cache
-// and restores the default budget; the returned function undoes the
-// telemetry hookup.
+// and hooks its counters to tel until the test ends.
 func resetCalCacheForTest(t *testing.T, tel *telemetry.Telemetry) {
 	t.Helper()
 	calMu.Lock()
-	calCache = map[calKey]*calEntry{}
-	calBytes = 0
-	calBudget = DefaultCalCacheBytes
+	calCache = map[calKey]*Calibration{}
 	calMu.Unlock()
 	SetTelemetry(tel)
 	t.Cleanup(func() {
 		SetTelemetry(nil)
 		calMu.Lock()
-		calCache = map[calKey]*calEntry{}
-		calBytes = 0
-		calBudget = DefaultCalCacheBytes
+		calCache = map[calKey]*Calibration{}
 		calMu.Unlock()
 	})
 }
 
-// TestCalCacheBoundedLRU pins the cache's contract: hits and misses
-// are counted, the byte budget evicts approximately-LRU, and a touched
-// entry survives eviction of a staler one.
-func TestCalCacheBoundedLRU(t *testing.T) {
+// TestCalCacheHitsAndMisses pins the cache's counters: a new key is a
+// miss that runs one calibration, a repeated key is a hit that returns
+// the stored calibration, and concurrent misses on one key all return
+// the first entry stored.
+func TestCalCacheHitsAndMisses(t *testing.T) {
 	tel := telemetry.New()
 	resetCalCacheForTest(t, tel)
 
@@ -44,49 +41,42 @@ func TestCalCacheBoundedLRU(t *testing.T) {
 		c.Name = fmt.Sprintf("%s-calcache-%d", base.Name, i)
 		return &c
 	}
+	counts := func() (calibrations, hits uint64) {
+		return tel.Counter("interval.calibrations").Value(), tel.Counter("interval.cal_cache_hits").Value()
+	}
 
-	// Two entries fit the budget; a third must evict the stalest.
 	one := calibrationFor(cfgN(0), base.Units, bench)
-	SetCalibrationCacheBudget(2*calSize(one) + calSize(one)/2)
 	calibrationFor(cfgN(1), base.Units, bench)
-	if got := tel.Counter("interval.calibrations").Value(); got != 2 {
-		t.Fatalf("calibrations = %d, want 2", got)
+	if cals, hits := counts(); cals != 2 || hits != 0 {
+		t.Fatalf("two new keys: calibrations = %d, hits = %d, want 2, 0", cals, hits)
 	}
-	if got := tel.Counter("interval.cal_cache_hits").Value(); got != 0 {
-		t.Fatalf("premature hits: %d", got)
+	if again := calibrationFor(cfgN(0), base.Units, bench); again != one {
+		t.Fatal("a repeated key did not return the stored calibration")
 	}
-
-	// Touch entry 0 so entry 1 is the LRU victim.
-	calibrationFor(cfgN(0), base.Units, bench)
-	if got := tel.Counter("interval.cal_cache_hits").Value(); got != 1 {
-		t.Fatalf("cal_cache_hits = %d, want 1", got)
+	if cals, hits := counts(); cals != 2 || hits != 1 {
+		t.Fatalf("one repeated key: calibrations = %d, hits = %d, want 2, 1", cals, hits)
 	}
 
-	calibrationFor(cfgN(2), base.Units, bench) // evicts entry 1
+	const racers = 4
+	got := make([]*Calibration, racers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = calibrationFor(cfgN(2), base.Units, bench)
+		}()
+	}
+	wg.Wait()
 	calMu.RLock()
-	n, bytes, budget := len(calCache), calBytes, calBudget
-	_, has0 := calCache[calKey{cfg: *cfgN(0), units: base.Units, bench: bench.Name}]
-	_, has1 := calCache[calKey{cfg: *cfgN(1), units: base.Units, bench: bench.Name}]
+	stored := calCache[calKey{cfg: *cfgN(2), units: base.Units, bench: bench.Name}]
 	calMu.RUnlock()
-	if bytes > budget {
-		t.Fatalf("cache over budget: %d > %d", bytes, budget)
+	for i, c := range got {
+		if c != stored {
+			t.Fatalf("racer %d got a calibration other than the stored one", i)
+		}
 	}
-	if n != 2 || !has0 || has1 {
-		t.Fatalf("eviction picked the wrong victim: n=%d has0=%v has1=%v", n, has0, has1)
-	}
-
-	// The evicted key recalibrates (a miss, not a hit).
-	calibrationFor(cfgN(1), base.Units, bench)
-	if got := tel.Counter("interval.calibrations").Value(); got != 4 {
-		t.Fatalf("calibrations = %d, want 4", got)
-	}
-
-	// A budget smaller than any entry still keeps the newest.
-	SetCalibrationCacheBudget(1)
-	calMu.RLock()
-	n = len(calCache)
-	calMu.RUnlock()
-	if n != 1 {
-		t.Fatalf("tiny budget kept %d entries, want 1", n)
+	if cals, hits := counts(); cals < 3 || cals+hits != 2+1+racers {
+		t.Fatalf("after %d racers: calibrations = %d, hits = %d; every call is one miss or one hit", racers, cals, hits)
 	}
 }

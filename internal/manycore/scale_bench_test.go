@@ -1,8 +1,10 @@
 package manycore
 
-// Scheduler-loop scale benchmarks: the committed BENCH_manycore.json
-// numbers gate the "incremental decision loop" property. The gate
-// benchmark shows an off-quantum Tick is O(1) at any machine size;
+// Scheduler-loop scale benchmarks, rows of the committed
+// BENCH_micro.json, record the "incremental decision loop" property
+// (make bench-check fails on an allocs/op increase and prints a row
+// past +10% ns/op). The gate benchmark shows an off-quantum Tick is
+// O(1) at any machine size;
 // the epoch benchmarks show per-quantum cost at hundreds of cores ×
 // thousands of threads stays dominated by the O(threads) observation
 // pass, not an O(threads×cores) placement rescan (64x512 → 256x2048

@@ -99,23 +99,3 @@ func (s *Source) GeometricLog(logq float64) int {
 	}
 	return n
 }
-
-// Split returns a new Source whose stream is independent of (but
-// deterministically derived from) the parent's current state. Use it
-// to give each subcomponent its own stream without correlated draws.
-func (s *Source) Split() *Source {
-	return &Source{state: s.Uint64()}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

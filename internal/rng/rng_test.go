@@ -180,38 +180,6 @@ func TestGeometricLogMatchesGeometric(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(21)
-	child := parent.Split()
-	// The child stream should not replicate the parent's next values.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("%d/100 collisions between parent and split child", same)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(23)
-	for _, n := range []int{1, 2, 5, 17, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestQuickUint64nInRange(t *testing.T) {
 	s := New(29)
 	f := func(n uint64) bool {
