@@ -76,24 +76,31 @@ bench-snapshot:
 bench-check:
 	$(MICROBENCH) | $(GO) run ./cmd/benchsnap -compare BENCH_micro.json
 
-# End-to-end service smoke: boot ampserve on an ephemeral port, drive
-# it with amploadgen (4 concurrent sweep jobs exercising the cache),
-# then SIGTERM it and require a clean drain (exit 0).
+# End-to-end service smoke: boot ampserve on an ephemeral port with two
+# workers and one pending slot, drive it with amploadgen (4 concurrent
+# sweep jobs exercising the cache, more than the server holds, so the
+# depth bound answers some submissions 429), then SIGTERM it and
+# require a clean drain (exit 0). The summary must read 12 completed,
+# 0 failed and at least one rejection retried.
 serve-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/" ./cmd/ampserve ./cmd/amploadgen; \
-	"$$tmp/ampserve" -addr 127.0.0.1:0 -addrfile "$$tmp/addr" \
+	"$$tmp/ampserve" -addr 127.0.0.1:0 -addrfile "$$tmp/addr" -workers 2 -queuecap 1 \
 		-limit 200000 -contextswitch 20000 -profilelimit 100000 \
 		-fidelity interval -cachedir "$$tmp/cache" >"$$tmp/server.log" 2>&1 & \
 	srv=$$!; \
 	bound=0; for i in $$(seq 1 100); do [ -f "$$tmp/addr" ] && { bound=1; break; }; sleep 0.1; done; \
 	if [ $$bound -ne 1 ]; then echo "ampserve never bound:"; cat "$$tmp/server.log"; kill $$srv 2>/dev/null; exit 1; fi; \
 	set +e; \
-	"$$tmp/amploadgen" -addr "$$(cat $$tmp/addr)" -jobs 12 -concurrency 4 -pairs 2 -distinct 3; \
+	"$$tmp/amploadgen" -addr "$$(cat $$tmp/addr)" -jobs 12 -concurrency 4 -pairs 2 -distinct 3 -report-shed >"$$tmp/load.out" 2>&1; \
 	lg=$$?; \
+	cat "$$tmp/load.out"; \
 	kill -TERM $$srv; wait $$srv; srvexit=$$?; \
 	echo "amploadgen exit=$$lg ampserve exit=$$srvexit"; \
-	if [ $$lg -ne 0 ] || [ $$srvexit -ne 0 ]; then cat "$$tmp/server.log"; exit 1; fi
+	if [ $$lg -ne 0 ] || [ $$srvexit -ne 0 ]; then cat "$$tmp/server.log"; exit 1; fi; \
+	retried=$$(sed -n 's/^jobs: *12 completed, 0 failed, \([0-9][0-9]*\) rejections retried$$/\1/p' "$$tmp/load.out"); \
+	if [ -z "$$retried" ] || [ "$$retried" -lt 1 ]; then \
+		echo "serve-smoke: want 12 completed, 0 failed and at least one rejection retried"; exit 1; fi
 
 # Crash-safety gate: ampchaos boots ampserve under service fault
 # injection, SIGKILLs it mid-load, restarts it on the same journal and

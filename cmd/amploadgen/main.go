@@ -11,12 +11,12 @@
 // It doubles as the service's end-to-end smoke test (`make
 // serve-smoke`): the exit status is non-zero when no job completes.
 //
-// Overload protection is backpressure, not failure: a 429 (load shed)
-// or 503 (circuit breaker open) is retried after the server's retry
-// hint, by the rule of internal/serveclient, the client this command
-// drives the service through. -report-shed appends a summary of how
-// often the server pushed back and how long the loop honored its
-// hints — the observable half of the admission-control contract.
+// Overload protection is backpressure, not failure: a 429 (queue full)
+// or 503 (draining) is retried after the server's retry hint, by the
+// rule of internal/serveclient, the client this command drives the
+// service through. -report-shed appends a summary of how often the
+// server pushed back and how long the loop honored its hints — the
+// observable half of the depth bound's contract.
 //
 // Fleet mode: -fleet takes a comma-separated node list and sprays
 // submissions round-robin across it, so every node sees every spec
@@ -56,7 +56,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1000, "first spec seed; spec i uses seed+i%distinct")
 		fidelity    = flag.String("fidelity", "", "per-job fidelity override (inherit server default when empty)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-job completion timeout")
-		reportShed  = flag.Bool("report-shed", false, "report load-shed/breaker rejections and honored backoff")
+		reportShed  = flag.Bool("report-shed", false, "report queue-full/draining rejections and honored backoff")
 		verbose     = flag.Bool("v", false, "log each job outcome to stderr")
 	)
 	flag.Parse()
@@ -171,7 +171,7 @@ func main() {
 			pct(latencies, 50), pct(latencies, 90), pct(latencies, 99))
 	}
 	if *reportShed {
-		fmt.Printf("shed:       %d load-shed (429), %d breaker-refused (503), %v backoff honored\n",
+		fmt.Printf("shed:       %d queue full (429), %d draining (503), %v backoff honored\n",
 			shed.Shed, shed.Refused, shed.Waited.Round(time.Millisecond))
 	}
 	if len(nodes) > 1 {

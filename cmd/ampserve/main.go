@@ -19,9 +19,10 @@
 // CRC-framed write-ahead log; on restart the journal is replayed and
 // acknowledged-but-unfinished jobs are re-enqueued (their completed
 // pairs return from the -cachedir result cache, so recovery repeats
-// no work already persisted). -queuecap, -maxcost and the -breaker*
-// flags bound the backlog under overload, and -faultservice turns the
-// daemon into its own chaos subject for `make chaos-smoke`.
+// no work already persisted). -queuecap bounds the pending backlog: a
+// submission that would pass it is refused with 429 and Retry-After: 1.
+// -faultservice turns the daemon into its own chaos subject for `make
+// chaos-smoke`.
 //
 // Fleet mode: -peers (or -peersfile) lists the static membership of
 // an ampserve fleet. Submissions route to their canonical owner on a
@@ -58,16 +59,12 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 		addrFile     = flag.String("addrfile", "", "write the bound address to this file once listening")
 		workers      = flag.Int("workers", 0, "job queue worker pool size (0 = GOMAXPROCS)")
-		queueCap     = flag.Int("queuecap", 0, "pending job high-water mark (0 = 4x workers)")
+		queueCap     = flag.Int("queuecap", 0, "refuse submissions that would pass this many pending jobs (0 = 4x workers)")
 		maxPairs     = flag.Int("maxpairs", 0, "per-job pair limit (0 = 400)")
 		cacheBytes   = flag.Int64("cachebytes", 0, "result cache byte budget (0 = 64 MiB)")
 		cacheDir     = flag.String("cachedir", "", "persist the result cache to this directory")
 		journalDir   = flag.String("journaldir", "", "journal job lifecycle to this directory and replay it on startup")
 		flushEvery   = flag.Duration("flushevery", 0, "background cache/journal flush cadence (0 = only on drain)")
-		maxCost      = flag.Float64("maxcost", 0, "shed submissions past this backlog cost in weighted pairs (0 = no shedding)")
-		breakerWin   = flag.Int("breakerwindow", 0, "per-fidelity breaker outcome window (0 = 20, negative disables)")
-		breakerTrip  = flag.Float64("breakertrip", 0, "wedge fraction over a full window that trips the breaker (0 = 0.5)")
-		breakerCool  = flag.Duration("breakercooldown", 0, "tripped-breaker refusal period before a half-open probe (0 = 5s)")
 		faultRate    = flag.Float64("faultservice", 0, "chaos: inject service faults (disk errors, torn writes, stalls, panics) at this uniform rate")
 		faultSeed    = flag.Uint64("faultseed", 1, "chaos: service fault-plan seed")
 		fidelity     = flag.String("fidelity", "", "default simulation engine: detailed | interval | sampled")
@@ -174,16 +171,10 @@ func main() {
 		Cache:          pairstore.CacheConfig{ByteBudget: *cacheBytes, Dir: *cacheDir},
 		JournalDir:     *journalDir,
 		FlushEvery:     *flushEvery,
-		Admission: server.AdmissionConfig{
-			MaxPending:      *queueCap,
-			MaxPendingCost:  *maxCost,
-			BreakerWindow:   *breakerWin,
-			BreakerTripRate: *breakerTrip,
-			BreakerCooldown: *breakerCool,
-		},
-		Chaos:      chaos,
-		Telemetry:  tel,
-		JobIDSpace: idSpace,
+		MaxPending:     *queueCap,
+		Chaos:          chaos,
+		Telemetry:      tel,
+		JobIDSpace:     idSpace,
 	})
 	if err != nil {
 		fatal(err)

@@ -16,14 +16,18 @@ const nsReportPct = 10
 // Every row takes the package of the `pkg:` header above it, so the
 // output of one `go test` over several packages parses into one
 // snapshot. Non-benchmark lines (PASS, ok, ...) pass through to
-// passthrough so the snapshot never silently swallows a test failure.
+// passthrough. A run that carries a FAIL or panic: line is an error:
+// a failed benchmark prints no row, so its snapshot would be short.
 func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 	var snap Snapshot
-	pkg := ""
+	pkg, failure := "", ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
+		if failure == "" && (strings.HasPrefix(strings.TrimPrefix(line, "--- "), "FAIL") || strings.HasPrefix(line, "panic:")) {
+			failure = line
+		}
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			snap.GOOS = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
@@ -46,7 +50,13 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 			}
 		}
 	}
-	return snap, sc.Err()
+	if err := sc.Err(); err != nil {
+		return snap, err
+	}
+	if failure != "" {
+		return snap, fmt.Errorf("the benchmark run failed (%q)", failure)
+	}
+	return snap, nil
 }
 
 // compareResult is the outcome of one baseline comparison: a report

@@ -322,6 +322,44 @@ func TestRunExitStatus(t *testing.T) {
 	}
 }
 
+// TestRunRefusesFailedRun: a run carrying a FAIL line (a benchmark
+// called b.Fatal) or a panic: line exits 1 in both modes, even with
+// every baseline row present, and -o leaves the file as it was.
+func TestRunRefusesFailedRun(t *testing.T) {
+	base, err := parseSnapshot(strings.NewReader(multiPkgRun), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.GoVersion = runtime.Version()
+	const clusterTail = "PASS\nok  \tampsched/internal/cluster\t1.000s\n"
+	for _, tc := range []struct{ name, tail string }{
+		{"FAIL", "--- FAIL: BenchmarkClusterJobRouteKey\n    bench_test.go:36: injected failure\nFAIL\nexit status 1\nFAIL\tampsched/internal/cluster\t1.000s\n"},
+		{"panic", "panic: runtime error: index out of range [3] with length 3\n\ngoroutine 7 [running]:\n"},
+	} {
+		in := strings.Replace(multiPkgRun, clusterTail, tc.tail, 1)
+		if in == multiPkgRun {
+			t.Fatal("test input edit did not apply")
+		}
+		if code, out := runCompare(t, base, in); code != 1 {
+			t.Errorf("%s: -compare exited %d, want 1:\n%s", tc.name, code, out)
+		}
+		path := filepath.Join(t.TempDir(), "BENCH_micro.json")
+		if code := run([]string{"-o", path}, strings.NewReader(multiPkgRun), io.Discard, io.Discard); code != 0 {
+			t.Fatalf("recording a clean run exited %d", code)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := run([]string{"-o", path}, strings.NewReader(in), io.Discard, io.Discard); code != 1 {
+			t.Errorf("%s: -o exited %d, want 1", tc.name, code)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: -o rewrote the snapshot (%v)", tc.name, err)
+		}
+	}
+}
+
 // TestCompareAllocsSlack: a row's exemption lets its allocs/op rise up
 // to its slack and no further, and covers that row alone.
 func TestCompareAllocsSlack(t *testing.T) {

@@ -10,7 +10,8 @@
 // Each row carries the package it ran in, so one snapshot holds the
 // rows of several packages. The gate's policy is fixed (see
 // compareSnapshots). Non-benchmark lines (PASS, ok, ...) pass through
-// to stderr so the snapshot never silently swallows a test failure.
+// to stderr. A run in which a benchmark failed (a FAIL or panic: line
+// in the input) exits 1 in both modes, and -o writes nothing.
 package main
 
 import (

@@ -59,7 +59,7 @@ func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config)) []*tes
 		scfg := server.Config{
 			BaseOptions: testOptions(),
 			Queue:       jobqueue.Config{Workers: 4},
-			Admission:   server.AdmissionConfig{MaxPending: 16},
+			MaxPending:  16,
 			Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 			Telemetry:   tel,
 			JobIDSpace:  addrs[i],
@@ -262,7 +262,7 @@ func TestForwardPropagatesRetryAfter(t *testing.T) {
 		func(i int, cfg *server.Config) {
 			if i == 0 { // the owner: one worker, one pending slot
 				cfg.Queue = jobqueue.Config{Workers: 1}
-				cfg.Admission.MaxPending = 1
+				cfg.MaxPending = 1
 			}
 		})
 

@@ -269,8 +269,8 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // forward relays a submission to the owner's peer endpoint and copies
 // the owner's verdict back verbatim — status, body, and the
-// Retry-After header, so the owner's shed/breaker backpressure
-// reaches the client through the forwarding node intact. A transport
+// Retry-After header, so the owner's queue-full backpressure reaches
+// the client through the forwarding node intact. A transport
 // failure (owner unreachable, forward timeout) falls back to local
 // compute: byte-identical results make the detour invisible, and the
 // missed probe feeds the liveness state machine.

@@ -6,8 +6,8 @@
 //
 //   - One enqueue: Submit takes a group of tasks and accepts all of
 //     them or none, so a single job is a group of one. The queue sets
-//     no depth bound of its own; the server's admission control
-//     decides depth, cost and breaker refusals before it calls Submit.
+//     no depth bound of its own; the server refuses a group that would
+//     pass its backlog bound before it calls Submit.
 //   - Priority: pending jobs run highest Priority first; ties break by
 //     submission order, so equal-priority traffic is FIFO and the
 //     schedule is deterministic for a deterministic arrival order.
@@ -102,12 +102,6 @@ type SubmitOptions struct {
 	// Deadline, when positive, bounds the job's total run time
 	// (including retries and backoff waits).
 	Deadline time.Duration
-	// Cost is the caller's estimate of the job's expense in arbitrary
-	// units (the server uses simulated pair-instructions). The queue
-	// only accounts for it — Stats.PendingCost/RunningCost and the
-	// jobqueue.pending_cost gauge — so admission control can shed by
-	// backlog cost, not just backlog count.
-	Cost float64
 }
 
 // Job is a handle on one submitted task.
@@ -117,7 +111,6 @@ type Job struct {
 	seq      uint64
 	task     Task
 	deadline time.Duration
-	cost     float64
 
 	q        *Queue
 	ctx      context.Context
@@ -198,31 +191,28 @@ func (j *Job) settle(s State, err error) bool {
 type Queue struct {
 	cfg Config
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     jobHeap
-	active      map[*Job]struct{}
-	nextID      uint64
-	nextSeq     uint64
-	closed      bool
-	pendingCost float64
-	runningCost float64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending jobHeap
+	active  map[*Job]struct{}
+	nextID  uint64
+	nextSeq uint64
+	closed  bool
 
 	wg sync.WaitGroup
 
-	depth        *telemetry.Gauge
-	runningG     *telemetry.Gauge
-	pendingCostG *telemetry.Gauge
-	submitted    *telemetry.Counter
-	batches      *telemetry.Counter
-	rejected     *telemetry.Counter
-	completed    *telemetry.Counter
-	failed       *telemetry.Counter
-	canceled     *telemetry.Counter
-	retries      *telemetry.Counter
-	panicked     *telemetry.Counter
-	waitUS       *telemetry.Histogram
-	runUS        *telemetry.Histogram
+	depth     *telemetry.Gauge
+	runningG  *telemetry.Gauge
+	submitted *telemetry.Counter
+	batches   *telemetry.Counter
+	rejected  *telemetry.Counter
+	completed *telemetry.Counter
+	failed    *telemetry.Counter
+	canceled  *telemetry.Counter
+	retries   *telemetry.Counter
+	panicked  *telemetry.Counter
+	waitUS    *telemetry.Histogram
+	runUS     *telemetry.Histogram
 }
 
 // New builds a Queue and starts its workers.
@@ -238,20 +228,19 @@ func New(cfg Config) (*Queue, error) {
 	}
 	tel := cfg.Telemetry
 	q := &Queue{
-		cfg:          cfg,
-		depth:        tel.Gauge("jobqueue.depth"),
-		runningG:     tel.Gauge("jobqueue.running"),
-		pendingCostG: tel.Gauge("jobqueue.pending_cost"),
-		submitted:    tel.Counter("jobqueue.submitted"),
-		batches:      tel.Counter("jobqueue.batches"),
-		rejected:     tel.Counter("jobqueue.rejected"),
-		completed:    tel.Counter("jobqueue.completed"),
-		failed:       tel.Counter("jobqueue.failed"),
-		canceled:     tel.Counter("jobqueue.canceled"),
-		retries:      tel.Counter("jobqueue.retries"),
-		panicked:     tel.Counter("jobqueue.panics"),
-		waitUS:       tel.Histogram("jobqueue.wait_us"),
-		runUS:        tel.Histogram("jobqueue.run_us"),
+		cfg:       cfg,
+		depth:     tel.Gauge("jobqueue.depth"),
+		runningG:  tel.Gauge("jobqueue.running"),
+		submitted: tel.Counter("jobqueue.submitted"),
+		batches:   tel.Counter("jobqueue.batches"),
+		rejected:  tel.Counter("jobqueue.rejected"),
+		completed: tel.Counter("jobqueue.completed"),
+		failed:    tel.Counter("jobqueue.failed"),
+		canceled:  tel.Counter("jobqueue.canceled"),
+		retries:   tel.Counter("jobqueue.retries"),
+		panicked:  tel.Counter("jobqueue.panics"),
+		waitUS:    tel.Histogram("jobqueue.wait_us"),
+		runUS:     tel.Histogram("jobqueue.run_us"),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	q.active = make(map[*Job]struct{})
@@ -305,7 +294,6 @@ func (q *Queue) Submit(tasks []BatchTask, jobs []*Job) error {
 			seq:       q.nextSeq,
 			task:      bt.Task,
 			deadline:  bt.Opts.Deadline,
-			cost:      bt.Opts.Cost,
 			q:         q,
 			ctx:       jctx,
 			cancel:    cancel,
@@ -314,11 +302,9 @@ func (q *Queue) Submit(tasks []BatchTask, jobs []*Job) error {
 			submitted: now,
 		}
 		heap.Push(&q.pending, j)
-		q.pendingCost += j.cost
 		jobs[i] = j
 	}
 	q.depth.Set(float64(len(q.pending)))
-	q.pendingCostG.Set(q.pendingCost)
 	q.submitted.Add(uint64(len(tasks)))
 	q.batches.Inc()
 	q.cond.Broadcast()
@@ -330,9 +316,7 @@ func (q *Queue) cancelJob(j *Job) {
 	q.mu.Lock()
 	if j.index >= 0 { // still pending: remove so it never starts
 		heap.Remove(&q.pending, j.index)
-		q.pendingCost -= j.cost
 		q.depth.Set(float64(len(q.pending)))
-		q.pendingCostG.Set(q.pendingCost)
 		q.cond.Broadcast() // Drain waits on the pending heap emptying
 	}
 	q.mu.Unlock()
@@ -355,10 +339,7 @@ func (q *Queue) worker() {
 			return
 		}
 		j := heap.Pop(&q.pending).(*Job)
-		q.pendingCost -= j.cost
-		q.runningCost += j.cost
 		q.depth.Set(float64(len(q.pending)))
-		q.pendingCostG.Set(q.pendingCost)
 		q.active[j] = struct{}{}
 		q.runningG.Set(float64(len(q.active)))
 		q.mu.Unlock()
@@ -369,11 +350,10 @@ func (q *Queue) worker() {
 
 // retire takes a popped job out of the running census. run calls it
 // before settling the job, so a caller returning from Wait never sees
-// the job's cost in Stats.
+// the job in Stats.
 func (q *Queue) retire(j *Job) {
 	q.mu.Lock()
 	delete(q.active, j)
-	q.runningCost -= j.cost
 	q.runningG.Set(float64(len(q.active)))
 	q.cond.Broadcast() // Drain waits on the active set emptying
 	q.mu.Unlock()
@@ -545,9 +525,7 @@ func (q *Queue) abort() {
 	for len(q.pending) > 0 {
 		victims = append(victims, heap.Pop(&q.pending).(*Job))
 	}
-	q.pendingCost = 0
 	q.depth.Set(0)
-	q.pendingCostG.Set(0)
 	running := make([]*Job, 0, len(q.active))
 	for j := range q.active { //ampvet:allow determinism cancellation fan-out order is unobservable
 		running = append(running, j)
@@ -565,25 +543,17 @@ func (q *Queue) abort() {
 	}
 }
 
-// Stats is a point-in-time queue census. PendingCost and RunningCost
-// sum the SubmitOptions.Cost of the jobs in each state.
+// Stats is a point-in-time queue census.
 type Stats struct {
-	Pending     int
-	Running     int
-	PendingCost float64
-	RunningCost float64
+	Pending int
+	Running int
 }
 
 // Stats returns the current backlog sizes.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{
-		Pending:     len(q.pending),
-		Running:     len(q.active),
-		PendingCost: q.pendingCost,
-		RunningCost: q.runningCost,
-	}
+	return Stats{Pending: len(q.pending), Running: len(q.active)}
 }
 
 // jobHeap orders pending jobs by (priority desc, seq asc).

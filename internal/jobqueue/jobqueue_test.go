@@ -409,73 +409,18 @@ func TestTaskPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestCostAccounting tracks PendingCost/RunningCost through the job
-// lifecycle: pile jobs behind a blocked worker, then release.
-func TestCostAccounting(t *testing.T) {
-	tel := telemetry.New()
-	q := newTestQueue(t, Config{Workers: 1, Telemetry: tel})
-	release := make(chan struct{})
-	blocker, err := submitOne(q, func(ctx context.Context) error {
-		<-release
-		return nil
-	}, SubmitOptions{Cost: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Let the blocker start so its cost moves pending -> running.
-	deadline := time.After(5 * time.Second)
-	for blocker.State() != StateRunning {
-		select {
-		case <-deadline:
-			t.Fatal("blocker never started")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	var jobs []*Job
-	for i := 0; i < 3; i++ {
-		j, err := submitOne(q, func(ctx context.Context) error { return nil }, SubmitOptions{Cost: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	st := q.Stats()
-	if st.PendingCost != 30 || st.RunningCost != 5 {
-		t.Fatalf("Stats = %+v, want PendingCost 30 RunningCost 5", st)
-	}
-	if got := tel.Gauge("jobqueue.pending_cost").Value(); got != 30 {
-		t.Fatalf("pending_cost gauge = %v, want 30", got)
-	}
-
-	// Cancel one pending job: its cost leaves the backlog.
-	jobs[2].Cancel()
-	if st := q.Stats(); st.PendingCost != 20 {
-		t.Fatalf("PendingCost after cancel = %v, want 20", st.PendingCost)
-	}
-
-	close(release)
-	for _, j := range append(jobs[:2], blocker) {
-		j.Wait(context.Background())
-	}
-	if st := q.Stats(); st.PendingCost != 0 || st.RunningCost != 0 {
-		t.Fatalf("Stats after drain = %+v, want zero costs", st)
-	}
-}
-
-// TestCostRetiredBeforeSettle forces the interleaving that made
-// TestCostAccounting flaky: a job whose settle is stalled (the test
-// holds its lock) must already be out of the running census, so a
-// caller returning from Wait never reads a RunningCost that still
-// counts it.
-func TestCostRetiredBeforeSettle(t *testing.T) {
+// TestJobRetiredBeforeSettle forces the interleaving in which a
+// caller returning from Wait could still find its job in the running
+// census: a job whose settle is stalled (the test holds its lock) must
+// already be out of Stats().Running.
+func TestJobRetiredBeforeSettle(t *testing.T) {
 	q := newTestQueue(t, Config{Workers: 1})
 	started, release := make(chan struct{}), make(chan struct{})
 	j, err := submitOne(q, func(ctx context.Context) error {
 		close(started)
 		<-release
 		return nil
-	}, SubmitOptions{Cost: 5})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,11 +428,11 @@ func TestCostRetiredBeforeSettle(t *testing.T) {
 	j.mu.Lock() // settle blocks here until released below
 	close(release)
 	deadline := time.After(5 * time.Second)
-	for q.Stats().RunningCost != 0 {
+	for q.Stats().Running != 0 {
 		select {
 		case <-deadline:
 			j.mu.Unlock()
-			t.Fatal("worker still counts the job's cost while settling it")
+			t.Fatal("worker still counts the job as running while settling it")
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -501,7 +446,7 @@ func TestCostRetiredBeforeSettle(t *testing.T) {
 	if err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := q.Stats(); st.Running != 0 || st.RunningCost != 0 {
+	if st := q.Stats(); st.Running != 0 {
 		t.Fatalf("Stats after Wait = %+v, want nothing running", st)
 	}
 }

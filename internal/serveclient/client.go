@@ -32,8 +32,8 @@ const (
 	// minBackoff is the wait before resubmitting a refused job when
 	// the reply's Retry-After hint is missing, unparsable or shorter.
 	minBackoff = 50 * time.Millisecond
-	// maxBackoff caps the Retry-After hint, so a long breaker
-	// cooldown (-breakercooldown) cannot stall the caller.
+	// maxBackoff caps the Retry-After hint, so no server's hint can
+	// stall the caller for long; ampserve's own is 1 s (queue full).
 	maxBackoff = 5 * time.Second
 )
 
@@ -43,8 +43,8 @@ var ErrBackpressure = errors.New("submit still refused at the deadline (backpres
 
 // Pushback counts the overload refusals Submit retried.
 type Pushback struct {
-	Shed    int64         // 429: load shed or queue full
-	Refused int64         // 503: circuit breaker open or draining
+	Shed    int64         // 429: queue full
+	Refused int64         // 503: draining
 	Waited  time.Duration // backoff honored before resubmitting
 }
 

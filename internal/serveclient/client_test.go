@@ -36,8 +36,9 @@ func TestRetryDelay(t *testing.T) {
 }
 
 // newService serves an in-process server at interval fidelity with
-// the harnesses' small simulation limits.
-func newService(t *testing.T, adm server.AdmissionConfig) (*server.Server, *telemetry.Telemetry, *Client) {
+// the harnesses' small simulation limits; mutate, when set, adjusts
+// its configuration.
+func newService(t *testing.T, mutate func(*server.Config)) (*server.Server, *telemetry.Telemetry, *Client) {
 	t.Helper()
 	opt := experiments.DefaultOptions()
 	opt.InstrLimit = 40_000
@@ -45,13 +46,16 @@ func newService(t *testing.T, adm server.AdmissionConfig) (*server.Server, *tele
 	opt.ProfileInstrLimit = 30_000
 	opt.Fidelity = "interval"
 	tel := telemetry.New()
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		BaseOptions: opt,
 		Queue:       jobqueue.Config{Workers: 2},
-		Admission:   adm,
 		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
-	})
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +73,7 @@ func newService(t *testing.T, adm server.AdmissionConfig) (*server.Server, *tele
 // through one client from several goroutines yield exactly the bytes
 // the server cached, and the metrics read sees the completions.
 func TestRunResultsMatchCache(t *testing.T) {
-	srv, _, c := newService(t, server.AdmissionConfig{})
+	srv, _, c := newService(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -103,15 +107,35 @@ func TestRunResultsMatchCache(t *testing.T) {
 	}
 }
 
-// TestSubmitShedUntilDeadline: a job costing more than the admission
-// bound is shed on every try. Submit honors the 1 s hint, counts every
-// 429 the server sent, and gives up with ErrBackpressure at its
-// deadline, before the next hinted wait would end.
+// TestSubmitShedUntilDeadline: with the only worker parked and the one
+// pending slot (MaxPending 1) taken, the depth bound refuses a job on
+// every try. Submit honors the 1 s hint, counts every 429 the server
+// sent, and gives up with ErrBackpressure at its deadline, before the
+// next hinted wait would end.
 func TestSubmitShedUntilDeadline(t *testing.T) {
-	_, tel, c := newService(t, server.AdmissionConfig{
-		MaxPendingCost: 1,                // one interval pair
-		RetryAfter:     time.Millisecond, // sent as "Retry-After: 1"
+	srv, tel, c := newService(t, func(cfg *server.Config) {
+		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.MaxPending = 1
 	})
+	// The first job parks the worker in the fleet lookup of its pair
+	// until the server closes; the second then waits in the only slot.
+	parked := make(chan struct{})
+	var once sync.Once
+	srv.SetCluster(func(ctx context.Context, key string) ([]byte, bool) {
+		once.Do(func() { close(parked) })
+		<-ctx.Done()
+		return nil, false
+	}, nil)
+	setup, cancelSetup := context.WithTimeout(context.Background(), time.Minute)
+	defer cancelSetup()
+	if _, err := c.Submit(setup, server.JobSpec{Pairs: 1, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	if _, err := c.Submit(setup, server.JobSpec{Pairs: 1, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+
 	const deadline = 1500 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
@@ -136,7 +160,7 @@ func TestSubmitShedUntilDeadline(t *testing.T) {
 // TestUnknownJobFailsAtOnce: a status read for an id the server never
 // issued is an error, and Wait returns it instead of polling on.
 func TestUnknownJobFailsAtOnce(t *testing.T) {
-	_, _, c := newService(t, server.AdmissionConfig{})
+	_, _, c := newService(t, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	if _, err := c.Status(ctx, "no-such-job"); err == nil || !strings.Contains(err.Error(), "HTTP 404") {

@@ -1,10 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -12,40 +11,6 @@ import (
 
 	"ampsched/internal/jobqueue"
 )
-
-// TestGroupAdmittedByItsTotalCost: a group is shed when its members'
-// summed cost passes the bound, even though each member alone fits.
-func TestGroupAdmittedByItsTotalCost(t *testing.T) {
-	s := newTestService(t, func(cfg *Config) {
-		cfg.Admission.MaxPendingCost = 2 // two interval pairs
-	})
-	group := []JobSpec{
-		{PairNames: [][2]string{{"gcc", "swim"}}},
-		{PairNames: [][2]string{{"gcc", "art"}}},
-		{PairNames: [][2]string{{"gcc", "mcf"}}},
-	}
-	body, err := json.Marshal(group)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(s.ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("group costing 3 against a bound of 2 = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	if got := s.tel.Counter("jobqueue.submitted").Value(); got != 0 {
-		t.Fatalf("jobqueue.submitted = %d after a shed group, want 0", got)
-	}
-	if got := s.tel.Counter("server.jobs_rejected").Value(); got != 3 {
-		t.Fatalf("server.jobs_rejected = %d, want 3 (every member)", got)
-	}
-}
 
 // TestRacingSubmittersNeverPassMaxPending: with both workers parked,
 // racing single and group submitters fill the backlog exactly to
@@ -55,7 +20,7 @@ func TestRacingSubmittersNeverPassMaxPending(t *testing.T) {
 	const maxPending = 4
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Queue = jobqueue.Config{Workers: 2}
-		cfg.Admission.MaxPending = maxPending
+		cfg.MaxPending = maxPending
 	})
 	// Each blocker job parks a worker in the fleet lookup of its pair
 	// until release; after that every lookup falls through to local
@@ -139,7 +104,7 @@ func TestSubmitManyOversizedGroup(t *testing.T) {
 	const maxPending = 4
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Queue = jobqueue.Config{Workers: 1}
-		cfg.Admission.MaxPending = maxPending
+		cfg.MaxPending = maxPending
 	})
 	// The blocker parks the worker in the fleet lookup of its pair, so
 	// admitted jobs stay pending and countable.
@@ -190,5 +155,41 @@ func TestSubmitManyOversizedGroup(t *testing.T) {
 		if st := s.waitDone(t, j.id); st.State != "done" {
 			t.Fatalf("job %s ended %q (err %q), want done", j.id, st.State, st.Error)
 		}
+	}
+}
+
+// TestWedgedJobRefusesNoOtherJob: a job whose every pair wedges (a
+// 10 M-cycle swap overhead outlasts the 8 M-cycle no-progress
+// watchdog) fails alone. A pair record is a pure function of its spec,
+// so the wedge recurs for that spec and says nothing about the engine:
+// the next healthy job at the same fidelity is admitted and completes,
+// and /readyz stays plainly ready.
+func TestWedgedJobRefusesNoOtherJob(t *testing.T) {
+	s := newTestService(t, nil)
+	const pairs = 20
+	wedged := s.waitDone(t, s.postJob(t, JobSpec{Pairs: pairs, SwapOverhead: 10_000_000}).ID)
+	if wedged.State != "failed" || wedged.Failed != pairs {
+		t.Fatalf("wedging job ended %q with %d of %d pairs failed (err %q), want failed with every pair",
+			wedged.State, wedged.Failed, pairs, wedged.Error)
+	}
+
+	st, code := s.tryPostJob(t, JobSpec{Pairs: 2, Seed: 5})
+	if code != http.StatusAccepted {
+		t.Fatalf("healthy job after the wedge: POST = %d, want 202", code)
+	}
+	if final := s.waitDone(t, st.ID); final.State != "done" {
+		t.Fatalf("healthy job ended %q (err %q), want done", final.State, final.Error)
+	}
+	resp, err := http.Get(s.ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(body) != "ready\n" {
+		t.Fatalf("/readyz after the wedge = %d %q, want 200 \"ready\\n\"", resp.StatusCode, body)
 	}
 }

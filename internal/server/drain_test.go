@@ -17,7 +17,7 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, func(cfg *Config) {
 		cfg.Queue.Workers = 4
-		cfg.Admission.MaxPending = 16
+		cfg.MaxPending = 16
 		cfg.Cache.Dir = dir
 	})
 
@@ -78,7 +78,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
 		cfg.Queue.Workers = 1
-		cfg.Admission.MaxPending = 8
+		cfg.MaxPending = 8
 	})
 	id := s.postJob(t, JobSpec{Pairs: 4}).ID
 

@@ -3,15 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
@@ -105,7 +102,7 @@ func TestRecoveryNeverRefusesForDepth(t *testing.T) {
 	s := newTestService(t, func(cfg *Config) {
 		cfg.JournalDir = jdir
 		cfg.Queue = jobqueue.Config{Workers: 1}
-		cfg.Admission.MaxPending = 1
+		cfg.MaxPending = 1
 	})
 	stats, err := s.srv.Recover()
 	if err != nil {
@@ -278,87 +275,6 @@ func TestAcknowledgedImpliesJournaled(t *testing.T) {
 	}
 }
 
-func TestAdmissionShedsByCostWithRetryAfter(t *testing.T) {
-	s := newTestService(t, func(cfg *Config) {
-		cfg.Admission.MaxPendingCost = 1 // one interval pair
-	})
-	// 2 interval pairs cost 2 > 1: shed before it reaches the queue.
-	resp, err := http.Post(s.ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"pairs": 2, "seed": 44}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("shed status %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("shed response missing Retry-After")
-	}
-	if got := s.tel.Counter("server.jobs_shed").Value(); got != 1 {
-		t.Fatalf("jobs_shed = %d, want 1", got)
-	}
-	if _, err := s.srv.Submit(JobSpec{Pairs: 2, Seed: 44}); !errors.Is(err, ErrShed) {
-		t.Fatalf("Submit error %v, want ErrShed", err)
-	}
-	// A job within the cost bound is admitted.
-	if st := s.waitDone(t, s.postJob(t, JobSpec{Pairs: 1, Seed: 5}).ID); st.State != "done" {
-		t.Fatalf("affordable job %q", st.State)
-	}
-}
-
-// TestBreakerTripsPerFidelity exercises the circuit breaker state
-// machine directly: trip on a wedge-heavy window, refuse that fidelity
-// only, half-open after cooldown, close on a good probe.
-func TestBreakerTripsPerFidelity(t *testing.T) {
-	tel := telemetry.New()
-	a := newAdmission(AdmissionConfig{
-		MaxPending:      1,
-		BreakerWindow:   4,
-		BreakerTripRate: 0.5,
-		BreakerCooldown: 30 * time.Millisecond,
-	}, tel)
-	idle := func() jobqueue.Stats { return jobqueue.Stats{} }
-	enqueue := func() error { return nil }
-	group := func(fidelity string) []demand { return []demand{{fidelity: fidelity, cost: 1}} }
-
-	for i := 0; i < 4; i++ {
-		a.record("detailed", true)
-	}
-	if got := tel.Counter("server.breaker_trips").Value(); got != 1 {
-		t.Fatalf("breaker_trips = %d, want 1", got)
-	}
-	err := a.admit(group("detailed"), idle, enqueue)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("tripped fidelity admitted: %v", err)
-	}
-	var oe *OverloadError
-	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
-		t.Fatalf("breaker refusal %v lacks a positive RetryAfter", err)
-	}
-	if err := a.admit(group("interval"), idle, enqueue); err != nil {
-		t.Fatalf("healthy fidelity refused: %v", err)
-	}
-	if open := a.openBreakers(); len(open) != 1 || open[0] != "detailed" {
-		t.Fatalf("openBreakers = %v, want [detailed]", open)
-	}
-
-	time.Sleep(40 * time.Millisecond)
-	if err := a.admit(group("detailed"), idle, enqueue); err != nil {
-		t.Fatalf("half-open probe refused: %v", err)
-	}
-	a.record("detailed", false) // probe succeeded: breaker closes
-	if open := a.openBreakers(); len(open) != 0 {
-		t.Fatalf("openBreakers after good probe = %v, want none", open)
-	}
-	for i := 0; i < 3; i++ { // window was reset: 3 wedges of 4 do not trip
-		a.record("detailed", true)
-	}
-	if err := a.admit(group("detailed"), idle, enqueue); err != nil {
-		t.Fatalf("closed breaker refused: %v", err)
-	}
-}
-
 func TestCacheLoadQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	tel := telemetry.New()
@@ -417,7 +333,7 @@ func TestCancelDuringDrainRacesJournalReplay(t *testing.T) {
 	s1 := newTestService(t, func(cfg *Config) {
 		cfg.JournalDir = jdir
 		cfg.Queue = jobqueue.Config{Workers: 2}
-		cfg.Admission.MaxPending = 32
+		cfg.MaxPending = 32
 	})
 	var entries []*jobEntry
 	for i := 0; i < 8; i++ {

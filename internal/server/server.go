@@ -65,9 +65,10 @@ type Config struct {
 	// submissions are fsynced to a WAL before they are acknowledged and
 	// Recover replays it after a crash. Empty disables journaling.
 	JournalDir string
-	// Admission tunes overload protection (the depth bound, load
-	// shedding and the per-fidelity circuit breaker).
-	Admission AdmissionConfig
+	// MaxPending refuses a submitted group that would push the pending
+	// backlog past this many jobs (ErrQueueFull); 0 means 4x the
+	// queue's workers.
+	MaxPending int
 	// Chaos, when non-nil, injects service-level faults (disk errors,
 	// torn writes, slow I/O, worker stalls, panics) into the journal,
 	// cache and job execution — the chaos harness's hook.
@@ -91,13 +92,12 @@ type Config struct {
 // Server is the simulation service. Create with New, expose Handler,
 // and stop with Drain (graceful) or Close (immediate).
 type Server struct {
-	cfg       Config
-	tel       *telemetry.Telemetry
-	cache     *pairstore.Cache
-	queue     *jobqueue.Queue
-	journal   *wal.Log
-	admission *admission
-	chaos     *fault.ServicePlan
+	cfg     Config
+	tel     *telemetry.Telemetry
+	cache   *pairstore.Cache
+	queue   *jobqueue.Queue
+	journal *wal.Log
+	chaos   *fault.ServicePlan
 
 	baseOpt    experiments.Options
 	coreDigest string
@@ -105,6 +105,10 @@ type Server struct {
 	mu      sync.Mutex
 	jobs    map[string]*jobEntry
 	runners map[string]*experiments.Runner
+
+	// admitMu makes the depth check and the enqueue of a submitted
+	// group one critical section.
+	admitMu sync.Mutex
 
 	// remote / publish are the fleet hooks (SetCluster, fleet.go):
 	// consulted on pair cache misses and fed locally computed records.
@@ -173,12 +177,11 @@ func New(cfg Config) (*Server, error) {
 	if qcfg.Retryable == nil {
 		qcfg.Retryable = func(err error) bool { return errors.Is(err, fault.ErrInjectedPanic) }
 	}
-	acfg := cfg.Admission
-	if acfg.MaxPending < 0 {
-		return nil, fmt.Errorf("server: negative Admission.MaxPending")
+	if cfg.MaxPending < 0 {
+		return nil, fmt.Errorf("server: negative MaxPending")
 	}
-	if acfg.MaxPending == 0 {
-		acfg.MaxPending = 4 * qcfg.Workers
+	if cfg.MaxPending == 0 {
+		cfg.MaxPending = 4 * qcfg.Workers
 	}
 	queue, err := jobqueue.New(qcfg)
 	if err != nil {
@@ -222,7 +225,6 @@ func New(cfg Config) (*Server, error) {
 		cache:      cache,
 		queue:      queue,
 		journal:    journal,
-		admission:  newAdmission(acfg, tel),
 		chaos:      cfg.Chaos,
 		baseOpt:    baseOpt,
 		jobs:       make(map[string]*jobEntry),
@@ -386,6 +388,11 @@ func (s *Server) runnerFor(opt experiments.Options) (*experiments.Runner, error)
 	return r, nil
 }
 
+// ErrQueueFull marks a group refused because the pending backlog would
+// pass Config.MaxPending. The HTTP layer answers it with 429 and
+// Retry-After: 1.
+var ErrQueueFull = errors.New("server: queue full")
+
 // Submit validates and enqueues jobs as one group: every spec is
 // accepted or none is, and a single job is a group of one. Maps to
 // POST /v1/jobs (an object or an array); also the programmatic entry
@@ -397,8 +404,8 @@ func (s *Server) Submit(specs ...JobSpec) ([]*jobEntry, error) {
 }
 
 // submit is Submit for both callers. Journal recovery passes the
-// journaled ids to re-enqueue under; such a recovered group skips
-// admission — it was admitted before the crash.
+// journaled ids to re-enqueue under; such a recovered group skips the
+// depth bound — it was admitted before the crash.
 func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 	recovered := ids != nil
 	if len(specs) == 0 {
@@ -409,7 +416,6 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 		return nil, jobqueue.ErrClosed
 	}
 	plans := make([]*jobPlan, len(specs))
-	group := make([]demand, len(specs))
 	for k, sp := range specs {
 		p, err := s.plan(sp)
 		if err != nil {
@@ -418,7 +424,7 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 			}
 			return nil, err
 		}
-		plans[k], group[k] = p, p.demand
+		plans[k] = p
 	}
 
 	entries := make([]*jobEntry, len(specs))
@@ -432,29 +438,11 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 			Opts: jobqueue.SubmitOptions{
 				Priority: specs[k].Priority,
 				Deadline: time.Duration(specs[k].TimeoutMS) * time.Millisecond,
-				Cost:     p.cost,
 			},
 		}
 	}
 	qjobs := make([]*jobqueue.Job, len(specs))
-	enqueue := func() error {
-		// Only an admitted group draws ids, so refusals leave no gaps.
-		for k, j := range entries {
-			if recovered {
-				j.id = ids[k]
-			} else {
-				j.id = s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
-			}
-		}
-		return s.queue.Submit(tasks, qjobs)
-	}
-	var err error
-	if recovered {
-		err = enqueue()
-	} else {
-		err = s.admission.admit(group, s.queue.Stats, enqueue)
-	}
-	if err != nil {
+	if err := s.enqueue(entries, tasks, qjobs, ids); err != nil {
 		s.jobsRejected.Add(uint64(len(specs)))
 		return nil, err
 	}
@@ -470,11 +458,35 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 	return entries, firstErr
 }
 
+// enqueue admits a group by the depth bound, names its jobs and
+// enqueues it. The check and the enqueue share one critical section,
+// so racing submitters cannot both pass against a backlog that only
+// one of them may grow. A recovered group (ids set) takes its
+// journaled ids and skips the check.
+func (s *Server) enqueue(entries []*jobEntry, tasks []jobqueue.BatchTask, qjobs []*jobqueue.Job, ids []string) error {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if ids == nil {
+		if pending := s.queue.Stats().Pending; pending+len(entries) > s.cfg.MaxPending {
+			return fmt.Errorf("%w: %d pending + %d submitted exceeds %d",
+				ErrQueueFull, pending, len(entries), s.cfg.MaxPending)
+		}
+	}
+	// Only an admitted group draws ids, so refusals leave no gaps.
+	for k, j := range entries {
+		if ids != nil {
+			j.id = ids[k]
+		} else {
+			j.id = s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
+		}
+	}
+	return s.queue.Submit(tasks, qjobs)
+}
+
 // jobPlan is a job resolved at submit time: its options and its units
 // in result order. The runner that computes it is looked up when the
 // job runs, so a refused submission leaves no runner behind.
 type jobPlan struct {
-	demand
 	opt   experiments.Options
 	units []unit
 }
@@ -510,11 +522,7 @@ func (s *Server) plan(sp JobSpec) (*jobPlan, error) {
 	if n > s.cfg.MaxPairsPerJob {
 		return nil, fmt.Errorf("server: %d pairs exceeds per-job limit %d", n, s.cfg.MaxPairsPerJob)
 	}
-	p := &jobPlan{
-		demand: demand{fidelity: opt.Fidelity, cost: jobCost(opt.Fidelity, n)},
-		opt:    opt,
-		units:  make([]unit, n),
-	}
+	p := &jobPlan{opt: opt, units: make([]unit, n)}
 	for i, cores := range nxm.Cores {
 		p.units[i] = s.nxmUnit(opt, nxm, i, cores)
 	}
@@ -664,7 +672,6 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 				return err
 			}
 			// Degraded unit: record and continue, like Sweep.
-			s.admission.record(p.fidelity, errors.Is(err, amp.ErrWedged))
 			if firstWedge == nil && errors.Is(err, amp.ErrWedged) {
 				firstWedge = err
 			}
@@ -674,9 +681,6 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 			})
 			s.pairsServed.Inc()
 			continue
-		}
-		if !cached { // cache hits say nothing about engine health
-			s.admission.record(p.fidelity, false)
 		}
 		var r PairResult
 		if err := json.Unmarshal(data, &r); err != nil {
@@ -865,16 +869,6 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
-		if s.admission.shedding(s.queue.Stats()) {
-			http.Error(w, "shedding: backlog cost over admission bound", http.StatusServiceUnavailable)
-			return
-		}
-		if open := s.admission.openBreakers(); len(open) > 0 {
-			// Still ready — other fidelities serve — but degraded; report
-			// which breakers refuse traffic so probes and operators see it.
-			fmt.Fprintf(w, "ready (degraded: breaker open for %v)\n", open)
-			return
-		}
 		fmt.Fprintln(w, "ready")
 	})
 	mux.Handle("GET /metrics", telemetry.Handler(s.tel.Registry()))
@@ -920,18 +914,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entries, err := s.Submit(specs...)
-	var oe *OverloadError
 	switch {
 	case err == nil:
-	case errors.As(err, &oe):
-		retryAfter := int(oe.RetryAfter/time.Second) + 1
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		if errors.Is(err, ErrBreakerOpen) {
-			apiError(w, http.StatusServiceUnavailable, err)
-		} else {
-			apiError(w, http.StatusTooManyRequests, err)
-		}
-		return
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		apiError(w, http.StatusTooManyRequests, err)

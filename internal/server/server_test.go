@@ -41,7 +41,7 @@ func newTestService(t *testing.T, mutate func(*Config)) *testService {
 	cfg := Config{
 		BaseOptions: testOptions(),
 		Queue:       jobqueue.Config{Workers: 4},
-		Admission:   AdmissionConfig{MaxPending: 16},
+		MaxPending:  16,
 		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
 	}
@@ -283,7 +283,7 @@ func TestQueueFullReturns429(t *testing.T) {
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
 		cfg.Queue = jobqueue.Config{Workers: 1}
-		cfg.Admission.MaxPending = 1
+		cfg.MaxPending = 1
 	})
 	// One job occupies the worker (eventually), one fills the pending
 	// slot; keep submitting until the queue sheds load.
