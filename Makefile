@@ -51,8 +51,9 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The microbenchmarks BENCH_micro.json pins, 33 rows in five packages:
-# the simulation engines, the dual-core run loop and the §V profiling
+# The microbenchmarks BENCH_micro.json pins, 34 rows in five packages:
+# the simulation engines, the dual-core run loop (once more as ampserve
+# runs it: cancelable context, telemetry on) and the §V profiling
 # pass, one core's cycle and instruction synthesis (root package); the
 # pair store's key hashing and warm lookups; the queue round trip; the
 # N×M scheduler's off-quantum gate and epochs; the fleet's ring lookup,

@@ -13,6 +13,7 @@
 package ampsched
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -25,6 +26,7 @@ import (
 	"ampsched/internal/profilegen"
 	"ampsched/internal/sched"
 	"ampsched/internal/stats"
+	"ampsched/internal/telemetry"
 	"ampsched/internal/workload"
 )
 
@@ -343,15 +345,34 @@ func (benchEstimator) RatioIntOverFP(intPct, fpPct float64) float64 {
 // paper's 4 M-cycle quantum: one gcc+equake pair for 20 M
 // instructions, after one untimed run that pays the pair's first-touch
 // calibrations. ns/window is the CPU time per 128-cycle stride window.
-func benchRunLoop(b *testing.B, factory cpu.EngineFactory, mk func() amp.MoveScheduler) {
+func benchRunLoop(b *testing.B, factory cpu.EngineFactory, mk func(...sched.Option) amp.MoveScheduler) {
+	benchRunLoopIn(b, context.Background(), nil, factory, mk)
+}
+
+// benchRunLoopIn is benchRunLoop with each run under ctx, and with tel
+// (when not nil) attached to the scheduler, the system and the
+// calibration cache.
+func benchRunLoopIn(b *testing.B, ctx context.Context, tel *telemetry.Telemetry,
+	factory cpu.EngineFactory, mk func(...sched.Option) amp.MoveScheduler) {
+	var schedOpts []sched.Option
+	var telOpt amp.Option
+	if tel != nil {
+		interval.SetTelemetry(tel)
+		defer interval.SetTelemetry(nil)
+		schedOpts, telOpt = []sched.Option{sched.WithTelemetry(tel)}, amp.WithTelemetry(tel)
+	}
 	run := func() amp.Result {
 		threads := [2]*amp.Thread{
 			amp.NewThread(0, workload.MustByName("gcc"), 41, 0),
 			amp.NewThread(1, workload.MustByName("equake"), 42, 1<<40),
 		}
 		sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
-			threads, mk(), amp.Config{}, amp.WithEngine(factory))
-		return sys.MustRun(20_000_000)
+			threads, mk(schedOpts...), amp.Config{}, amp.WithEngine(factory), telOpt)
+		res, err := sys.RunContext(ctx, 20_000_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
 	}
 	windows := run().Cycles / interval.DefaultStride
 	b.ResetTimer()
@@ -361,7 +382,9 @@ func benchRunLoop(b *testing.B, factory cpu.EngineFactory, mk func() amp.MoveSch
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*windows), "ns/window")
 }
 
-func benchProposed() amp.MoveScheduler { return sched.NewProposed(sched.DefaultProposedConfig()) }
+func benchProposed(opts ...sched.Option) amp.MoveScheduler {
+	return sched.NewProposed(sched.DefaultProposedConfig(), opts...)
+}
 
 // BenchmarkEngineRunLoopProposedSampled is the paperscale sweep's
 // dominant policy: Proposed judges each thread every 1000 committed
@@ -370,10 +393,12 @@ func BenchmarkEngineRunLoopProposedSampled(b *testing.B) {
 	benchRunLoop(b, interval.SampledFactory(), benchProposed)
 }
 
-func benchHPE() amp.MoveScheduler { return sched.NewHPE(sched.DefaultHPEConfig(), benchEstimator{}) }
+func benchHPE(opts ...sched.Option) amp.MoveScheduler {
+	return sched.NewHPE(sched.DefaultHPEConfig(), benchEstimator{}, opts...)
+}
 
-func benchRoundRobin() amp.MoveScheduler {
-	return sched.NewRoundRobinInterval(amp.ContextSwitchCycles)
+func benchRoundRobin(opts ...sched.Option) amp.MoveScheduler {
+	return sched.NewRoundRobinInterval(amp.ContextSwitchCycles, opts...)
 }
 
 // BenchmarkEngineRunLoopHPESampled wakes once per quantum.
@@ -390,6 +415,16 @@ func BenchmarkEngineRunLoopRoundRobinSampled(b *testing.B) {
 // engine alone (ampserve's fidelity).
 func BenchmarkEngineRunLoopProposedInterval(b *testing.B) {
 	benchRunLoop(b, interval.Factory(), benchProposed)
+}
+
+// BenchmarkEngineRunLoopProposedIntervalServed is the row above run
+// the way ampserve runs a pair: under a cancelable context that is
+// never canceled, with a telemetry registry attached. Its ns/op beside
+// the row above's is what serving costs the run loop.
+func BenchmarkEngineRunLoopProposedIntervalServed(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	benchRunLoopIn(b, ctx, telemetry.New(), interval.Factory(), benchProposed)
 }
 
 // BenchmarkEngineRunLoopHPEInterval is HPE on the interval engine

@@ -174,6 +174,15 @@ type StatsReporter interface {
 	SchedStats() SchedulerStats
 }
 
+// CountPublisher is implemented by schedulers that keep telemetry
+// counts in plain fields during a run rather than adding to shared
+// counters per decision. RunContext calls PublishCounts once as it
+// returns — completed, canceled or wedged — and the scheduler adds the
+// counts since its last publish to its shared counters.
+type CountPublisher interface {
+	PublishCounts()
+}
+
 // SwapOutcome is a fault injector's verdict on one swap request.
 type SwapOutcome struct {
 	// Fail drops the request: no rebinding happens and the system's
@@ -262,12 +271,14 @@ type System struct {
 	cfg     Config
 
 	// morphPol is sched as a MorphPolicy (nil when it manages no
-	// morphing) and waker is sched as a Waker (nil when it cannot
-	// declare its wakes, or when it is a MorphPolicy — MorphTick
-	// declares nothing and is polled every window). Both are resolved
-	// when the scheduler is installed, not per window.
-	morphPol MorphPolicy
-	waker    Waker
+	// morphing), waker is sched as a Waker (nil when it cannot declare
+	// its wakes, or when it is a MorphPolicy — MorphTick declares
+	// nothing and is polled every window), and publisher is sched as a
+	// CountPublisher. All three are resolved when the scheduler is
+	// installed, not per window.
+	morphPol  MorphPolicy
+	waker     Waker
+	publisher CountPublisher
 	// wakeCycle and wakeCommit cache the scheduler's NextWake: no Tick
 	// can act before the cycle reaches wakeCycle or thread t's
 	// Committed reaches wakeCommit[t]. Refreshed after every Tick.
@@ -366,6 +377,7 @@ func NewSystem(coreCfgs [2]*cpu.Config, threads [2]*Thread, sched MoveScheduler,
 func (s *System) setSched(sched MoveScheduler) {
 	s.sched = sched
 	s.morphPol, _ = sched.(MorphPolicy)
+	s.publisher, _ = sched.(CountPublisher)
 	s.waker = nil
 	if s.morphPol == nil {
 		s.waker, _ = sched.(Waker)
@@ -679,11 +691,26 @@ func (s *System) Run(limit uint64) (Result, error) {
 	return s.RunContext(context.Background(), limit)
 }
 
-// ctxCheckMask throttles the context poll: RunContext selects on
-// ctx.Done() once every ctxCheckMask+1 cycles, bounding both the
-// cancellation latency (~4k simulated cycles, microseconds of wall
-// time) and the hot-loop cost of cancelability.
-const ctxCheckMask = 1<<12 - 1
+// CtxPollWindows is the context poll period in run-loop windows: a
+// cancelable run selects on ctx.Done() after the first window that
+// ends at or past each multiple of CtxPollWindows strides — every
+// 4096 cycles on the detailed core, every 524,288 at the analytic
+// engines' 128-cycle stride. Counting windows, not cycles, bounds a
+// cancel's latency by the loop's work (a detailed window is one core
+// cycle, and a closed-form analytic span costs a few integer
+// operations however many windows it covers), and lets analytic spans
+// run on to the scheduler's next wake, as they do when the context
+// can never be canceled.
+const CtxPollWindows = 1 << 12
+
+// NextCtxPoll returns the cycle at which a run loop of the given
+// stride, at cycle, next polls its context: the first multiple of
+// CtxPollWindows strides above cycle. The poll runs after the first
+// window that ends at or past it.
+func NextCtxPoll(cycle, stride uint64) uint64 {
+	period := CtxPollWindows * stride
+	return (cycle/period + 1) * period
+}
 
 // MustRun is Run panicking on a wedge: for examples, benchmarks and
 // tests where the workload is statically known to make progress.

@@ -51,6 +51,10 @@ func WithEngine(f cpu.EngineFactory) Option {
 // distribution, watchdog resets), per-core cpu.* activity gauges at
 // run end, and — when t has sinks — the full event stream. A nil t is
 // ignored, keeping the call site unconditional.
+//
+// A scheduler's sched.<policy>.* counters (sched.WithTelemetry) land
+// once per run, when RunContext returns, so a live view of t (say,
+// ampserve's /metrics) lags the runs in flight by at most one run each.
 func WithTelemetry(t *telemetry.Telemetry) Option {
 	return func(s *System) {
 		if t == nil {

@@ -53,6 +53,22 @@ func TestReferenceLoopMatchesRunContext(t *testing.T) {
 	}
 }
 
+// TestReferenceLoopOddStride runs the interval engine at a 100-cycle
+// stride, not a power of two, through both loops, with the context
+// canceled at several events: the loops must poll at the same cycles
+// and agree on every byte.
+func TestReferenceLoopOddStride(t *testing.T) {
+	f := goldenFidelity{"interval-stride100", stride100Factory, 2_000_000, 300_000}
+	for _, p := range goldenPolicies()[:4] {
+		for _, cancelAt := range []int{0, 1, 4} {
+			compareLoops(t, fmt.Sprintf("%s/cancel at %d", p.name, cancelAt), f, func() goldenRun {
+				a, b := workload.MustByName("fpstress"), workload.MustByName("intstress")
+				return goldenRun{a: a.Name, b: b.Name, seed: 13, sched: p.mk(f, a, b, 13), cancelAt: cancelAt}
+			})
+		}
+	}
+}
+
 // FuzzReferenceLoop widens the differential to random pairs, policies,
 // fidelities, fault seeds, swap overheads, timelines, cycle budgets and
 // cancellation points (the context is canceled at the run's

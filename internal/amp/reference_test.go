@@ -14,7 +14,7 @@ import "context"
 func (s *System) runReference(ctx context.Context, limit uint64) (Result, error) {
 	s.emit(Event{Kind: EventRunStart, Cycle: s.cycle})
 	res, err := s.referenceLoop(ctx, limit)
-	s.emit(Event{Kind: EventRunEnd, Cycle: s.cycle})
+	s.runEnd()
 	return res, err
 }
 
@@ -22,6 +22,7 @@ func (s *System) runReference(ctx context.Context, limit uint64) (Result, error)
 // the same order.
 func (s *System) referenceLoop(ctx context.Context, limit uint64) (Result, error) {
 	done := ctx.Done()
+	pollAt := s.firstCtxPoll(done)
 	startCycle := s.cycle
 	lastProgressCycle := s.cycle
 	lastCommitted := s.threads[0].Arch.Committed + s.threads[1].Arch.Committed
@@ -46,7 +47,8 @@ func (s *System) referenceLoop(ctx context.Context, limit uint64) (Result, error
 		if s.timeline != nil && s.cycle >= s.timeline.next {
 			s.recordTimeline()
 		}
-		if done != nil && s.cycle&ctxCheckMask < n {
+		if s.cycle >= pollAt {
+			pollAt = NextCtxPoll(s.cycle, stride)
 			select {
 			case <-done:
 				s.emit(Event{Kind: EventCanceled, Cycle: s.cycle})

@@ -7,10 +7,11 @@ import (
 )
 
 // RunContext is Run with cooperative cancellation: when ctx is
-// canceled the run stops at the next check point and returns the
-// partial Result with ctx.Err() — a flagged early return, not a wedge
-// (errors.Is(err, ErrWedged) is false). A context that can never be
-// canceled costs the loop one nil comparison per window.
+// canceled the run stops at the next context poll, at most
+// CtxPollWindows windows later, and returns the partial Result with
+// ctx.Err() — a flagged early return, not a wedge (errors.Is(err,
+// ErrWedged) is false). Between polls a cancelable run spans exactly
+// as one under a context that can never be canceled.
 //
 // The loop advances in engine-stride windows — one cycle for detailed
 // cores, 128 for the analytic engines — and the scheduler may act only
@@ -27,11 +28,23 @@ import (
 // Tick, if due, and its checks then run exactly as the window-by-window
 // loop would have run them, so every event, result and trace byte is
 // unchanged.
+//
+// A scheduler that is a CountPublisher publishes its telemetry counts
+// as the run returns, however it ends.
 func (s *System) RunContext(ctx context.Context, limit uint64) (Result, error) {
 	s.emit(Event{Kind: EventRunStart, Cycle: s.cycle})
 	res, err := s.loop(ctx, limit)
-	s.emit(Event{Kind: EventRunEnd, Cycle: s.cycle})
+	s.runEnd()
 	return res, err
+}
+
+// runEnd closes a run: the scheduler's counts are published, then the
+// run-end event is emitted.
+func (s *System) runEnd() {
+	if s.publisher != nil {
+		s.publisher.PublishCounts()
+	}
+	s.emit(Event{Kind: EventRunEnd, Cycle: s.cycle})
 }
 
 // loop runs the system to completion — limit reached, context
@@ -43,6 +56,7 @@ func (s *System) RunContext(ctx context.Context, limit uint64) (Result, error) {
 //ampvet:hotpath
 func (s *System) loop(ctx context.Context, limit uint64) (Result, error) {
 	done := ctx.Done()
+	pollAt := s.firstCtxPoll(done)
 	startCycle := s.cycle
 	lastProgressCycle := s.cycle
 	lastCommitted := s.threads[0].Arch.Committed + s.threads[1].Arch.Committed
@@ -61,7 +75,7 @@ func (s *System) loop(ctx context.Context, limit uint64) (Result, error) {
 			s.engines[0].StallCycles(n)
 			s.engines[1].StallCycles(n)
 		} else {
-			m := s.span(limit, startCycle, lastProgressCycle, done != nil)
+			m := s.span(limit, startCycle, lastProgressCycle, pollAt)
 			s.engines[0].Run(s.cycle, stride, m)
 			s.engines[1].Run(s.cycle, stride, m)
 			s.cycle += stride * (m - 1) // the last window's start
@@ -83,7 +97,8 @@ func (s *System) loop(ctx context.Context, limit uint64) (Result, error) {
 			s.recordTimeline()
 		}
 
-		if done != nil && s.cycle&ctxCheckMask < n {
+		if s.cycle >= pollAt {
+			pollAt = NextCtxPoll(s.cycle, stride)
 			select {
 			case <-done:
 				s.emit(Event{Kind: EventCanceled, Cycle: s.cycle})
@@ -133,6 +148,15 @@ func (s *System) tick() {
 	}
 }
 
+// firstCtxPoll is the cycle of a run's first context poll: never for a
+// context that can never be canceled (done is nil).
+func (s *System) firstCtxPoll(done <-chan struct{}) uint64 {
+	if done == nil {
+		return math.MaxUint64
+	}
+	return NextCtxPoll(s.cycle, s.stride)
+}
+
 // span returns how many whole stride windows (>= 1) the loop may run
 // from the current cycle before the last one's Tick and checks: every
 // window but the last must skip its Tick and its checks silently.
@@ -143,15 +167,16 @@ func (s *System) tick() {
 // when cycle+(m-1)*stride < wakeCycle+stride, and below each thread's
 // commit edge when the thread's engine Reach allows m windows against
 // that edge. The checks after windows 0..m-2 are skipped too, so the
-// timeline, the cycle budget, the watchdog and (with a cancelable
-// context, poll) the context poll must lie beyond them, and the
-// instruction limit joins each thread's edge: the limit check before
-// each of windows 1..m-1 must pass. Every cycle bound has the form
-// cycle+(m-1)*stride < at, so they fold into one horizon; the engines
-// answer for the commit bounds, dividing only where one binds.
+// timeline, the cycle budget, the watchdog and the context poll at
+// pollAt (the largest uint64 when the context can never be canceled)
+// must lie beyond them, and the instruction limit joins each thread's
+// edge: the limit check before each of windows 1..m-1 must pass. Every
+// cycle bound has the form cycle+(m-1)*stride < at, so they fold into
+// one horizon; the engines answer for the commit bounds, dividing only
+// where one binds.
 //
 //ampvet:hotpath
-func (s *System) span(limit, startCycle, lastProgressCycle uint64, poll bool) uint64 {
+func (s *System) span(limit, startCycle, lastProgressCycle, pollAt uint64) uint64 {
 	cyc := s.cycle
 	at := satAdd(s.wakeCycle, s.stride)
 	if s.timeline != nil {
@@ -160,12 +185,7 @@ func (s *System) span(limit, startCycle, lastProgressCycle uint64, poll bool) ui
 	if s.cfg.CycleBudget > 0 {
 		at = min(at, satAdd(startCycle, s.cfg.CycleBudget))
 	}
-	at = min(at, satAdd(lastProgressCycle, s.cfg.WatchdogCycles))
-	if poll {
-		// The poll fires after the first window ending at or past the
-		// next multiple of the poll period.
-		at = min(at, (cyc|ctxCheckMask)+1)
-	}
+	at = min(at, satAdd(lastProgressCycle, s.cfg.WatchdogCycles), pollAt)
 	if at <= cyc+s.stride {
 		return 1 // a Tick or a check may be due after this window
 	}

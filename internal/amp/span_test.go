@@ -15,10 +15,10 @@ import (
 )
 
 // spanFidelities are the engines whose run loops span windows
-// differently: one cycle per window, analytic windows, and the
-// two-tier engine — whose default 20k-cycle warm-up outlasts the first
-// context poll, so the short schedule covers a poll that lands in the
-// interval tier.
+// differently: one cycle per window, analytic windows, the two-tier
+// engine — whose default 20k-cycle warm-up outlasts the first context
+// poll, so the short schedule covers a poll that lands in the interval
+// tier — and analytic windows at a stride that is not a power of two.
 var spanFidelities = []struct {
 	name    string
 	factory cpu.EngineFactory
@@ -27,6 +27,22 @@ var spanFidelities = []struct {
 	{"interval", interval.Factory()},
 	{"sampled", interval.SampledFactory()},
 	{"sampled-short", shortSampledFactory},
+	{"interval-stride100", stride100Factory},
+}
+
+// strideEngine runs an engine at another stride: the analytic engines
+// take each window's length from the run loop.
+type strideEngine struct {
+	cpu.Engine
+	stride uint64
+}
+
+func (e strideEngine) Stride() uint64 { return e.stride }
+
+// stride100Factory builds interval engines that run 100-cycle windows.
+func stride100Factory(cfg *cpu.Config) (cpu.Engine, error) {
+	e, err := interval.Factory()(cfg)
+	return strideEngine{Engine: e, stride: 100}, err
 }
 
 // spanPolicies covers no scheduler and the three Wakers: a cycle wake
@@ -58,9 +74,10 @@ func cancelPair(seed uint64) [2]*amp.Thread {
 
 // TestRunContextCancel pins the cancellation latency under spans: a
 // run whose context is already canceled stops at the first context
-// poll — within two poll periods plus one stride — at every fidelity
-// and under every scheduler that lets the loop span windows. A span
-// that ran past the poll would overshoot by up to the watchdog period.
+// poll — within two poll periods of amp.CtxPollWindows windows plus one
+// stride — at every fidelity and under every scheduler that lets the
+// loop span windows. A span that ran past the poll would overshoot by
+// up to the watchdog period.
 func TestRunContextCancel(t *testing.T) {
 	for _, f := range spanFidelities {
 		for _, p := range spanPolicies() {
@@ -80,7 +97,8 @@ func TestRunContextCancel(t *testing.T) {
 				}
 				// The partial result is still populated and bounded by
 				// the check granularity.
-				bound := 2*(amp.CtxCheckMask+1) + sys.Engine(0).Stride()
+				stride := sys.Engine(0).Stride()
+				bound := 2*amp.CtxPollWindows*stride + stride
 				if res.Cycles == 0 || res.Cycles > bound {
 					t.Errorf("canceled run stopped after %d cycles, want 1..%d", res.Cycles, bound)
 				}
@@ -123,7 +141,8 @@ func TestRunContextCancelMidRun(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || at == 0 {
 				t.Fatalf("err = %v after swap at cycle %d, want a canceled run", err, at)
 			}
-			if bound := at + 2*(amp.CtxCheckMask+1) + sys.Engine(0).Stride(); res.Cycles > bound {
+			stride := sys.Engine(0).Stride()
+			if bound := at + 2*amp.CtxPollWindows*stride + stride; res.Cycles > bound {
 				t.Errorf("canceled at cycle %d but stopped at %d, want <= %d", at, res.Cycles, bound)
 			}
 		})
@@ -305,6 +324,123 @@ func TestQuietStretchesRunAsSpans(t *testing.T) {
 			if tc != nil && tc.ticks != f.proposedTicks {
 				t.Errorf("%s/%s: %d Ticks, want %d", f.name, p.name, tc.ticks, f.proposedTicks)
 			}
+		}
+	}
+}
+
+// defaultOptionPolicies are the sweep's three policies at the
+// experiments' default 400k-cycle quantum.
+func defaultOptionPolicies() []func(...sched.Option) amp.MoveScheduler {
+	const quantum = 400_000
+	return []func(...sched.Option) amp.MoveScheduler{
+		func(opts ...sched.Option) amp.MoveScheduler {
+			c := sched.DefaultProposedConfig()
+			c.ForceInterval = quantum
+			return sched.NewProposed(c, opts...)
+		},
+		func(opts ...sched.Option) amp.MoveScheduler {
+			return sched.NewHPE(sched.HPEConfig{Interval: quantum, SpeedupThreshold: 1.05},
+				compositionEstimator{}, opts...)
+		},
+		func(opts ...sched.Option) amp.MoveScheduler { return sched.NewRoundRobinInterval(quantum, opts...) },
+	}
+}
+
+// TestCancelableRunSpansAsBackground pins what cancelability costs the
+// run loop: interval runs at the experiments' default options (1.5M
+// instructions, a 400k-cycle quantum) under a cancelable context that
+// is never canceled take at most 1% more engine Run calls than under
+// context.Background(), with identical results. A poll every 4096
+// cycles ended each span at 32 windows, and cost such runs 61% more
+// calls.
+func TestCancelableRunSpansAsBackground(t *testing.T) {
+	pairs := [][2]string{{"gcc", "equake"}, {"fpstress", "intstress"}, {"mcf", "apsi"}, {"mixstress", "bzip2"}}
+	run := func(ctx context.Context, a, b string, seed uint64, mk func(...sched.Option) amp.MoveScheduler) (amp.Result, uint64) {
+		var engines []*runCounter
+		factory := func(cfg *cpu.Config) (cpu.Engine, error) {
+			e, err := interval.Factory()(cfg)
+			rc := &runCounter{Engine: e}
+			engines = append(engines, rc)
+			return rc, err
+		}
+		threads := [2]*amp.Thread{
+			amp.NewThread(0, workload.MustByName(a), seed, 0),
+			amp.NewThread(1, workload.MustByName(b), seed+1, 1<<40),
+		}
+		sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
+			threads, mk(), amp.Config{}, amp.WithEngine(factory))
+		res, err := sys.RunContext(ctx, 1_500_000)
+		if err != nil {
+			t.Fatalf("%s+%s: %v", a, b, err)
+		}
+		return res, engines[0].calls + engines[1].calls
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var background, cancelable uint64
+	for i, p := range pairs {
+		for j, mk := range defaultOptionPolicies() {
+			seed := uint64(7 + 64*i)
+			want, bg := run(context.Background(), p[0], p[1], seed, mk)
+			got, cc := run(ctx, p[0], p[1], seed, mk)
+			if got != want {
+				t.Errorf("%s+%s policy %d: result differs under a cancelable context", p[0], p[1], j)
+			}
+			background += bg
+			cancelable += cc
+		}
+	}
+	if cancelable*100 > background*101 {
+		t.Errorf("cancelable runs took %d Run calls, %d under context.Background(): %+.1f%%, want at most +1%%",
+			cancelable, background, 100*(float64(cancelable)/float64(background)-1))
+	}
+}
+
+// TestCancelBoundedInWindows cancels from an observer — before the
+// run, at the first swap and at the third — at every fidelity, and
+// counts each engine's windows the way reachBound does: no engine runs
+// more than amp.CtxPollWindows+1 windows after the cancel, whatever its
+// stride, so the latency is bounded by the loop's work.
+func TestCancelBoundedInWindows(t *testing.T) {
+	for _, f := range spanFidelities {
+		for _, swapAt := range []int{0, 1, 3} {
+			t.Run(fmt.Sprintf("%s/swap%d", f.name, swapAt), func(t *testing.T) {
+				var engines []*runCounter
+				factory := func(cfg *cpu.Config) (cpu.Engine, error) {
+					e, err := f.factory(cfg)
+					rc := &runCounter{Engine: e}
+					engines = append(engines, rc)
+					return rc, err
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var atWindows [2]uint64
+				var swaps int
+				obs := amp.ObserverFunc(func(e amp.Event) {
+					if e.Kind == amp.EventSwap {
+						swaps++
+					}
+					if ctx.Err() == nil && (swapAt == 0 && e.Kind == amp.EventRunStart ||
+						swapAt > 0 && e.Kind == amp.EventSwap && swaps == swapAt) {
+						cancel()
+						for c, rc := range engines {
+							atWindows[c] = rc.windows
+						}
+					}
+				})
+				sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
+					cancelPair(37), sched.NewRoundRobinInterval(30_000), amp.Config{},
+					amp.WithEngine(factory), amp.WithObserver(obs))
+				if _, err := sys.RunContext(ctx, 1_000_000_000); !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				for c, rc := range engines {
+					if after := rc.windows - atWindows[c]; after > amp.CtxPollWindows+1 {
+						t.Errorf("core %d ran %d windows after the cancel, want at most %d",
+							c, after, amp.CtxPollWindows+1)
+					}
+				}
+			})
 		}
 	}
 }

@@ -10,13 +10,29 @@ import (
 // telemetryHook bridges the System's event stream into a
 // telemetry.Telemetry: counters and histograms for the amp layer,
 // per-core activity gauges flushed at run end, and (when the telemetry
-// has sinks) a structured event per system event. All metric handles
-// are resolved once at construction, so steady-state publishing is a
-// handful of atomic adds.
+// has sinks) a structured event per system event. The metric handles
+// are resolved once per Telemetry (telemetry.Handles), so building a
+// system costs one lookup, and publishing is a handful of atomic adds
+// and stores.
 type telemetryHook struct {
 	sys *System
 	t   *telemetry.Telemetry
+	*ampTel
 
+	// engine holds each core's engine counters, resolved on the first
+	// run-end flush: options (and thus this hook) are applied before
+	// NewSystem builds the engines, and Reset keeps them.
+	engine [2]*engineTel
+	// fidelity caches System.Fidelity() for event stamping; resolved
+	// on first event for the same reason.
+	fidelity string
+	// lastEngine tracks per-core engine snapshots so the per-engine
+	// cycle/commit counters advance by run deltas.
+	lastEngine [2]cpu.EngineStats
+}
+
+// ampTel is the amp layer's handle set.
+type ampTel struct {
 	runs           *telemetry.Counter
 	swaps          *telemetry.Counter
 	swapFailures   *telemetry.Counter
@@ -27,19 +43,30 @@ type telemetryHook struct {
 	cancels        *telemetry.Counter
 	swapOverhead   *telemetry.Histogram
 
-	// fidelity caches System.Fidelity() for event stamping; resolved
-	// on first event because options (and thus this hook) are applied
-	// before NewSystem builds the engines.
-	fidelity string
-	// lastEngine tracks per-core engine snapshots so the per-engine
-	// cycle/commit counters advance by run deltas.
-	lastEngine [2]cpu.EngineStats
+	// The run-end gauges: the global cycle, each core's activity and
+	// each thread's totals.
+	cycles  *telemetry.Gauge
+	cores   [2]coreGauges
+	threads [2]threadGauges
 }
 
-func newTelemetryHook(s *System, t *telemetry.Telemetry) *telemetryHook {
-	return &telemetryHook{
-		sys:            s,
-		t:              t,
+// coreGauges are one core's "cpu.core<i>.*" activity gauges.
+type coreGauges struct {
+	active, stall, fetched, exec, squashed *telemetry.Gauge
+}
+
+// threadGauges are one thread's "amp.thread<i>.*" totals.
+type threadGauges struct {
+	committed, energy, intPct, fpPct *telemetry.Gauge
+}
+
+// engineTel is one engine fidelity's "engine.<fidelity>.*" counters.
+type engineTel struct {
+	cycles, commits *telemetry.Counter
+}
+
+func newAmpTel(t *telemetry.Telemetry) *ampTel {
+	a := &ampTel{
 		runs:           t.Counter("amp.runs"),
 		swaps:          t.Counter("amp.swaps"),
 		swapFailures:   t.Counter("amp.swap_failures"),
@@ -49,7 +76,30 @@ func newTelemetryHook(s *System, t *telemetry.Telemetry) *telemetryHook {
 		wedges:         t.Counter("amp.wedges"),
 		cancels:        t.Counter("amp.cancels"),
 		swapOverhead:   t.Histogram("amp.swap_overhead_cycles"),
+		cycles:         t.Gauge("amp.cycles"),
 	}
+	for i := 0; i < 2; i++ {
+		p := fmt.Sprintf("cpu.core%d.", i)
+		a.cores[i] = coreGauges{
+			active:   t.Gauge(p + "active_cycles"),
+			stall:    t.Gauge(p + "stall_cycles"),
+			fetched:  t.Gauge(p + "fetched_ops"),
+			exec:     t.Gauge(p + "exec_ops"),
+			squashed: t.Gauge(p + "squashed_ops"),
+		}
+		p = fmt.Sprintf("amp.thread%d.", i)
+		a.threads[i] = threadGauges{
+			committed: t.Gauge(p + "committed"),
+			energy:    t.Gauge(p + "energy_nj"),
+			intPct:    t.Gauge(p + "int_pct"),
+			fpPct:     t.Gauge(p + "fp_pct"),
+		}
+	}
+	return a
+}
+
+func newTelemetryHook(s *System, t *telemetry.Telemetry) *telemetryHook {
+	return &telemetryHook{sys: s, t: t, ampTel: telemetry.Handles(t, "amp", newAmpTel)}
 }
 
 // Event implements Observer.
@@ -100,32 +150,38 @@ func (h *telemetryHook) Event(e Event) {
 // double-count.
 func (h *telemetryHook) flushRunEnd() {
 	s := h.sys
-	h.t.Gauge("amp.cycles").Set(float64(s.cycle))
+	h.cycles.Set(float64(s.cycle))
 	for c := 0; c < 2; c++ {
 		st := s.engines[c].Stats()
 		act := st.Act
-		prefix := fmt.Sprintf("cpu.core%d.", c)
-		h.t.Gauge(prefix + "active_cycles").Set(float64(act.Cycles))
-		h.t.Gauge(prefix + "stall_cycles").Set(float64(act.StallCycles))
-		h.t.Gauge(prefix + "fetched_ops").Set(float64(act.FetchedOps))
-		h.t.Gauge(prefix + "exec_ops").Set(float64(act.TotalOps()))
-		h.t.Gauge(prefix + "squashed_ops").Set(float64(act.Squashed))
+		g := &h.cores[c]
+		g.active.Set(float64(act.Cycles))
+		g.stall.Set(float64(act.StallCycles))
+		g.fetched.Set(float64(act.FetchedOps))
+		g.exec.Set(float64(act.TotalOps()))
+		g.squashed.Set(float64(act.Squashed))
 
 		// Per-engine fidelity-labeled counters: cycles simulated and
 		// instructions committed by this engine, summed across runs.
 		d := st.Sub(h.lastEngine[c])
 		h.lastEngine[c] = st
-		enginePrefix := "engine." + s.engines[c].Fidelity() + "."
-		h.t.Counter(enginePrefix + "cycles").Add(d.Act.Cycles + d.Act.StallCycles)
-		h.t.Counter(enginePrefix + "commits").Add(d.Committed)
+		if h.engine[c] == nil {
+			fid := s.engines[c].Fidelity()
+			h.engine[c] = telemetry.Handles(h.t, "amp.engine."+fid, func(t *telemetry.Telemetry) *engineTel {
+				return &engineTel{cycles: t.Counter("engine." + fid + ".cycles"),
+					commits: t.Counter("engine." + fid + ".commits")}
+			})
+		}
+		h.engine[c].cycles.Add(d.Act.Cycles + d.Act.StallCycles)
+		h.engine[c].commits.Add(d.Committed)
 	}
 	for i := 0; i < 2; i++ {
 		th := s.threads[i]
-		prefix := fmt.Sprintf("amp.thread%d.", i)
-		h.t.Gauge(prefix + "committed").Set(float64(th.Arch.Committed))
-		h.t.Gauge(prefix + "energy_nj").Set(th.EnergyNJ)
-		h.t.Gauge(prefix + "int_pct").Set(th.Arch.IntPct())
-		h.t.Gauge(prefix + "fp_pct").Set(th.Arch.FPPct())
+		g := &h.threads[i]
+		g.committed.Set(float64(th.Arch.Committed))
+		g.energy.Set(th.EnergyNJ)
+		g.intPct.Set(th.Arch.IntPct())
+		g.fpPct.Set(th.Arch.FPPct())
 	}
 }
 

@@ -215,42 +215,86 @@ type calKey struct {
 }
 
 var (
-	calMu    sync.RWMutex
-	calCache = map[calKey]*Calibration{}
-	calTel   atomic.Pointer[telemetry.Telemetry]
+	calMu     sync.RWMutex
+	calCache  = map[calKey]*Calibration{}
+	calFlight = map[calKey]*calRun{} // calibrations running now
+	calTel    atomic.Pointer[calCounters]
 )
+
+// calRun is one calibration in flight; done closes once cal is set,
+// or left nil by a Calibrate that panicked.
+type calRun struct {
+	done chan struct{}
+	cal  *Calibration
+}
+
+// calCounters are the calibration cache's counters.
+type calCounters struct {
+	calibrations, hits *telemetry.Counter
+}
 
 // SetTelemetry wires the package's calibration counters — the
 // "interval.calibrations" detailed-run count and
 // "interval.cal_cache_hits" — to t (nil detaches them). Safe to call
 // concurrently with running engines.
-func SetTelemetry(t *telemetry.Telemetry) { calTel.Store(t) }
+func SetTelemetry(t *telemetry.Telemetry) {
+	calTel.Store(telemetry.Handles(t, "interval.calibration", func(t *telemetry.Telemetry) *calCounters {
+		return &calCounters{calibrations: t.Counter("interval.calibrations"),
+			hits: t.Counter("interval.cal_cache_hits")}
+	}))
+}
 
 // calibrationFor returns the (cached) calibration for running bench on
 // a core with configuration cfg and effective units. Hits touch only
-// the read lock; misses run the detailed calibration outside any lock.
-// The cache is never trimmed: a process's keys are bounded by its
-// core configurations, their morph unit sets and the benchmark pool.
+// the read lock. The first miss on a key runs the detailed calibration
+// outside any lock, and a miss on a key whose calibration is running
+// waits for its result and counts as a hit, so each key is calibrated
+// once. The cache is never trimmed: a process's keys are bounded by
+// its core configurations, their morph unit sets and the benchmark
+// pool.
 func calibrationFor(cfg *cpu.Config, units [cpu.NumUnitKinds]cpu.UnitSpec, bench *workload.Benchmark) *Calibration {
 	key := calKey{cfg: *cfg, units: units, bench: bench.Name}
 	calMu.RLock()
 	cal := calCache[key]
 	calMu.RUnlock()
-	tel := calTel.Load()
+	var hits, calibrations *telemetry.Counter // nil (no-ops) when detached
+	if c := calTel.Load(); c != nil {
+		hits, calibrations = c.hits, c.calibrations
+	}
 	if cal != nil {
-		tel.Counter("interval.cal_cache_hits").Inc()
+		hits.Inc()
 		return cal
 	}
-	cal = Calibrate(cfg, units, bench)
-	tel.Counter("interval.calibrations").Inc()
 	calMu.Lock()
-	if prior := calCache[key]; prior != nil {
-		cal = prior // another goroutine computed the identical result
-	} else {
-		calCache[key] = cal
+	if cal = calCache[key]; cal != nil {
+		calMu.Unlock()
+		hits.Inc()
+		return cal
 	}
+	if run := calFlight[key]; run != nil {
+		calMu.Unlock()
+		<-run.done
+		if run.cal == nil {
+			return calibrationFor(cfg, units, bench) // the run panicked: retry it
+		}
+		hits.Inc()
+		return run.cal
+	}
+	run := &calRun{done: make(chan struct{})}
+	calFlight[key] = run
 	calMu.Unlock()
-	return cal
+	defer func() {
+		calMu.Lock()
+		if run.cal != nil {
+			calCache[key] = run.cal
+		}
+		delete(calFlight, key)
+		calMu.Unlock()
+		close(run.done)
+	}()
+	run.cal = Calibrate(cfg, units, bench)
+	calibrations.Inc()
+	return run.cal
 }
 
 // Calibrate runs bench for calInstr instructions on a detailed core

@@ -80,3 +80,39 @@ func TestCalCacheHitsAndMisses(t *testing.T) {
 		t.Fatalf("after %d racers: calibrations = %d, hits = %d; every call is one miss or one hit", racers, cals, hits)
 	}
 }
+
+// TestCalibrationSingleFlight pins one calibration per key: goroutines
+// that miss one key together share the first one's calibration instead
+// of each running their own.
+func TestCalibrationSingleFlight(t *testing.T) {
+	tel := telemetry.New()
+	resetCalCacheForTest(t, tel)
+
+	cfg, bench := cpu.IntCoreConfig(), workload.MustByName("intstress")
+	const missers = 8
+	got := make([]*Calibration, missers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = calibrationFor(cfg, cfg.Units, bench)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, c := range got {
+		if c == nil || c != got[0] {
+			t.Fatalf("misser %d got %p, want the shared calibration %p", i, c, got[0])
+		}
+	}
+	reg := tel.Registry()
+	if n := reg.Counter("interval.calibrations").Value(); n != 1 {
+		t.Errorf("interval.calibrations = %d, want 1", n)
+	}
+	if n := reg.Counter("interval.cal_cache_hits").Value(); n != missers-1 {
+		t.Errorf("interval.cal_cache_hits = %d, want %d", n, missers-1)
+	}
+}

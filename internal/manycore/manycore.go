@@ -536,9 +536,6 @@ func (s *System) RunCyclesContext(ctx context.Context, cycles uint64) (Result, e
 	return s.run(ctx, 0, s.cycle+cycles)
 }
 
-// ctxCheckMask throttles the context poll as in amp.RunContext.
-const ctxCheckMask = 1<<12 - 1
-
 // run is the shared loop: limit > 0 stops when any thread commits
 // limit instructions; horizon > 0 stops at that absolute cycle.
 //
@@ -547,7 +544,14 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 	startCycle := s.cycle
 	watchCycle := s.cycle
 	watchLast := s.totalCommitted()
+	// The context is polled as in amp.RunContext: after the first
+	// window that ends at or past each multiple of amp.CtxPollWindows
+	// strides.
 	done := ctx.Done()
+	pollAt := uint64(math.MaxUint64)
+	if done != nil {
+		pollAt = amp.NextCtxPoll(s.cycle, s.stride)
+	}
 	for {
 		if limit > 0 && s.anyCommitted(limit) {
 			break
@@ -584,7 +588,8 @@ func (s *System) run(ctx context.Context, limit, horizon uint64) (Result, error)
 		}
 		s.cycle += n
 
-		if done != nil && s.cycle&ctxCheckMask < n {
+		if s.cycle >= pollAt {
+			pollAt = amp.NextCtxPoll(s.cycle, s.stride)
 			select {
 			case <-done:
 				return s.finish(ctx.Err())

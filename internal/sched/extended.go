@@ -85,7 +85,7 @@ func NewProposedExt(cfg ExtendedConfig, opts ...Option) *ProposedExt {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	return &ProposedExt{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "proposed-ext")}
+	return &ProposedExt{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "sched.proposed-ext")}
 }
 
 // Name implements amp.MoveScheduler.
@@ -119,9 +119,12 @@ func (p *ProposedExt) Reset(v amp.View) {
 	p.voter = monitor.NewVoter(p.cfg.Base.HistoryDepth)
 	p.stats = amp.SchedulerStats{}
 	p.retry.reset(p.cfg.Base.RetryBackoffCycles, p.cfg.Base.ForceInterval, v)
-	p.retry.retries = p.tel.retries
+	p.retry.retries = &p.tel.n[cntRetries]
 	p.vetoes = 0
 }
+
+// PublishCounts implements amp.CountPublisher.
+func (p *ProposedExt) PublishCounts() { p.tel.publish() }
 
 // SchedStats implements amp.StatsReporter.
 func (p *ProposedExt) SchedStats() amp.SchedulerStats {
@@ -195,7 +198,7 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 		return nil
 	}
 	p.stats.DecisionPoints++
-	p.tel.decisions.Inc()
+	p.tel.n[cntDecisions]++
 	p.retry.observe(v)
 
 	base := &p.cfg.Base
@@ -209,14 +212,14 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 	if intSurge && p.memBound(tFP) && sINT.FPPct < base.FPHigh {
 		intSurge = false
 		p.vetoes++
-		p.tel.vetoes.Inc()
+		p.tel.n[cntVetoes]++
 	}
 	// Rule 2(ii): symmetric for an FP surge on the INT core.
 	fpSurge := sINT.FPPct >= base.FPHigh && sFP.FPPct <= base.FPLow
 	if fpSurge && p.memBound(tINT) && sFP.IntPct < base.IntHigh {
 		fpSurge = false
 		p.vetoes++
-		p.tel.vetoes.Inc()
+		p.tel.n[cntVetoes]++
 	}
 	tentative := intSurge || fpSurge
 	p.voter.Push(tentative)
@@ -224,14 +227,14 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 	majority := p.voter.Majority()
 	if p.retry.holdoff(v.Cycle()) {
 		if majority {
-			p.tel.holdoffs.Inc()
+			p.tel.n[cntHoldoffs]++
 		}
 		return nil
 	}
 	if majority {
-		p.tel.majorityFires.Inc()
+		p.tel.n[cntMajorityFires]++
 		p.stats.SwapRequests++
-		p.tel.requests.Inc()
+		p.tel.n[cntRequests]++
 		p.voter.Clear()
 		return p.em.swap(v)
 	}
@@ -240,9 +243,9 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 		forced := (sFP.IntPct >= base.IntHigh && sINT.IntPct >= base.IntHigh) ||
 			(sINT.FPPct >= base.FPHigh && sFP.FPPct >= base.FPHigh)
 		if forced {
-			p.tel.forcedSwaps.Inc()
+			p.tel.n[cntForcedSwaps]++
 			p.stats.SwapRequests++
-			p.tel.requests.Inc()
+			p.tel.n[cntRequests]++
 			p.voter.Clear()
 			return p.em.swap(v)
 		}
@@ -252,3 +255,4 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 
 var _ amp.MoveScheduler = (*ProposedExt)(nil)
 var _ amp.StatsReporter = (*ProposedExt)(nil)
+var _ amp.CountPublisher = (*ProposedExt)(nil)

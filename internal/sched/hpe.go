@@ -76,8 +76,8 @@ func NewHPE(cfg HPEConfig, est Estimator, opts ...Option) *HPE {
 		panic("sched: hpe: nil estimator")
 	}
 	o := buildOptions(opts)
-	name := "hpe-" + est.Name()
-	return &HPE{cfg: cfg, est: est, name: name, tel: newPolTel(o.tel, name)}
+	tel := newPolTel(o.tel, "sched.hpe-"+est.Name())
+	return &HPE{cfg: cfg, est: est, name: tel.name, tel: tel}
 }
 
 // Name implements amp.MoveScheduler.
@@ -103,6 +103,9 @@ func (h *HPE) Reset(v amp.View) {
 
 // SchedStats implements amp.StatsReporter.
 func (h *HPE) SchedStats() amp.SchedulerStats { return h.stats }
+
+// PublishCounts implements amp.CountPublisher.
+func (h *HPE) PublishCounts() { h.tel.publish() }
 
 // intervalObservation summarizes one thread over the last interval.
 type intervalObservation struct {
@@ -166,7 +169,7 @@ func (h *HPE) Tick(v amp.View) []amp.Move {
 	}
 	h.nextCheck = v.Cycle() + h.cfg.Interval
 	h.stats.DecisionPoints++
-	h.tel.decisions.Inc()
+	h.tel.n[cntDecisions]++
 
 	cycles := v.Cycle() - h.lastCycle
 	var obs [2]intervalObservation
@@ -181,7 +184,7 @@ func (h *HPE) Tick(v amp.View) []amp.Move {
 	est := (h.predictedSpeedup(v, obs[0], 0) + h.predictedSpeedup(v, obs[1], 1)) / 2
 	if est > h.cfg.SpeedupThreshold {
 		h.stats.SwapRequests++
-		h.tel.requests.Inc()
+		h.tel.n[cntRequests]++
 		return h.em.swap(v)
 	}
 	return nil
@@ -212,4 +215,5 @@ func (h *HPE) NextWake() (uint64, [2]uint64) {
 var _ amp.MoveScheduler = (*HPE)(nil)
 var _ amp.Waker = (*HPE)(nil)
 var _ amp.StatsReporter = (*HPE)(nil)
+var _ amp.CountPublisher = (*HPE)(nil)
 var _ amp.StatsReporter = (*Proposed)(nil)

@@ -84,8 +84,16 @@ type Morphing struct {
 	morphOns       uint64
 	closedThisTick bool
 
-	telOns  *telemetry.Counter
-	telOffs *telemetry.Counter
+	// ons and offs count morph decisions since the last
+	// PublishCounts; tel holds their shared counters (nil when
+	// telemetry is disabled).
+	ons, offs uint64
+	tel       *morphTel
+}
+
+// morphTel is the morph decisions' shared counters.
+type morphTel struct {
+	ons, offs *telemetry.Counter
 }
 
 // NewMorphing builds the scheduler. Options are shared with the
@@ -97,12 +105,11 @@ func NewMorphing(cfg MorphConfig, opts ...Option) *Morphing {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	m := &Morphing{cfg: cfg, proposed: NewProposed(cfg.Base, opts...)}
-	if o.tel != nil {
-		m.telOns = o.tel.Counter("sched.morphing.morph_ons")
-		m.telOffs = o.tel.Counter("sched.morphing.morph_offs")
-	}
-	return m
+	return &Morphing{cfg: cfg, proposed: NewProposed(cfg.Base, opts...),
+		tel: telemetry.Handles(o.tel, "sched.morphing", func(t *telemetry.Telemetry) *morphTel {
+			return &morphTel{ons: t.Counter("sched.morphing.morph_ons"),
+				offs: t.Counter("sched.morphing.morph_offs")}
+		})}
 }
 
 // Name implements amp.MoveScheduler.
@@ -129,6 +136,17 @@ func (m *Morphing) Reset(v amp.View) {
 
 // SchedStats implements amp.StatsReporter.
 func (m *Morphing) SchedStats() amp.SchedulerStats { return m.proposed.SchedStats() }
+
+// PublishCounts implements amp.CountPublisher: the embedded Proposed's
+// counts, then the morph decisions'.
+func (m *Morphing) PublishCounts() {
+	m.proposed.PublishCounts()
+	if m.tel != nil {
+		m.tel.ons.Add(m.ons)
+		m.tel.offs.Add(m.offs)
+	}
+	m.ons, m.offs = 0, 0
+}
 
 // observe closes per-thread IPC windows, setting closedThisTick when
 // at least one window closed (morph decisions are window-aligned, not
@@ -196,7 +214,7 @@ func (m *Morphing) MorphTick(v amp.View) (amp.MorphAction, int) {
 		m.consecOn = 0
 		m.consecOff = 0
 		m.morphOns++
-		m.telOns.Inc()
+		m.ons++
 		_ = low
 		return amp.MorphOn, high
 	}
@@ -219,10 +237,11 @@ func (m *Morphing) MorphTick(v amp.View) (amp.MorphAction, int) {
 	}
 	m.morphed = false
 	m.consecOff = 0
-	m.telOffs.Inc()
+	m.offs++
 	return amp.MorphOff, 0
 }
 
 var _ amp.MoveScheduler = (*Morphing)(nil)
 var _ amp.MorphPolicy = (*Morphing)(nil)
 var _ amp.StatsReporter = (*Morphing)(nil)
+var _ amp.CountPublisher = (*Morphing)(nil)

@@ -98,7 +98,7 @@ func NewProposed(cfg ProposedConfig, opts ...Option) *Proposed {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	return &Proposed{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "proposed")}
+	return &Proposed{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "sched.proposed")}
 }
 
 // Name implements amp.MoveScheduler.
@@ -122,7 +122,7 @@ func (p *Proposed) Reset(v amp.View) {
 	p.voter.Init(p.cfg.HistoryDepth)
 	p.stats = amp.SchedulerStats{}
 	p.retry.reset(p.cfg.RetryBackoffCycles, p.cfg.ForceInterval, v)
-	p.retry.retries = p.tel.retries
+	p.retry.retries = &p.tel.n[cntRetries]
 }
 
 // SchedStats implements amp.StatsReporter.
@@ -131,6 +131,9 @@ func (p *Proposed) SchedStats() amp.SchedulerStats {
 	st.FailedRequests = p.retry.failed
 	return st
 }
+
+// PublishCounts implements amp.CountPublisher.
+func (p *Proposed) PublishCounts() { p.tel.publish() }
 
 // Tick implements amp.MoveScheduler. A tentative decision is made at
 // the end of every committed-instruction window; the reconfiguration
@@ -156,7 +159,7 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 		return nil // need one full window from each thread first
 	}
 	p.stats.DecisionPoints++
-	p.tel.decisions.Inc()
+	p.tel.n[cntDecisions]++
 	p.retry.observe(v)
 
 	// Fig. 5 step 2: swap helps both threads. The majority vote keeps
@@ -169,12 +172,12 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 	majority := p.voter.Majority()
 	if p.retry.holdoff(v.Cycle()) {
 		if majority {
-			p.tel.holdoffs.Inc()
+			p.tel.n[cntHoldoffs]++
 		}
 		return nil
 	}
 	if majority {
-		p.tel.majorityFires.Inc()
+		p.tel.n[cntMajorityFires]++
 		p.requestSwap()
 		return p.em.swap(v)
 	}
@@ -185,7 +188,7 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 		forced := (sFP.IntPct >= p.cfg.IntHigh && sINT.IntPct >= p.cfg.IntHigh) ||
 			(sINT.FPPct >= p.cfg.FPHigh && sFP.FPPct >= p.cfg.FPHigh)
 		if forced {
-			p.tel.forcedSwaps.Inc()
+			p.tel.n[cntForcedSwaps]++
 			p.requestSwap()
 			return p.em.swap(v)
 		}
@@ -207,9 +210,10 @@ func (p *Proposed) NextWake() (uint64, [2]uint64) {
 
 func (p *Proposed) requestSwap() {
 	p.stats.SwapRequests++
-	p.tel.requests.Inc()
+	p.tel.n[cntRequests]++
 	p.voter.Clear()
 }
 
 var _ amp.MoveScheduler = (*Proposed)(nil)
 var _ amp.Waker = (*Proposed)(nil)
+var _ amp.CountPublisher = (*Proposed)(nil)

@@ -26,7 +26,7 @@ func NewRoundRobinInterval(cycles uint64, opts ...Option) *RoundRobin {
 		panic("sched: roundrobin: zero interval")
 	}
 	o := buildOptions(opts)
-	return &RoundRobin{interval: cycles, tel: newPolTel(o.tel, "roundrobin")}
+	return &RoundRobin{interval: cycles, tel: newPolTel(o.tel, "sched.roundrobin")}
 }
 
 // Name implements amp.MoveScheduler.
@@ -44,6 +44,9 @@ func (r *RoundRobin) Reset(v amp.View) {
 // SchedStats implements amp.StatsReporter.
 func (r *RoundRobin) SchedStats() amp.SchedulerStats { return r.stats }
 
+// PublishCounts implements amp.CountPublisher.
+func (r *RoundRobin) PublishCounts() { r.tel.publish() }
+
 // Tick implements amp.MoveScheduler.
 //
 //ampvet:hotpath
@@ -53,9 +56,9 @@ func (r *RoundRobin) Tick(v amp.View) []amp.Move {
 	}
 	r.next = v.Cycle() + r.interval
 	r.stats.DecisionPoints++
-	r.tel.decisions.Inc()
+	r.tel.n[cntDecisions]++
 	r.stats.SwapRequests++
-	r.tel.requests.Inc()
+	r.tel.n[cntRequests]++
 	return r.em.swap(v)
 }
 
@@ -68,3 +71,4 @@ func (r *RoundRobin) NextWake() (uint64, [2]uint64) {
 var _ amp.MoveScheduler = (*RoundRobin)(nil)
 var _ amp.Waker = (*RoundRobin)(nil)
 var _ amp.StatsReporter = (*RoundRobin)(nil)
+var _ amp.CountPublisher = (*RoundRobin)(nil)

@@ -87,7 +87,7 @@ func NewSampling(cfg SamplingConfig, opts ...Option) *Sampling {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	return &Sampling{cfg: cfg, tel: newPolTel(o.tel, "sampling")}
+	return &Sampling{cfg: cfg, tel: newPolTel(o.tel, "sched.sampling")}
 }
 
 // Name implements amp.MoveScheduler.
@@ -102,6 +102,9 @@ func (s *Sampling) Reset(v amp.View) {
 
 // SchedStats implements amp.StatsReporter.
 func (s *Sampling) SchedStats() amp.SchedulerStats { return s.stats }
+
+// PublishCounts implements amp.CountPublisher.
+func (s *Sampling) PublishCounts() { s.tel.publish() }
 
 // snapshot records both threads' committed counts and energies.
 func (s *Sampling) snapshot(v amp.View) [2]measurePoint {
@@ -156,9 +159,9 @@ func (s *Sampling) Tick(v amp.View) []amp.Move {
 		// to exclude the stall window.
 		s.measureFrom = s.snapshot(v)
 		s.stats.DecisionPoints++
-		s.tel.decisions.Inc()
+		s.tel.n[cntDecisions]++
 		s.stats.SwapRequests++
-		s.tel.requests.Inc()
+		s.tel.n[cntRequests]++
 		return s.em.swap(v)
 
 	case phaseSwapped:
@@ -169,14 +172,14 @@ func (s *Sampling) Tick(v amp.View) []amp.Move {
 		s.phase = phaseRun
 		s.episodeAt = now + s.cfg.Interval
 		s.stats.DecisionPoints++
-		s.tel.decisions.Inc()
+		s.tel.n[cntDecisions]++
 		if swappedMetric >= s.baseMetric*s.cfg.KeepThreshold {
 			// Keep the swapped assignment.
 			return nil
 		}
 		// Revert.
 		s.stats.SwapRequests++
-		s.tel.requests.Inc()
+		s.tel.n[cntRequests]++
 		return s.em.swap(v)
 	}
 	return nil
@@ -184,3 +187,4 @@ func (s *Sampling) Tick(v amp.View) []amp.Move {
 
 var _ amp.MoveScheduler = (*Sampling)(nil)
 var _ amp.StatsReporter = (*Sampling)(nil)
+var _ amp.CountPublisher = (*Sampling)(nil)

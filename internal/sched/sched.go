@@ -15,10 +15,7 @@
 // system's per-cycle Tick.
 package sched
 
-import (
-	"ampsched/internal/amp"
-	"ampsched/internal/telemetry"
-)
+import "ampsched/internal/amp"
 
 // DefaultRetryBackoffCycles is the initial hold-off after a scheduler
 // observes its swap request dropped by the reconfiguration controller.
@@ -39,9 +36,10 @@ type retryState struct {
 	seenSwap     uint64
 	failed       uint64 // total dropped requests observed
 
-	// retries counts armed backoffs for telemetry (nil = disabled).
-	// Assigned after reset, which zeroes the whole struct.
-	retries *telemetry.Counter
+	// retries, when set, counts armed backoffs into the policy's
+	// telemetry counts. Assigned after reset, which zeroes the whole
+	// struct.
+	retries *uint64
 }
 
 // reset arms the state against the view's current counters.
@@ -68,7 +66,9 @@ func (r *retryState) observe(v amp.View) {
 	if f := v.SwapFailures(); f != r.seenFailures {
 		r.failed += f - r.seenFailures
 		r.seenFailures = f
-		r.retries.Inc()
+		if r.retries != nil {
+			*r.retries++
+		}
 		if r.backoff == 0 {
 			r.backoff = r.base
 		} else if r.backoff < r.max {

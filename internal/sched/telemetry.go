@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"strings"
+
 	"ampsched/internal/monitor"
 	"ampsched/internal/telemetry"
 )
@@ -29,7 +31,9 @@ func buildOptions(opts []Option) options {
 // per-policy counters (windows observed, decision points, votes,
 // majority fires, forced swaps, retry backoffs, vetoes) under
 // "sched.<policy>.*", and — when t has sinks — one "window" event per
-// closed commit window. A nil t is ignored.
+// closed commit window. The events are emitted as they happen; the
+// counts are added once per run, when the system's RunContext returns
+// (amp.CountPublisher). A nil t is ignored.
 func WithTelemetry(t *telemetry.Telemetry) Option {
 	return func(o *options) { o.tel = t }
 }
@@ -42,46 +46,53 @@ func WithObserverFactory(f func(window uint64) monitor.Observer) Option {
 	return func(o *options) { o.obsFactory = f }
 }
 
-// polTel holds one policy's resolved telemetry handles. The zero value
-// (telemetry disabled) is fully functional: every handle is nil and
-// every call a no-op, so policies publish unconditionally.
+// polTel is one policy's telemetry: the counts of the current run, in
+// plain integers, and the shared "sched.<policy>.*" counters they are
+// added to once per run, by publish. Counting costs a plain add
+// per event whether telemetry is on or off; only publish touches the
+// shared counters, which the workers of a parallel sweep all write.
+// The zero value (telemetry disabled) counts and publishes nowhere.
 type polTel struct {
 	t    *telemetry.Telemetry
 	name string
-
-	windows       *telemetry.Counter
-	decisions     *telemetry.Counter
-	votesSwap     *telemetry.Counter
-	votesStay     *telemetry.Counter
-	majorityFires *telemetry.Counter
-	forcedSwaps   *telemetry.Counter
-	requests      *telemetry.Counter
-	holdoffs      *telemetry.Counter
-	retries       *telemetry.Counter
-	vetoes        *telemetry.Counter
+	h    *[numCounts]*telemetry.Counter // nil when telemetry is disabled
+	n    [numCounts]uint64              // counted since the last publish
 }
 
-// newPolTel resolves the policy's handle set ("sched.<policy>.*").
-func newPolTel(t *telemetry.Telemetry, policy string) polTel {
-	if t == nil {
-		return polTel{}
-	}
-	p := "sched." + policy + "."
-	return polTel{
-		t:    t,
-		name: policy,
+// The indexes of a policy's counts.
+const (
+	cntWindows = iota
+	cntDecisions
+	cntVotesSwap
+	cntVotesStay
+	cntMajorityFires
+	cntForcedSwaps
+	cntRequests
+	cntHoldoffs
+	cntRetries
+	cntVetoes
+	numCounts
+)
 
-		windows:       t.Counter(p + "windows"),
-		decisions:     t.Counter(p + "decisions"),
-		votesSwap:     t.Counter(p + "votes_swap"),
-		votesStay:     t.Counter(p + "votes_stay"),
-		majorityFires: t.Counter(p + "majority_fires"),
-		forcedSwaps:   t.Counter(p + "forced_swaps"),
-		requests:      t.Counter(p + "swap_requests"),
-		holdoffs:      t.Counter(p + "backoff_holdoffs"),
-		retries:       t.Counter(p + "retry_backoffs"),
-		vetoes:        t.Counter(p + "vetoes"),
-	}
+// countNames name the counts' counters after "sched.<policy>.".
+var countNames = [numCounts]string{"windows", "decisions", "votes_swap", "votes_stay",
+	"majority_fires", "forced_swaps", "swap_requests", "backoff_holdoffs", "retry_backoffs", "vetoes"}
+
+// newPolTel binds a policy to its counters, resolved once per Telemetry
+// (telemetry.Handles) and shared by every scheduler of the policy: key
+// is "sched.<policy>", and the policy's name, which window events
+// carry, is key without its "sched." prefix. Callers pass a constant
+// key, or build the name from the key, so a scheduler with telemetry
+// allocates no more than one without.
+func newPolTel(t *telemetry.Telemetry, key string) polTel {
+	return polTel{t: t, name: strings.TrimPrefix(key, "sched."),
+		h: telemetry.Handles(t, key, func(t *telemetry.Telemetry) *[numCounts]*telemetry.Counter {
+			var h [numCounts]*telemetry.Counter
+			for i, name := range countNames {
+				h[i] = t.Counter(key + "." + name)
+			}
+			return &h
+		})}
 }
 
 // vote counts one tentative window decision.
@@ -89,9 +100,9 @@ func newPolTel(t *telemetry.Telemetry, policy string) polTel {
 //ampvet:hotpath
 func (pt *polTel) vote(swap bool) {
 	if swap {
-		pt.votesSwap.Inc()
+		pt.n[cntVotesSwap]++
 	} else {
-		pt.votesStay.Inc()
+		pt.n[cntVotesStay]++
 	}
 }
 
@@ -100,7 +111,7 @@ func (pt *polTel) vote(swap bool) {
 //
 //ampvet:hotpath
 func (pt *polTel) window(cycle uint64, thread int, s monitor.Sample) {
-	pt.windows.Inc()
+	pt.n[cntWindows]++
 	if pt.t.Eventing() {
 		e := telemetry.NewEvent("window")
 		e.Cycle = cycle
@@ -110,4 +121,15 @@ func (pt *polTel) window(cycle uint64, thread int, s monitor.Sample) {
 		e.FPPct = s.FPPct
 		pt.t.Emit(e)
 	}
+}
+
+// publish adds the counts since the last publish to the shared
+// counters and zeroes them.
+func (pt *polTel) publish() {
+	if pt.h != nil {
+		for i, c := range pt.h {
+			c.Add(pt.n[i])
+		}
+	}
+	pt.n = [numCounts]uint64{}
 }

@@ -25,6 +25,9 @@ type Telemetry struct {
 
 	mu    sync.Mutex
 	sinks []Sink
+
+	setsMu sync.Mutex
+	sets   map[string]any // Handles' resolved handle sets, by key
 }
 
 // New returns an enabled Telemetry publishing events to the given
@@ -56,6 +59,31 @@ func (t *Telemetry) Gauge(name string) *Gauge { return t.Registry().Gauge(name) 
 // Histogram resolves a histogram handle by name. Safe on a nil
 // receiver.
 func (t *Telemetry) Histogram(name string) *Histogram { return t.Registry().Histogram(name) }
+
+// Handles returns the handle set build resolves from t under key. The
+// first call with a key builds the set; every later call returns that
+// same set, so code that needs a set per run (a scheduler, a run-end
+// flush) pays one map lookup instead of one registry lookup, and one
+// name concatenation, per metric. Keys are namespaced by the calling
+// package ("sched.proposed", "amp.engine.interval"), and one key is
+// always built by one build function, so always into one type. A nil
+// t has no handle sets: Handles returns nil without calling build.
+func Handles[T any](t *Telemetry, key string, build func(*Telemetry) *T) *T {
+	if t == nil {
+		return nil
+	}
+	t.setsMu.Lock()
+	defer t.setsMu.Unlock()
+	if set, ok := t.sets[key]; ok {
+		return set.(*T)
+	}
+	set := build(t)
+	if t.sets == nil {
+		t.sets = make(map[string]any)
+	}
+	t.sets[key] = set
+	return set
+}
 
 // Eventing reports whether Emit delivers anywhere. Callers that must
 // build an Event cheaply can skip construction entirely when false.
