@@ -24,8 +24,8 @@
 // -faultservice turns the daemon into its own chaos subject for `make
 // chaos-smoke`.
 //
-// Fleet mode: -peers (or -peersfile) lists the static membership of
-// an ampserve fleet. Submissions route to their canonical owner on a
+// Fleet mode: -peers lists the static membership of an ampserve
+// fleet. Submissions route to their canonical owner on a
 // consistent-hash ring (so concurrent identical jobs collapse into
 // one simulation fleet-wide), cached results are shared node-to-node,
 // and a heartbeat marks unreachable peers dead and re-routes around
@@ -78,9 +78,7 @@ func main() {
 		verbose      = flag.Bool("v", false, "log requests-in-progress details to stderr")
 
 		peers     = flag.String("peers", "", "fleet mode: comma-separated peer addresses (host:port), including this node")
-		peersFile = flag.String("peersfile", "", "fleet mode: file with one peer address per line (alternative to -peers)")
 		advertise = flag.String("advertise", "", "fleet mode: this node's address as peers spell it (default: the bound address)")
-		vnodes    = flag.Int("vnodes", 0, "fleet mode: virtual nodes per peer on the hash ring (0 = 64)")
 		heartbeat = flag.Duration("heartbeat", 0, "fleet mode: peer liveness probe cadence (0 = 500ms)")
 	)
 	flag.Parse()
@@ -148,10 +146,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "ampserve: listening on http://%s/\n", bound)
 
-	peerList, err := resolvePeers(*peers, *peersFile)
-	if err != nil {
-		fatal(err)
-	}
+	peerList := splitPeers(*peers)
 	self := *advertise
 	if self == "" {
 		self = bound
@@ -214,7 +209,6 @@ func main() {
 		node, err = cluster.New(srv, cluster.Config{
 			Self:      self,
 			Peers:     peerList,
-			VNodes:    *vnodes,
 			Heartbeat: *heartbeat,
 			Telemetry: tel,
 		})
@@ -277,30 +271,16 @@ func main() {
 	os.Exit(exit)
 }
 
-// resolvePeers merges the -peers list and -peersfile contents into
-// the fleet membership (nil = single-node mode). The file form takes
-// one address per line; blank lines and #-comments are skipped.
-func resolvePeers(flat, file string) ([]string, error) {
+// splitPeers parses the -peers list into the fleet membership (nil =
+// single-node mode).
+func splitPeers(flat string) []string {
 	var peers []string
 	for _, p := range strings.Split(flat, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
 		}
 	}
-	if file != "" {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return nil, fmt.Errorf("reading peers file: %w", err)
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			peers = append(peers, line)
-		}
-	}
-	return peers, nil
+	return peers
 }
 
 func fatal(err error) {

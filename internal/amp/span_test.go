@@ -45,8 +45,9 @@ func stride100Factory(cfg *cpu.Config) (cpu.Engine, error) {
 	return strideEngine{Engine: e, stride: 100}, err
 }
 
-// spanPolicies covers no scheduler and the three Wakers: a cycle wake
-// (RoundRobin, HPE) and commit-edge wakes (Proposed).
+// spanPolicies covers no scheduler and the four Wakers: a cycle wake
+// (RoundRobin, HPE) and commit-edge wakes (Proposed, and ProposedExt,
+// which is Proposed plus its memory guard).
 func spanPolicies() []struct {
 	name string
 	mk   func() amp.MoveScheduler
@@ -62,6 +63,7 @@ func spanPolicies() []struct {
 				compositionEstimator{})
 		}},
 		{"proposed", func() amp.MoveScheduler { return sched.NewProposed(sched.DefaultProposedConfig()) }},
+		{"proposed-ext", func() amp.MoveScheduler { return sched.NewProposedExt(sched.DefaultExtendedConfig()) }},
 	}
 }
 
@@ -268,31 +270,38 @@ func (r *runCounter) Run(now, window, n uint64) {
 	r.Engine.Run(now, window, n)
 }
 
-// tickCounter counts a Proposed scheduler's Tick calls; embedding
+// wakingScheduler is a scheduler the run loop sees as a Waker.
+type wakingScheduler interface {
+	amp.MoveScheduler
+	amp.Waker
+}
+
+// tickCounter counts a commit-edge scheduler's Tick calls; embedding
 // keeps its NextWake, so the run loop still sees a Waker.
 type tickCounter struct {
-	*sched.Proposed
+	wakingScheduler
 	ticks uint64
 }
 
 func (c *tickCounter) Tick(v amp.View) []amp.Move {
 	c.ticks++
-	return c.Proposed.Tick(v)
+	return c.wakingScheduler.Tick(v)
 }
 
 // TestQuietStretchesRunAsSpans pins that spans actually happen: with
 // no scheduler, or one that wakes once per quantum, each engine covers
 // its windows in a few calls per quantum — after the sampled engine's
-// warm-ups too. Proposed wakes at every 1000-instruction window edge
-// of either thread, and each engine runs about one span per Tick: the
-// span ends at the window that can reach the next edge. Its Tick count
-// is the number of windows that reach a wake, which spans must not
-// change.
+// warm-ups too. Proposed and ProposedExt wake at every
+// 1000-instruction window edge of either thread, and each engine runs
+// about one span per Tick: the span ends at the window that can reach
+// the next edge. Their Tick count is the number of windows that reach
+// a wake, which spans must not change; on this pair the two policies
+// swap alike and tick alike.
 func TestQuietStretchesRunAsSpans(t *testing.T) {
 	for _, f := range []struct {
-		name          string
-		factory       cpu.EngineFactory
-		proposedTicks uint64
+		name      string
+		factory   cpu.EngineFactory
+		edgeTicks uint64
 	}{{"interval", interval.Factory(), 22_544}, {"sampled", interval.SampledFactory(), 22_524}} {
 		for _, p := range spanPolicies() {
 			var engines []*runCounter
@@ -304,9 +313,14 @@ func TestQuietStretchesRunAsSpans(t *testing.T) {
 			}
 			sch := p.mk()
 			var tc *tickCounter
-			if pr, ok := sch.(*sched.Proposed); ok {
-				tc = &tickCounter{Proposed: pr}
-				sch = tc
+			switch sch.(type) {
+			case *sched.Proposed, *sched.ProposedExt:
+				// A commit-edge policy that is no Waker is ticked
+				// every window and fails the span check below.
+				if w, ok := sch.(wakingScheduler); ok {
+					tc = &tickCounter{wakingScheduler: w}
+					sch = tc
+				}
 			}
 			sys := amp.MustSystem([2]*cpu.Config{cpu.IntCoreConfig(), cpu.FPCoreConfig()},
 				cancelPair(41), sch, amp.Config{}, amp.WithEngine(factory))
@@ -321,8 +335,8 @@ func TestQuietStretchesRunAsSpans(t *testing.T) {
 						f.name, p.name, c, e.calls, e.windows)
 				}
 			}
-			if tc != nil && tc.ticks != f.proposedTicks {
-				t.Errorf("%s/%s: %d Ticks, want %d", f.name, p.name, tc.ticks, f.proposedTicks)
+			if tc != nil && tc.ticks != f.edgeTicks {
+				t.Errorf("%s/%s: %d Ticks, want %d", f.name, p.name, tc.ticks, f.edgeTicks)
 			}
 		}
 	}

@@ -22,7 +22,8 @@
 //
 //   - lockcheck: no mutex held across a blocking operation (channel
 //     ops, selects, file/net I/O, transitively-blocking calls), no
-//     inconsistent lock acquisition order, no lock copied by value.
+//     inconsistent lock acquisition order (a lock copied by value is
+//     go vet's copylocks check).
 //   - unitcheck: dimensional analysis over //ampvet:unit tags for the
 //     paper's quantities (cycles, instructions, nanojoules, watts,
 //     IPC, IPC/Watt): cross-unit arithmetic and mismatched

@@ -17,9 +17,10 @@ import (
 //     including transitively and through interface dispatch;
 //   - no inconsistent acquisition order: two locks nested one way in
 //     one place and the opposite way in another is a deadlock waiting
-//     for the right interleaving;
-//   - no lock passed or received by value: a copied mutex guards
-//     nothing.
+//     for the right interleaving.
+//
+// A lock passed or received by value is go vet's copylocks check,
+// which make lint runs first.
 //
 // sync.(*Cond).Wait is exempt from the blocking rule: it atomically
 // releases its mutex, so holding that lock across it is the designed
@@ -33,9 +34,8 @@ import (
 // at the join.
 var LockCheckAnalyzer = &Analyzer{
 	Name: "lockcheck",
-	Doc: "flag locks held across blocking operations, inconsistent lock acquisition order, " +
-		"and locks passed by value",
-	Run: runLockCheck,
+	Doc:  "flag locks held across blocking operations and inconsistent lock acquisition order",
+	Run:  runLockCheck,
 }
 
 // heldLock is one acquisition the walker is tracking.
@@ -57,7 +57,6 @@ func runLockCheck(pass *Pass) error {
 			if !ok {
 				continue
 			}
-			checkLockByValue(pass, fd)
 			if fd.Body == nil {
 				continue
 			}
@@ -327,64 +326,6 @@ func lockID(info *types.Info, e ast.Expr) string {
 		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 			return v.Pkg().Path() + "." + v.Name()
 		}
-	}
-	return ""
-}
-
-// checkLockByValue flags parameters and receivers whose type contains
-// a lock but is not behind a pointer: the callee operates on a copy
-// that guards nothing.
-func checkLockByValue(pass *Pass, fd *ast.FuncDecl) {
-	checkField := func(field *ast.Field, what string) {
-		t := pass.Info.Types[field.Type].Type
-		if t == nil {
-			return
-		}
-		if _, isPtr := t.(*types.Pointer); isPtr {
-			return
-		}
-		if lock := containsLock(t, 0); lock != "" {
-			pass.Reportf(field.Pos(), "%s passes lock by value: %s contains %s",
-				what, types.TypeString(t, types.RelativeTo(pass.Pkg)), lock)
-		}
-	}
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			checkField(field, "receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			checkField(field, "parameter")
-		}
-	}
-}
-
-// containsLock reports the first sync lock type found by value inside
-// t ("" when none).
-func containsLock(t types.Type, depth int) string {
-	if depth > 4 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "Cond", "WaitGroup", "Once", "Pool", "Map":
-				return "sync." + obj.Name()
-			}
-		}
-		return containsLock(named.Underlying(), depth+1)
-	}
-	if st, ok := t.(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			if lock := containsLock(st.Field(i).Type(), depth+1); lock != "" {
-				return lock
-			}
-		}
-	}
-	if arr, ok := t.(*types.Array); ok {
-		return containsLock(arr.Elem(), depth+1)
 	}
 	return ""
 }

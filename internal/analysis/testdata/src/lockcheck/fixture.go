@@ -1,7 +1,7 @@
 // Package lockcheck is the fixture for the lock-discipline analyzer:
 // locks held across blocking operations (including through the
-// summary layer's interprocedural propagation), inconsistent
-// acquisition order, and locks passed by value.
+// summary layer's interprocedural propagation) and inconsistent
+// acquisition order.
 package lockcheck
 
 import (
@@ -89,12 +89,6 @@ func (s *Server) lockBA() {
 	s.mu.Lock() // want `locks lockcheck\.Server\.wal and lockcheck\.Server\.mu acquired in inconsistent order`
 	s.mu.Unlock()
 	s.wal.Unlock()
-}
-
-// byValue copies the mutex with the struct: the copy's lock state is
-// divorced from the original's.
-func byValue(s Server) { // want `parameter passes lock by value: Server contains sync\.Mutex`
-	_ = s.jobs
 }
 
 // An audited exception is suppressed.

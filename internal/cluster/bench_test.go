@@ -18,7 +18,7 @@ func BenchmarkClusterRingOwner(b *testing.B) {
 	for i := range members {
 		members[i] = fmt.Sprintf("10.0.0.%d:8080", i+1)
 	}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	keys := make([]string, 512)
 	for i := range keys {
 		keys[i] = JobKey([]server.JobSpec{{Pairs: 3, Seed: uint64(i)}})

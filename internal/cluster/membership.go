@@ -8,55 +8,33 @@ import (
 	"ampsched/internal/telemetry"
 )
 
-// peerState is a peer's liveness classification.
-type peerState int
-
-const (
-	// peerAlive: heartbeats answered; full routing target.
-	peerAlive peerState = iota
-	// peerSuspect: missed probes, below the death threshold. Still on
-	// the ring — a transient blip should not reshuffle ownership — but
-	// forwards to it may fail over to local compute.
-	peerSuspect
-	// peerDead: consistently unreachable. Off the ring; its keys
-	// re-route to successors until a heartbeat answers again.
-	peerDead
-)
-
-// suspectAfter / deadAfter are the consecutive missed probes before a
-// peer is marked suspect / dead.
-const (
-	suspectAfter = 2
-	deadAfter    = 4
-)
+// deadAfter is the consecutive missed probes (or failed forwards)
+// after which a peer is dead: off the ring, its keys re-routed to
+// successors until a heartbeat answers again. Fewer misses leave
+// routing untouched — a transient blip should not reshuffle ownership.
+const deadAfter = 4
 
 // membership tracks static fleet membership plus dynamic liveness,
 // and owns the live ring rebuilt on every alive<->dead transition.
-// Static membership means the peer set never grows or shrinks; nodes
-// only move between alive, suspect and dead.
+// Static membership means the peer set never grows or shrinks; a peer
+// is alive or, after deadAfter consecutive misses, dead.
 type membership struct {
-	self   string
-	peers  []string // sorted, includes self
-	vnodes int
+	self  string
+	peers []string // sorted, includes self
 
 	mu     sync.Mutex
-	misses map[string]int
-	states map[string]peerState
+	misses map[string]int // consecutive misses of each peer but self
 	ring   *Ring
 
 	rebuilds *telemetry.Counter
-	suspects *telemetry.Counter
 	deaths   *telemetry.Counter
 }
 
-func newMembership(self string, peers []string, vnodes int, tel *telemetry.Telemetry) *membership {
+func newMembership(self string, peers []string, tel *telemetry.Telemetry) *membership {
 	m := &membership{
 		self:     self,
-		vnodes:   vnodes,
 		misses:   make(map[string]int),
-		states:   make(map[string]peerState),
 		rebuilds: tel.Counter("cluster.ring_rebuilds"),
-		suspects: tel.Counter("cluster.peer_suspects"),
 		deaths:   tel.Counter("cluster.peer_deaths"),
 	}
 	seen := map[string]bool{self: true}
@@ -67,10 +45,10 @@ func newMembership(self string, peers []string, vnodes int, tel *telemetry.Telem
 		}
 		seen[p] = true
 		m.peers = append(m.peers, p)
-		m.states[p] = peerAlive
+		m.misses[p] = 0
 	}
 	sort.Strings(m.peers)
-	m.ring = NewRing(m.peers, m.vnodes)
+	m.ring = NewRing(m.peers)
 	return m
 }
 
@@ -119,7 +97,7 @@ func (m *membership) livePeersLocked() []string {
 		if p == m.self {
 			continue
 		}
-		if m.states[p] != peerDead {
+		if m.misses[p] < deadAfter {
 			out = append(out, p)
 		}
 	}
@@ -138,45 +116,34 @@ func (m *membership) allPeers() []string {
 	return out
 }
 
-// state returns the peer's current classification.
-func (m *membership) state(peer string) peerState {
+// dead reports whether peer is dead.
+func (m *membership) dead(peer string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.states[peer]
+	return m.misses[peer] >= deadAfter
 }
 
-// observe records one probe (or forward) outcome for peer and applies
-// the alive → suspect → dead state machine, rebuilding the live ring
-// when ring membership changes.
+// observe records one probe (or forward) outcome for peer: an answer
+// zeroes its miss count, a miss adds one, and the live ring is rebuilt
+// when the peer dies or comes back.
 func (m *membership) observe(peer string, ok bool) {
-	if peer == m.self {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	prev, known := m.states[peer]
+	n, known := m.misses[peer]
 	if !known {
 		return
 	}
 	if ok {
 		m.misses[peer] = 0
-		if prev != peerAlive {
-			m.states[peer] = peerAlive
-			if prev == peerDead {
-				m.rebuildLocked()
-			}
+		if n >= deadAfter {
+			m.rebuildLocked()
 		}
 		return
 	}
-	m.misses[peer]++
-	switch {
-	case m.misses[peer] >= deadAfter && prev != peerDead:
-		m.states[peer] = peerDead
+	m.misses[peer] = n + 1
+	if n+1 == deadAfter {
 		m.deaths.Inc()
 		m.rebuildLocked()
-	case m.misses[peer] >= suspectAfter && prev == peerAlive:
-		m.states[peer] = peerSuspect
-		m.suspects.Inc()
 	}
 }
 
@@ -185,11 +152,11 @@ func (m *membership) observe(peer string, ok bool) {
 func (m *membership) rebuildLocked() {
 	members := make([]string, 0, len(m.peers))
 	for _, p := range m.peers {
-		if p == m.self || m.states[p] != peerDead {
+		if m.misses[p] < deadAfter {
 			members = append(members, p)
 		}
 	}
-	m.ring = NewRing(members, m.vnodes)
+	m.ring = NewRing(members)
 	m.rebuilds.Inc()
 }
 

@@ -26,8 +26,6 @@ type Config struct {
 	// Peers is the static fleet membership (host:port each); Self is
 	// added if absent. Order is irrelevant.
 	Peers []string
-	// VNodes is the virtual-node count per peer (0 = 64).
-	VNodes int
 	// Heartbeat is the liveness probe cadence and per-probe timeout
 	// (0 = 500ms).
 	Heartbeat time.Duration
@@ -86,7 +84,7 @@ func New(srv *server.Server, cfg Config) (*Node, error) {
 		srv:    srv,
 		inner:  srv.Handler(),
 		cfg:    cfg,
-		mem:    newMembership(cfg.Self, cfg.Peers, cfg.VNodes, tel),
+		mem:    newMembership(cfg.Self, cfg.Peers, tel),
 		client: &http.Client{},
 		fwd:    make(map[string]string),
 		stop:   make(chan struct{}),

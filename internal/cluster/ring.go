@@ -2,7 +2,7 @@
 // ring routes every canonical job key to an owner node, a small
 // node-to-node HTTP protocol (/v1/peer/...) forwards submissions to
 // the owner and shares cached results, and a heartbeat layer marks
-// unreachable peers suspect/dead and re-routes around them.
+// unreachable peers dead and re-routes around them.
 //
 // The design leans entirely on the server's content-addressed cache:
 // a pair record's bytes are a pure function of its KeySpec, so it
@@ -14,7 +14,7 @@
 //
 // Telemetry (under "cluster."): forwards, forward_fallbacks,
 // peer_jobs, remote_hits, remote_misses, replicas, ring_rebuilds,
-// peer_suspects, peer_deaths.
+// peer_deaths.
 package cluster
 
 import (
@@ -24,10 +24,10 @@ import (
 	"strconv"
 )
 
-// defaultVNodes is the virtual-node count per peer. 64 points per
-// node keeps the expected ownership imbalance of a 3-node fleet
-// within a few percent while the ring stays tiny (192 points).
-const defaultVNodes = 64
+// vnodes is the virtual-node count per peer. 64 points per node keeps
+// the expected ownership imbalance of a 3-node fleet within a few
+// percent while the ring stays tiny (192 points).
+const vnodes = 64
 
 // ringPoint is one virtual node's position on the hash circle.
 type ringPoint struct {
@@ -36,9 +36,8 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring. Placement is a pure
-// function of the member list and vnode count — every node that
-// agrees on membership derives the identical ring, so routing needs
-// no coordination.
+// function of the member list — every node that agrees on membership
+// derives the identical ring, so routing needs no coordination.
 type Ring struct {
 	points []ringPoint
 	nodes  []string
@@ -57,10 +56,7 @@ func hash64(s string) uint64 {
 // collapsed and order is irrelevant — callers on different nodes pass
 // their peer lists in any order and still agree. An empty member list
 // yields a ring whose lookups return "".
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func NewRing(nodes []string) *Ring {
 	uniq := make([]string, 0, len(nodes))
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {

@@ -20,7 +20,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	}
 	rings := make([]*Ring, len(perms))
 	for i, p := range perms {
-		rings[i] = NewRing(p, 0)
+		rings[i] = NewRing(p)
 	}
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("job-key-%d", i)
@@ -38,7 +38,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 // wildly disproportionate share of uniformly random keys.
 func TestRingDistribution(t *testing.T) {
 	members := []string{"a:1", "b:1", "c:1"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -56,8 +56,8 @@ func TestRingDistribution(t *testing.T) {
 // one member only remaps the keys that member owned; every other
 // key's owner is unchanged.
 func TestRingMinimalRemap(t *testing.T) {
-	full := NewRing([]string{"a:1", "b:1", "c:1"}, 0)
-	reduced := NewRing([]string{"a:1", "b:1"}, 0)
+	full := NewRing([]string{"a:1", "b:1", "c:1"})
+	reduced := NewRing([]string{"a:1", "b:1"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
 		before := full.Owner(key)
@@ -71,7 +71,7 @@ func TestRingMinimalRemap(t *testing.T) {
 // TestRingOwners checks the lookup/replica order: distinct members,
 // owner first, capped at the member count.
 func TestRingOwners(t *testing.T) {
-	r := NewRing([]string{"a:1", "b:1", "c:1"}, 0)
+	r := NewRing([]string{"a:1", "b:1", "c:1"})
 	owners := r.Owners("some-key", 5)
 	if len(owners) != 3 {
 		t.Fatalf("Owners = %v, want all 3 distinct members", owners)
@@ -86,7 +86,7 @@ func TestRingOwners(t *testing.T) {
 		}
 		seen[o] = true
 	}
-	if got := NewRing(nil, 0).Owner("x"); got != "" {
+	if got := NewRing(nil).Owner("x"); got != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", got)
 	}
 }
@@ -124,24 +124,24 @@ func TestJobRouteKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestMembershipLifecycle drives the alive -> suspect -> dead ->
-// resurrected state machine and checks its ring effects.
+// TestMembershipLifecycle drives a peer from alive through missed
+// probes to dead and back, and checks its ring effects.
 func TestMembershipLifecycle(t *testing.T) {
 	tel := telemetry.New()
-	m := newMembership("a:1", []string{"b:1", "c:1"}, 8, tel)
+	m := newMembership("a:1", []string{"b:1", "c:1"}, tel)
 
 	if got := m.lookupOrder("key"); len(got) != 2 {
 		t.Fatalf("lookupOrder = %v, want b and c", got)
 	}
 
-	// Two misses: suspect. Still a routing target (stays on the ring).
+	// Two misses: still alive and a routing target (stays on the ring).
 	m.observe("b:1", false)
 	m.observe("b:1", false)
-	if got := m.state("b:1"); got != peerSuspect {
-		t.Fatalf("after 2 misses state = %v, want suspect", got)
+	if m.dead("b:1") {
+		t.Fatal("peer dead after 2 misses")
 	}
 	if got := m.lookupOrder("key"); len(got) != 2 {
-		t.Fatalf("suspect peer fell out of lookupOrder: %v", got)
+		t.Fatalf("peer with 2 misses fell out of lookupOrder: %v", got)
 	}
 	ownsSomething := func(peer string) bool {
 		for i := 0; i < 200; i++ {
@@ -152,14 +152,14 @@ func TestMembershipLifecycle(t *testing.T) {
 		return false
 	}
 	if !ownsSomething("b:1") {
-		t.Fatal("suspect peer lost its ring share")
+		t.Fatal("peer with 2 misses lost its ring share")
 	}
 
 	// Two more misses: dead. Off the ring and out of lookupOrder.
 	m.observe("b:1", false)
 	m.observe("b:1", false)
-	if got := m.state("b:1"); got != peerDead {
-		t.Fatalf("after 4 misses state = %v, want dead", got)
+	if !m.dead("b:1") {
+		t.Fatal("peer alive after 4 misses")
 	}
 	if ownsSomething("b:1") {
 		t.Fatal("dead peer still owns keys")
@@ -186,16 +186,18 @@ func TestMembershipLifecycle(t *testing.T) {
 
 	// One answered probe: alive again, back on the ring.
 	m.observe("b:1", true)
-	if got := m.state("b:1"); got != peerAlive {
-		t.Fatalf("after answered probe state = %v, want alive", got)
+	if m.dead("b:1") {
+		t.Fatal("peer still dead after an answered probe")
 	}
 	if !ownsSomething("b:1") {
 		t.Fatal("resurrected peer got no ring share back")
 	}
 
 	// A second death must re-count misses from zero.
-	m.observe("b:1", false)
-	if got := m.state("b:1"); got != peerAlive {
-		t.Fatalf("one miss after resurrection = %v, want still alive", got)
+	for i := 1; i < deadAfter; i++ {
+		m.observe("b:1", false)
+	}
+	if m.dead("b:1") {
+		t.Fatalf("%d misses after resurrection killed the peer", deadAfter-1)
 	}
 }

@@ -58,10 +58,6 @@ type Config struct {
 	// SwapDelayFactor is the overhead multiplier for delayed swaps
 	// (0 means DefaultSwapDelayFactor).
 	SwapDelayFactor float64
-
-	// TraceCorruptRate is the expected fraction of trace-stream bytes
-	// flipped by CorruptBytes.
-	TraceCorruptRate float64
 }
 
 // Uniform is the one-knob plan used by the resilience experiment:
@@ -69,13 +65,12 @@ type Config struct {
 // rate*20 percentage points; the delay factor stays at the default.
 func Uniform(rate float64, seed uint64) Config {
 	return Config{
-		Seed:             seed,
-		SampleDropRate:   rate,
-		SampleStaleRate:  rate,
-		SampleNoisePct:   rate * 20,
-		SwapFailRate:     rate,
-		SwapDelayRate:    rate,
-		TraceCorruptRate: rate,
+		Seed:            seed,
+		SampleDropRate:  rate,
+		SampleStaleRate: rate,
+		SampleNoisePct:  rate * 20,
+		SwapFailRate:    rate,
+		SwapDelayRate:   rate,
 	}
 }
 
@@ -89,7 +84,6 @@ func (c Config) Validate() error {
 		{"SampleStaleRate", c.SampleStaleRate},
 		{"SwapFailRate", c.SwapFailRate},
 		{"SwapDelayRate", c.SwapDelayRate},
-		{"TraceCorruptRate", c.TraceCorruptRate},
 	} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("fault: %s %g outside [0, 1]", r.name, r.v)
@@ -107,7 +101,7 @@ func (c Config) Validate() error {
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
 	return c.SampleDropRate > 0 || c.SampleStaleRate > 0 || c.SampleNoisePct > 0 ||
-		c.SwapFailRate > 0 || c.SwapDelayRate > 0 || c.TraceCorruptRate > 0
+		c.SwapFailRate > 0 || c.SwapDelayRate > 0
 }
 
 // Stats counts the faults a plan actually injected.
@@ -117,7 +111,6 @@ type Stats struct {
 	SamplesNoised  uint64
 	SwapsFailed    uint64
 	SwapsDelayed   uint64
-	BytesCorrupted uint64
 }
 
 // Stream-derivation tags. Each subsystem's stream seed is the plan
@@ -126,7 +119,6 @@ type Stats struct {
 // draws of an existing one.
 const (
 	tagSwap     = 0x5157_4150 // "SWAP"
-	tagTrace    = 0x5452_4143 // "TRAC"
 	tagObserver = 0x4f42_5356 // "OBSV"
 )
 
@@ -139,11 +131,10 @@ func streamSeed(seed, tag uint64) uint64 {
 // injection counters. A Plan is not safe for concurrent use; build
 // one per simulated system (they are cheap).
 type Plan struct {
-	cfg      Config
-	swapRng  *rng.Source
-	traceRng *rng.Source
-	stats    Stats
-	tel      planTel
+	cfg     Config
+	swapRng *rng.Source
+	stats   Stats
+	tel     planTel
 }
 
 // New validates cfg and instantiates its streams.
@@ -154,11 +145,7 @@ func New(cfg Config) (*Plan, error) {
 	if cfg.SwapDelayFactor == 0 {
 		cfg.SwapDelayFactor = DefaultSwapDelayFactor
 	}
-	return &Plan{
-		cfg:      cfg,
-		swapRng:  rng.New(streamSeed(cfg.Seed, tagSwap)),
-		traceRng: rng.New(streamSeed(cfg.Seed, tagTrace)),
-	}, nil
+	return &Plan{cfg: cfg, swapRng: rng.New(streamSeed(cfg.Seed, tagSwap))}, nil
 }
 
 // MustNew is New panicking on error, for statically valid configs.
@@ -209,24 +196,4 @@ func (p *Plan) Observer(inner monitor.Observer, tag uint64) *FaultyObserver {
 		stats: &p.stats,
 		tel:   &p.tel,
 	}
-}
-
-// CorruptBytes flips bits in b at the plan's TraceCorruptRate and
-// returns the number of bytes touched. Corruption positions are drawn
-// by geometric gap sampling, so the cost is proportional to the number
-// of faults, not the buffer size.
-func (p *Plan) CorruptBytes(b []byte) int {
-	rate := p.cfg.TraceCorruptRate
-	if rate <= 0 || len(b) == 0 {
-		return 0
-	}
-	mean := 1 / rate
-	n := 0
-	for i := p.traceRng.Geometric(mean) - 1; i < len(b); i += p.traceRng.Geometric(mean) {
-		b[i] ^= byte(1 + p.traceRng.Intn(255)) // never a zero mask
-		n++
-	}
-	p.stats.BytesCorrupted += uint64(n)
-	p.tel.corrupted.Add(uint64(n))
-	return n
 }

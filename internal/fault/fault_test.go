@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -17,7 +16,6 @@ func TestValidateRejectsBadRates(t *testing.T) {
 		{SampleStaleRate: 1.5},
 		{SwapFailRate: 2},
 		{SwapDelayRate: -1},
-		{TraceCorruptRate: 1.01},
 		{SampleNoisePct: 101},
 		{SampleNoisePct: -5},
 		{SwapDelayFactor: -2},
@@ -206,43 +204,5 @@ func TestObserverTagsIndependent(t *testing.T) {
 	}
 	if same == windows {
 		t.Fatal("differently tagged observers draw identical fault streams")
-	}
-}
-
-func TestCorruptBytesDeterministicAndBounded(t *testing.T) {
-	mk := func() []byte {
-		b := make([]byte, 8192)
-		for i := range b {
-			b[i] = byte(i)
-		}
-		return b
-	}
-	cfg := Config{Seed: 17, TraceCorruptRate: 0.01}
-	b1, b2 := mk(), mk()
-	n1 := MustNew(cfg).CorruptBytes(b1)
-	n2 := MustNew(cfg).CorruptBytes(b2)
-	if n1 != n2 || !bytes.Equal(b1, b2) {
-		t.Fatalf("corruption not deterministic: %d vs %d bytes", n1, n2)
-	}
-	if n1 == 0 {
-		t.Fatal("no bytes corrupted at rate 0.01 over 8 KiB")
-	}
-	frac := float64(n1) / float64(len(b1))
-	if frac > 0.05 {
-		t.Fatalf("corrupted fraction %.3f far above rate 0.01", frac)
-	}
-	// Every touched byte must actually differ (no zero XOR masks).
-	ref := mk()
-	diff := 0
-	for i := range b1 {
-		if b1[i] != ref[i] {
-			diff++
-		}
-	}
-	if diff != n1 {
-		t.Fatalf("reported %d corrupted bytes but %d differ", n1, diff)
-	}
-	if MustNew(Config{Seed: 17}).CorruptBytes(mk()) != 0 {
-		t.Fatal("rate-0 plan corrupted bytes")
 	}
 }

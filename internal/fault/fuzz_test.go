@@ -12,21 +12,20 @@ import (
 
 // FuzzFaultPlan proves the determinism contract: two plans built from
 // the same (seed, rates) tuple produce bit-identical fault sequences
-// across every subsystem — swap outcomes, monitor sample streams, and
-// trace corruption — regardless of the rate values.
+// across every subsystem — swap outcomes and monitor sample streams —
+// regardless of the rate values.
 func FuzzFaultPlan(f *testing.F) {
-	f.Add(uint64(1), 0.1, 0.2, 5.0, 0.3, 0.1, 0.05)
-	f.Add(uint64(42), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(1<<60), 1.0, 1.0, 100.0, 1.0, 1.0, 1.0)
-	f.Fuzz(func(t *testing.T, seed uint64, drop, stale, noise, fail, delay, corrupt float64) {
+	f.Add(uint64(1), 0.1, 0.2, 5.0, 0.3, 0.1)
+	f.Add(uint64(42), 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(1<<60), 1.0, 1.0, 100.0, 1.0, 1.0)
+	f.Fuzz(func(t *testing.T, seed uint64, drop, stale, noise, fail, delay float64) {
 		cfg := Config{
-			Seed:             seed,
-			SampleDropRate:   clamp01(drop),
-			SampleStaleRate:  clamp01(stale),
-			SampleNoisePct:   clamp01(noise/100) * 100,
-			SwapFailRate:     clamp01(fail),
-			SwapDelayRate:    clamp01(delay),
-			TraceCorruptRate: clamp01(corrupt),
+			Seed:            seed,
+			SampleDropRate:  clamp01(drop),
+			SampleStaleRate: clamp01(stale),
+			SampleNoisePct:  clamp01(noise/100) * 100,
+			SwapFailRate:    clamp01(fail),
+			SwapDelayRate:   clamp01(delay),
 		}
 		runOnce := func() ([]byte, Stats) {
 			p, err := New(cfg)
@@ -51,9 +50,6 @@ func FuzzFaultPlan(f *testing.F) {
 				log.WriteByte(boolByte(out.Fail))
 				fmtFloat(&log, out.OverheadFactor)
 			}
-			buf := make([]byte, 4096)
-			p.CorruptBytes(buf)
-			log.Write(buf)
 			return log.Bytes(), p.Stats()
 		}
 		l1, s1 := runOnce()

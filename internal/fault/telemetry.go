@@ -13,7 +13,6 @@ type planTel struct {
 	noised     *telemetry.Counter
 	swapFails  *telemetry.Counter
 	swapDelays *telemetry.Counter
-	corrupted  *telemetry.Counter
 }
 
 // event publishes one injection to the event stream when it is live.
@@ -29,11 +28,11 @@ func (pt *planTel) event(cycle uint64, detail string) {
 
 // SetTelemetry publishes the plan's injections into t: counters
 // "fault.{samples_dropped,samples_stale,samples_noised,swaps_failed,
-// swaps_delayed,bytes_corrupted}" and — when t has sinks — one "fault"
-// event per injection with the subkind in Detail. Observers already
-// built by Observer share the plan's handles, so SetTelemetry may be
-// called before or after wiring the observers. A nil t disables
-// publication again.
+// swaps_delayed}" and — when t has sinks — one "fault" event per
+// injection with the subkind in Detail. Observers already built by
+// Observer share the plan's handles, so SetTelemetry may be called
+// before or after wiring the observers. A nil t disables publication
+// again.
 func (p *Plan) SetTelemetry(t *telemetry.Telemetry) {
 	if t == nil {
 		p.tel = planTel{}
@@ -46,6 +45,5 @@ func (p *Plan) SetTelemetry(t *telemetry.Telemetry) {
 		noised:     t.Counter("fault.samples_noised"),
 		swapFails:  t.Counter("fault.swaps_failed"),
 		swapDelays: t.Counter("fault.swaps_delayed"),
-		corrupted:  t.Counter("fault.bytes_corrupted"),
 	}
 }

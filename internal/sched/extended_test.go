@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"ampsched/internal/amp"
 	"ampsched/internal/cache"
 )
 
@@ -146,5 +147,21 @@ func TestExtL2StatsInterface(t *testing.T) {
 	v.l2[0] = cache.Stats{Accesses: 10, Misses: 5}
 	if v.L2Stats(0).MissRate() != 0.5 {
 		t.Fatal("fake view L2 stats wrong")
+	}
+}
+
+// TestPooledResetAllocatesNothing pins the pooled path a served pair
+// takes: re-arming Proposed or ProposedExt for the next run reuses the
+// trackers, the voter and the memory guard in place.
+func TestPooledResetAllocatesNothing(t *testing.T) {
+	v := newFakeView()
+	for _, s := range []amp.MoveScheduler{
+		NewProposed(DefaultProposedConfig()),
+		NewProposedExt(DefaultExtendedConfig()),
+	} {
+		s.Reset(v)
+		if n := testing.AllocsPerRun(10, func() { s.Reset(v) }); n != 0 {
+			t.Errorf("%s: pooled Reset allocates %.0f objects, want 0", s.Name(), n)
+		}
 	}
 }

@@ -60,9 +60,8 @@ type HPE struct {
 	lastEnergy    [2]float64
 	lastCycle     uint64
 
-	stats amp.SchedulerStats
-	tel   polTel
-	em    swapEmitter
+	tel polTel
+	em  swapEmitter
 }
 
 // NewHPE builds the scheduler around an estimator. Options attach
@@ -98,11 +97,11 @@ func (h *HPE) Reset(v amp.View) {
 		h.lastClass[t] = arch.CommittedByClass
 		h.lastEnergy[t] = v.ThreadEnergyNJ(t)
 	}
-	h.stats = amp.SchedulerStats{}
+	h.tel.reset()
 }
 
 // SchedStats implements amp.StatsReporter.
-func (h *HPE) SchedStats() amp.SchedulerStats { return h.stats }
+func (h *HPE) SchedStats() amp.SchedulerStats { return h.tel.stats() }
 
 // PublishCounts implements amp.CountPublisher.
 func (h *HPE) PublishCounts() { h.tel.publish() }
@@ -168,7 +167,6 @@ func (h *HPE) Tick(v amp.View) []amp.Move {
 		return nil
 	}
 	h.nextCheck = v.Cycle() + h.cfg.Interval
-	h.stats.DecisionPoints++
 	h.tel.n[cntDecisions]++
 
 	cycles := v.Cycle() - h.lastCycle
@@ -183,7 +181,6 @@ func (h *HPE) Tick(v amp.View) []amp.Move {
 
 	est := (h.predictedSpeedup(v, obs[0], 0) + h.predictedSpeedup(v, obs[1], 1)) / 2
 	if est > h.cfg.SpeedupThreshold {
-		h.stats.SwapRequests++
 		h.tel.n[cntRequests]++
 		return h.em.swap(v)
 	}
@@ -216,4 +213,3 @@ var _ amp.MoveScheduler = (*HPE)(nil)
 var _ amp.Waker = (*HPE)(nil)
 var _ amp.StatsReporter = (*HPE)(nil)
 var _ amp.CountPublisher = (*HPE)(nil)
-var _ amp.StatsReporter = (*Proposed)(nil)

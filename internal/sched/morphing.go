@@ -81,19 +81,13 @@ type Morphing struct {
 	morphStart     uint64
 	consecOn       int
 	consecOff      int
-	morphOns       uint64
 	closedThisTick bool
 
-	// ons and offs count morph decisions since the last
-	// PublishCounts; tel holds their shared counters (nil when
-	// telemetry is disabled).
-	ons, offs uint64
-	tel       *morphTel
-}
-
-// morphTel is the morph decisions' shared counters.
-type morphTel struct {
-	ons, offs *telemetry.Counter
+	// morphs counts the MorphOn ([0]) and MorphOff ([1]) decisions
+	// since Reset, and published the part of them already added to
+	// tel, their shared counters (nil when telemetry is disabled).
+	morphs, published [2]uint64
+	tel               *[2]*telemetry.Counter
 }
 
 // NewMorphing builds the scheduler. Options are shared with the
@@ -106,17 +100,18 @@ func NewMorphing(cfg MorphConfig, opts ...Option) *Morphing {
 	}
 	o := buildOptions(opts)
 	return &Morphing{cfg: cfg, proposed: NewProposed(cfg.Base, opts...),
-		tel: telemetry.Handles(o.tel, "sched.morphing", func(t *telemetry.Telemetry) *morphTel {
-			return &morphTel{ons: t.Counter("sched.morphing.morph_ons"),
-				offs: t.Counter("sched.morphing.morph_offs")}
+		tel: telemetry.Handles(o.tel, "sched.morphing", func(t *telemetry.Telemetry) *[2]*telemetry.Counter {
+			return &[2]*telemetry.Counter{t.Counter("sched.morphing.morph_ons"),
+				t.Counter("sched.morphing.morph_offs")}
 		})}
 }
 
 // Name implements amp.MoveScheduler.
 func (m *Morphing) Name() string { return "morphing" }
 
-// MorphCount returns how many times the policy requested MorphOn.
-func (m *Morphing) MorphCount() uint64 { return m.morphOns }
+// MorphCount returns how many times the policy requested MorphOn since
+// Reset.
+func (m *Morphing) MorphCount() uint64 { return m.morphs[0] }
 
 // Reset implements amp.MoveScheduler.
 func (m *Morphing) Reset(v amp.View) {
@@ -131,21 +126,22 @@ func (m *Morphing) Reset(v amp.View) {
 	m.morphed = false
 	m.consecOn = 0
 	m.consecOff = 0
-	m.morphOns = 0
+	m.morphs, m.published = [2]uint64{}, [2]uint64{}
 }
 
 // SchedStats implements amp.StatsReporter.
 func (m *Morphing) SchedStats() amp.SchedulerStats { return m.proposed.SchedStats() }
 
 // PublishCounts implements amp.CountPublisher: the embedded Proposed's
-// counts, then the morph decisions'.
+// counts, then the morph decisions' since the last publish.
 func (m *Morphing) PublishCounts() {
 	m.proposed.PublishCounts()
 	if m.tel != nil {
-		m.tel.ons.Add(m.ons)
-		m.tel.offs.Add(m.offs)
+		for i, c := range m.tel {
+			c.Add(m.morphs[i] - m.published[i])
+		}
 	}
-	m.ons, m.offs = 0, 0
+	m.published = m.morphs
 }
 
 // observe closes per-thread IPC windows, setting closedThisTick when
@@ -213,8 +209,7 @@ func (m *Morphing) MorphTick(v amp.View) (amp.MorphAction, int) {
 		m.morphStart = v.Cycle()
 		m.consecOn = 0
 		m.consecOff = 0
-		m.morphOns++
-		m.ons++
+		m.morphs[0]++
 		_ = low
 		return amp.MorphOn, high
 	}
@@ -237,7 +232,7 @@ func (m *Morphing) MorphTick(v amp.View) (amp.MorphAction, int) {
 	}
 	m.morphed = false
 	m.consecOff = 0
-	m.offs++
+	m.morphs[1]++
 	return amp.MorphOff, 0
 }
 

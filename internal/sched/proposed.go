@@ -80,12 +80,14 @@ type Proposed struct {
 	// winTrk backs trackers when no observer factory replaces the
 	// hardware monitors: value storage, re-Init'd per run, so a reset
 	// allocates nothing.
-	winTrk  [2]monitor.WindowTracker
-	voter   monitor.Voter
-	stats   amp.SchedulerStats
-	retry   retryState
-	tel     polTel
-	em      swapEmitter
+	winTrk [2]monitor.WindowTracker
+	voter  monitor.Voter
+	retry  retryState
+	tel    polTel
+	em     swapEmitter
+	// guard is ProposedExt's §VII memory guard; nil for the Fig. 5
+	// scheme alone.
+	guard   *memGuard
 	intCore int
 	fpCore  int
 }
@@ -102,7 +104,7 @@ func NewProposed(cfg ProposedConfig, opts ...Option) *Proposed {
 }
 
 // Name implements amp.MoveScheduler.
-func (p *Proposed) Name() string { return "proposed" }
+func (p *Proposed) Name() string { return p.tel.name }
 
 // Config returns the scheduler's configuration.
 func (p *Proposed) Config() ProposedConfig { return p.cfg }
@@ -119,15 +121,18 @@ func (p *Proposed) Reset(v amp.View) {
 		}
 		p.trackers[t].Reset(v.Arch(t))
 	}
+	if p.guard != nil {
+		p.guard.reset(v)
+	}
 	p.voter.Init(p.cfg.HistoryDepth)
-	p.stats = amp.SchedulerStats{}
+	p.tel.reset()
 	p.retry.reset(p.cfg.RetryBackoffCycles, p.cfg.ForceInterval, v)
 	p.retry.retries = &p.tel.n[cntRetries]
 }
 
 // SchedStats implements amp.StatsReporter.
 func (p *Proposed) SchedStats() amp.SchedulerStats {
-	st := p.stats
+	st := p.tel.stats()
 	st.FailedRequests = p.retry.failed
 	return st
 }
@@ -145,6 +150,9 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 	closed := false
 	for t := 0; t < 2; t++ {
 		if s, ok := p.trackers[t].Observe(v.Arch(t)); ok {
+			if p.guard != nil {
+				p.guard.observe(v, t)
+			}
 			p.tel.window(v.Cycle(), t, s)
 			closed = true
 		}
@@ -153,20 +161,29 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 		return nil
 	}
 
-	sFP, okFP := p.trackers[v.ThreadOnCore(p.fpCore)].Latest()
-	sINT, okINT := p.trackers[v.ThreadOnCore(p.intCore)].Latest()
+	tFP, tINT := v.ThreadOnCore(p.fpCore), v.ThreadOnCore(p.intCore)
+	sFP, okFP := p.trackers[tFP].Latest()
+	sINT, okINT := p.trackers[tINT].Latest()
 	if !okFP || !okINT {
 		return nil // need one full window from each thread first
 	}
-	p.stats.DecisionPoints++
 	p.tel.n[cntDecisions]++
 	p.retry.observe(v)
 
-	// Fig. 5 step 2: swap helps both threads. The majority vote keeps
-	// accumulating during a failure hold-off, so the request re-fires
-	// as soon as the backoff expires (retry, not abandonment).
-	tentative := (sFP.IntPct >= p.cfg.IntHigh && sINT.IntPct <= p.cfg.IntLow) ||
-		(sINT.FPPct >= p.cfg.FPHigh && sFP.FPPct <= p.cfg.FPLow)
+	// Fig. 5 step 2: swap helps both threads — (i) the thread on the FP
+	// core surged in INT work, or (ii) the thread on the INT core in FP
+	// work. The majority vote keeps accumulating during a failure
+	// hold-off, so the request re-fires as soon as the backoff expires
+	// (retry, not abandonment).
+	c := &p.cfg
+	intSurge := sFP.IntPct >= c.IntHigh && sINT.IntPct <= c.IntLow
+	fpSurge := sINT.FPPct >= c.FPHigh && sFP.FPPct <= c.FPLow
+	// ProposedExt's §VII guard may turn a surge into a stay vote.
+	if (intSurge || fpSurge) && p.guard != nil {
+		intSurge = intSurge && !p.guard.veto(tFP, sINT.FPPct < c.FPHigh)
+		fpSurge = fpSurge && !p.guard.veto(tINT, sFP.IntPct < c.IntHigh)
+	}
+	tentative := intSurge || fpSurge
 	p.voter.Push(tentative)
 	p.tel.vote(tentative)
 	majority := p.voter.Majority()
@@ -184,9 +201,9 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 
 	// Fig. 5 step 3: fairness swap when both threads share a flavor
 	// and no swap has happened for a context-switch interval.
-	if !p.cfg.DisableForcedSwap && v.Cycle()-v.LastSwapCycle() >= p.cfg.ForceInterval {
-		forced := (sFP.IntPct >= p.cfg.IntHigh && sINT.IntPct >= p.cfg.IntHigh) ||
-			(sINT.FPPct >= p.cfg.FPHigh && sFP.FPPct >= p.cfg.FPHigh)
+	if !c.DisableForcedSwap && v.Cycle()-v.LastSwapCycle() >= c.ForceInterval {
+		forced := (sFP.IntPct >= c.IntHigh && sINT.IntPct >= c.IntHigh) ||
+			(sINT.FPPct >= c.FPHigh && sFP.FPPct >= c.FPHigh)
 		if forced {
 			p.tel.n[cntForcedSwaps]++
 			p.requestSwap()
@@ -198,9 +215,10 @@ func (p *Proposed) Tick(v amp.View) []amp.Move {
 
 // NextWake implements amp.Waker. With the hardware window trackers,
 // Tick acts only when a thread's commit window closes (the forced swap
-// is evaluated at window closes too), so the wakes are the trackers'
-// next edges. Replacement monitors (WithObserverFactory) promise
-// nothing, and such a scheduler is ticked every window.
+// and the memory guard's observations happen at window closes too), so
+// the wakes are the trackers' next edges. Replacement monitors
+// (WithObserverFactory) promise nothing, and such a scheduler is
+// ticked every window.
 func (p *Proposed) NextWake() (uint64, [2]uint64) {
 	if p.obsFactory != nil {
 		return 0, [2]uint64{}
@@ -209,11 +227,46 @@ func (p *Proposed) NextWake() (uint64, [2]uint64) {
 }
 
 func (p *Proposed) requestSwap() {
-	p.stats.SwapRequests++
 	p.tel.n[cntRequests]++
 	p.voter.Clear()
 }
 
+// ProposedExt is the proposed scheduler extended with the §VII memory
+// guard: the Fig. 5 scheme of Proposed, with a rule-2 surge vetoed when
+// the thread it would migrate is memory-bound.
+type ProposedExt struct {
+	Proposed
+}
+
+// NewProposedExt builds the extended scheduler; cfg is validated.
+// Options attach telemetry or replace the hardware monitors, as for
+// NewProposed.
+func NewProposedExt(cfg ExtendedConfig, opts ...Option) *ProposedExt {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	o := buildOptions(opts)
+	p := &ProposedExt{Proposed{cfg: cfg.Base, obsFactory: o.obsFactory,
+		tel: newPolTel(o.tel, "sched.proposed-ext")}}
+	p.guard = &memGuard{l2MissRate: cfg.MemBoundL2MissRate, ipc: cfg.MemBoundIPC,
+		vetoes: &p.tel.n[cntVetoes]}
+	return p
+}
+
+// Config returns the scheduler's configuration.
+func (p *ProposedExt) Config() ExtendedConfig {
+	return ExtendedConfig{Base: p.cfg, MemBoundL2MissRate: p.guard.l2MissRate, MemBoundIPC: p.guard.ipc}
+}
+
+// Vetoes returns how many tentative swap votes the memory guard
+// converted to stay votes since Reset.
+func (p *ProposedExt) Vetoes() uint64 { return p.tel.n[cntVetoes] }
+
 var _ amp.MoveScheduler = (*Proposed)(nil)
 var _ amp.Waker = (*Proposed)(nil)
+var _ amp.StatsReporter = (*Proposed)(nil)
 var _ amp.CountPublisher = (*Proposed)(nil)
+var _ amp.MoveScheduler = (*ProposedExt)(nil)
+var _ amp.Waker = (*ProposedExt)(nil)
+var _ amp.StatsReporter = (*ProposedExt)(nil)
+var _ amp.CountPublisher = (*ProposedExt)(nil)

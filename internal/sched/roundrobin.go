@@ -14,7 +14,6 @@ import (
 type RoundRobin struct {
 	interval uint64
 	next     uint64
-	stats    amp.SchedulerStats
 	tel      polTel
 	em       swapEmitter
 }
@@ -38,11 +37,11 @@ func (r *RoundRobin) Interval() uint64 { return r.interval }
 // Reset implements amp.MoveScheduler.
 func (r *RoundRobin) Reset(v amp.View) {
 	r.next = v.Cycle() + r.interval
-	r.stats = amp.SchedulerStats{}
+	r.tel.reset()
 }
 
 // SchedStats implements amp.StatsReporter.
-func (r *RoundRobin) SchedStats() amp.SchedulerStats { return r.stats }
+func (r *RoundRobin) SchedStats() amp.SchedulerStats { return r.tel.stats() }
 
 // PublishCounts implements amp.CountPublisher.
 func (r *RoundRobin) PublishCounts() { r.tel.publish() }
@@ -55,9 +54,7 @@ func (r *RoundRobin) Tick(v amp.View) []amp.Move {
 		return nil
 	}
 	r.next = v.Cycle() + r.interval
-	r.stats.DecisionPoints++
 	r.tel.n[cntDecisions]++
-	r.stats.SwapRequests++
 	r.tel.n[cntRequests]++
 	return r.em.swap(v)
 }

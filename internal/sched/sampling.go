@@ -71,7 +71,6 @@ type Sampling struct {
 	phaseEnd    uint64
 	baseMetric  float64
 	measureFrom [2]measurePoint
-	stats       amp.SchedulerStats
 	tel         polTel
 	em          swapEmitter
 }
@@ -97,11 +96,11 @@ func (s *Sampling) Name() string { return "sampling" }
 func (s *Sampling) Reset(v amp.View) {
 	s.phase = phaseRun
 	s.episodeAt = v.Cycle() + s.cfg.Interval
-	s.stats = amp.SchedulerStats{}
+	s.tel.reset()
 }
 
 // SchedStats implements amp.StatsReporter.
-func (s *Sampling) SchedStats() amp.SchedulerStats { return s.stats }
+func (s *Sampling) SchedStats() amp.SchedulerStats { return s.tel.stats() }
 
 // PublishCounts implements amp.CountPublisher.
 func (s *Sampling) PublishCounts() { s.tel.publish() }
@@ -158,9 +157,7 @@ func (s *Sampling) Tick(v amp.View) []amp.Move {
 		// The swap lands first; measurement restarts on the next tick
 		// to exclude the stall window.
 		s.measureFrom = s.snapshot(v)
-		s.stats.DecisionPoints++
 		s.tel.n[cntDecisions]++
-		s.stats.SwapRequests++
 		s.tel.n[cntRequests]++
 		return s.em.swap(v)
 
@@ -171,14 +168,12 @@ func (s *Sampling) Tick(v amp.View) []amp.Move {
 		swappedMetric := s.metric(v, s.measureFrom)
 		s.phase = phaseRun
 		s.episodeAt = now + s.cfg.Interval
-		s.stats.DecisionPoints++
 		s.tel.n[cntDecisions]++
 		if swappedMetric >= s.baseMetric*s.cfg.KeepThreshold {
 			// Keep the swapped assignment.
 			return nil
 		}
 		// Revert.
-		s.stats.SwapRequests++
 		s.tel.n[cntRequests]++
 		return s.em.swap(v)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"strings"
 
+	"ampsched/internal/amp"
 	"ampsched/internal/monitor"
 	"ampsched/internal/telemetry"
 )
@@ -46,17 +47,20 @@ func WithObserverFactory(f func(window uint64) monitor.Observer) Option {
 	return func(o *options) { o.obsFactory = f }
 }
 
-// polTel is one policy's telemetry: the counts of the current run, in
-// plain integers, and the shared "sched.<policy>.*" counters they are
-// added to once per run, by publish. Counting costs a plain add
-// per event whether telemetry is on or off; only publish touches the
-// shared counters, which the workers of a parallel sweep all write.
-// The zero value (telemetry disabled) counts and publishes nowhere.
+// polTel is one policy's count ledger and telemetry: the counts of the
+// current run, in plain integers, and the shared "sched.<policy>.*"
+// counters their growth is added to once per run, by publish. The same
+// counts are the run's amp.SchedulerStats (stats). Counting costs a
+// plain add per event whether telemetry is on or off; only publish
+// touches the shared counters, which the workers of a parallel sweep
+// all write. The zero value (telemetry disabled) counts and publishes
+// nowhere.
 type polTel struct {
 	t    *telemetry.Telemetry
 	name string
 	h    *[numCounts]*telemetry.Counter // nil when telemetry is disabled
-	n    [numCounts]uint64              // counted since the last publish
+	n    [numCounts]uint64              // counted since reset
+	pub  [numCounts]uint64              // the part of n already published
 }
 
 // The indexes of a policy's counts.
@@ -124,12 +128,23 @@ func (pt *polTel) window(cycle uint64, thread int, s monitor.Sample) {
 }
 
 // publish adds the counts since the last publish to the shared
-// counters and zeroes them.
+// counters.
 func (pt *polTel) publish() {
 	if pt.h != nil {
 		for i, c := range pt.h {
-			c.Add(pt.n[i])
+			c.Add(pt.n[i] - pt.pub[i])
 		}
 	}
-	pt.n = [numCounts]uint64{}
+	pt.pub = pt.n
+}
+
+// reset starts a run's counts from zero.
+func (pt *polTel) reset() {
+	pt.n, pt.pub = [numCounts]uint64{}, [numCounts]uint64{}
+}
+
+// stats returns the counts as the run's scheduler statistics.
+func (pt *polTel) stats() amp.SchedulerStats {
+	return amp.SchedulerStats{DecisionPoints: pt.n[cntDecisions],
+		SwapRequests: pt.n[cntRequests], Vetoes: pt.n[cntVetoes]}
 }

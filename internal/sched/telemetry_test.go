@@ -61,33 +61,50 @@ func schedCounters(tel *telemetry.Telemetry) map[string]uint64 {
 }
 
 // TestCountersSumConcurrentRuns pins the sched.<policy>.* totals when
-// Proposed, HPE and Round Robin runs publish into one registry at once,
-// one of them canceled mid-run and one wedged by its cycle budget:
-// every total is the sum of what the runs count alone, and decisions
-// and swap requests are the sums of the runs' Result.Sched.
+// Proposed, ProposedExt, Morphing, HPE and Round Robin runs publish
+// into one registry at once, one of them canceled mid-run and one
+// wedged by its cycle budget: every total — the vetoes and the morph
+// decisions included — is the sum of what the runs count alone, and
+// decisions, swap requests and vetoes are the sums of the runs'
+// Result.Sched.
 func TestCountersSumConcurrentRuns(t *testing.T) {
 	const quantum = 200_000
-	policies := map[string]func(...Option) amp.MoveScheduler{
-		"proposed": func(opts ...Option) amp.MoveScheduler {
-			c := DefaultProposedConfig()
-			c.ForceInterval = quantum
-			return NewProposed(c, opts...)
-		},
-		"hpe-biased": func(opts ...Option) amp.MoveScheduler {
+	base := DefaultProposedConfig()
+	base.ForceInterval = quantum
+	// key is the counter prefix of a policy's Result.Sched: Morphing's
+	// swap rules are its embedded Proposed's.
+	policies := []struct {
+		key string
+		mk  func(...Option) amp.MoveScheduler
+	}{
+		{"proposed", func(opts ...Option) amp.MoveScheduler { return NewProposed(base, opts...) }},
+		{"proposed-ext", func(opts ...Option) amp.MoveScheduler {
+			c := DefaultExtendedConfig()
+			c.Base = base
+			return NewProposedExt(c, opts...)
+		}},
+		{"proposed", func(opts ...Option) amp.MoveScheduler {
+			c := DefaultMorphConfig()
+			c.Base = base
+			return NewMorphing(c, opts...)
+		}},
+		{"hpe-biased", func(opts ...Option) amp.MoveScheduler {
 			return NewHPE(HPEConfig{Interval: quantum, SpeedupThreshold: 1.05}, biasedEstimator{}, opts...)
-		},
-		"roundrobin": func(opts ...Option) amp.MoveScheduler { return NewRoundRobinInterval(quantum, opts...) },
+		}},
+		{"roundrobin", func(opts ...Option) amp.MoveScheduler { return NewRoundRobinInterval(quantum, opts...) }},
 	}
 	var runs []counterRun
 	var names []string
-	for i, p := range [][2]string{{"gcc", "equake"}, {"fpstress", "intstress"}, {"mcf", "apsi"}} {
-		for _, name := range []string{"proposed", "hpe-biased", "roundrobin"} {
-			runs = append(runs, counterRun{a: p[0], b: p[1], seed: uint64(5 + 64*i), mk: policies[name]})
-			names = append(names, name)
+	// On art+mcf the guard vetoes mcf's INT surges.
+	for i, p := range [][2]string{{"gcc", "equake"}, {"fpstress", "intstress"}, {"mcf", "apsi"}, {"art", "mcf"}} {
+		for _, pol := range policies {
+			runs = append(runs, counterRun{a: p[0], b: p[1], seed: uint64(5 + 64*i), mk: pol.mk})
+			names = append(names, pol.key)
 		}
 	}
-	runs[3].cancelAt = 1     // Proposed on the misplaced pair
-	runs[5].budget = 300_000 // Round Robin on the misplaced pair
+	canceled, wedged := len(policies), 2*len(policies)-1
+	runs[canceled].cancelAt = 1   // Proposed on the misplaced pair
+	runs[wedged].budget = 300_000 // Round Robin on the misplaced pair
 
 	shared := telemetry.New()
 	results := make([]amp.Result, len(runs))
@@ -101,14 +118,15 @@ func TestCountersSumConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !errors.Is(errs[3], context.Canceled) || !errors.Is(errs[5], amp.ErrWedged) {
-		t.Fatalf("want run 3 canceled and run 5 wedged, got %v and %v", errs[3], errs[5])
+	if !errors.Is(errs[canceled], context.Canceled) || !errors.Is(errs[wedged], amp.ErrWedged) {
+		t.Fatalf("want run %d canceled and run %d wedged, got %v and %v",
+			canceled, wedged, errs[canceled], errs[wedged])
 	}
 
 	want := map[string]uint64{}
 	fromResults := map[string]uint64{}
 	for i, r := range runs {
-		if i != 3 && i != 5 && errs[i] != nil {
+		if i != canceled && i != wedged && errs[i] != nil {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
 		alone := telemetry.New()
@@ -122,6 +140,7 @@ func TestCountersSumConcurrentRuns(t *testing.T) {
 		p := "sched." + names[i] + "."
 		fromResults[p+"decisions"] += res.Sched.DecisionPoints
 		fromResults[p+"swap_requests"] += res.Sched.SwapRequests
+		fromResults[p+"vetoes"] += res.Sched.Vetoes
 	}
 	got := schedCounters(shared)
 	for name, v := range want {
@@ -139,8 +158,11 @@ func TestCountersSumConcurrentRuns(t *testing.T) {
 			t.Errorf("%s = %d, want %d summed over the runs' Result.Sched", name, got[name], v)
 		}
 	}
-	if got["sched.proposed.windows"] == 0 || got["sched.hpe-biased.decisions"] == 0 {
-		t.Error("the schedulers counted nothing")
+	for _, name := range []string{"sched.proposed.windows", "sched.hpe-biased.decisions",
+		"sched.proposed-ext.vetoes", "sched.morphing.morph_ons", "sched.morphing.morph_offs"} {
+		if got[name] == 0 {
+			t.Errorf("%s = 0: the runs pin nothing there", name)
+		}
 	}
 	reg := shared.Registry()
 	if n := reg.Counter("amp.runs").Value(); n != uint64(len(runs)) {

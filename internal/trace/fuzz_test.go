@@ -8,7 +8,9 @@ import (
 )
 
 // FuzzRead hardens the trace parser against arbitrary input: it must
-// either return an error or a structurally valid trace, never panic.
+// either return an error or a structurally valid trace of the current
+// Version, never panic. The corpus keeps an unframed v1 stream, which
+// must be rejected.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid trace and a few mutations.
 	var buf bytes.Buffer
@@ -38,6 +40,9 @@ func FuzzRead(f *testing.F) {
 		hdr, instrs, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if data[4] != Version {
+			t.Fatalf("accepted version %d", data[4])
 		}
 		if hdr.Count != uint64(len(instrs)) {
 			t.Fatalf("header count %d but %d records", hdr.Count, len(instrs))

@@ -23,7 +23,8 @@
 // skips the damaged frame, scans forward for the next sync marker,
 // and returns every intact record with loss statistics — capture
 // hardware glitches cost a window of records, not the whole trace.
-// Version 1 streams (unframed records, no checksums) remain readable.
+// Any other version, the unframed v1 of early builds included, is
+// rejected.
 package trace
 
 import (
@@ -40,12 +41,9 @@ import (
 // Magic identifies a trace stream.
 var Magic = [4]byte{'A', 'M', 'P', 'T'}
 
-// Version of the on-disk format written by NewWriter.
+// Version of the on-disk format written by NewWriter, and the only one
+// Read and ReadRecover accept.
 const Version = 2
-
-// versionLegacy is the unframed, checksum-free v1 format; still
-// readable for traces captured by older builds.
-const versionLegacy = 1
 
 // Frame geometry.
 const (
@@ -212,50 +210,49 @@ func (t *Writer) Close() error {
 	return t.w.Flush()
 }
 
-// readHeader parses the stream header and returns it with the format
-// version.
-func readHeader(br *bufio.Reader) (Header, byte, error) {
+// readHeader parses the stream header.
+func readHeader(br *bufio.Reader) (Header, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Header{}, 0, fmt.Errorf("trace: reading magic: %w", err)
+		return Header{}, fmt.Errorf("trace: reading magic: %w", err)
 	}
 	if magic != Magic {
-		return Header{}, 0, fmt.Errorf("trace: bad magic %q", magic[:])
+		return Header{}, fmt.Errorf("trace: bad magic %q", magic[:])
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return Header{}, 0, err
+		return Header{}, err
 	}
-	if ver != Version && ver != versionLegacy {
-		return Header{}, 0, fmt.Errorf("trace: unsupported version %d", ver)
+	if ver != Version {
+		return Header{}, fmt.Errorf("trace: unsupported version %d", ver)
 	}
 	nameLen, err := br.ReadByte()
 	if err != nil {
-		return Header{}, 0, err
+		return Header{}, err
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return Header{}, 0, err
+		return Header{}, err
 	}
 	foot, err := binary.ReadUvarint(br)
 	if err != nil {
-		return Header{}, 0, err
+		return Header{}, err
 	}
 	if foot == 0 {
-		return Header{}, 0, fmt.Errorf("trace: zero code footprint")
+		return Header{}, fmt.Errorf("trace: zero code footprint")
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
-		return Header{}, 0, err
+		return Header{}, err
 	}
 	if count == 0 {
-		return Header{}, 0, fmt.Errorf("trace: zero-length trace")
+		return Header{}, fmt.Errorf("trace: zero-length trace")
 	}
 	const sanityMax = 1 << 32
 	if count > sanityMax {
-		return Header{}, 0, fmt.Errorf("trace: implausible count %d", count)
+		return Header{}, fmt.Errorf("trace: implausible count %d", count)
 	}
-	return Header{Name: string(name), CodeFootprint: foot, Count: count}, ver, nil
+	return Header{Name: string(name), CodeFootprint: foot, Count: count}, nil
 }
 
 // capHint bounds the initial allocation for a declared record count:
@@ -360,18 +357,10 @@ func readFrameHeader(br *bufio.Reader) (nrec, payloadLen uint64, crc uint32, err
 // damaged frames instead.
 func Read(r io.Reader) (Header, []isa.Instruction, error) {
 	br := bufio.NewReader(r)
-	hdr, ver, err := readHeader(br)
+	hdr, err := readHeader(br)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if ver == versionLegacy {
-		instrs, err := readBodyV1(br, hdr.Count)
-		if err != nil {
-			return Header{}, nil, err
-		}
-		return hdr, instrs, nil
-	}
-
 	instrs := make([]isa.Instruction, 0, capHint(hdr.Count))
 	for uint64(len(instrs)) < hdr.Count {
 		var sync [2]byte
@@ -403,56 +392,6 @@ func Read(r io.Reader) (Header, []isa.Instruction, error) {
 	return hdr, instrs, nil
 }
 
-// readBodyV1 parses the unframed v1 record stream.
-func readBodyV1(br *bufio.Reader, count uint64) ([]isa.Instruction, error) {
-	instrs := make([]isa.Instruction, 0, capHint(count))
-	for i := uint64(0); i < count; i++ {
-		instrs = append(instrs, isa.Instruction{})
-		in := &instrs[len(instrs)-1]
-		cls, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		if cls >= byte(isa.NumClasses) {
-			return nil, fmt.Errorf("trace: record %d: invalid class %d", i, cls)
-		}
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-		in.Class = isa.Class(cls)
-		in.Taken = flags&flagTaken != 0
-		if flags&flagDep1 != 0 {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: record %d dep1: %w", i, err)
-			}
-			if v > 1<<31 {
-				return nil, fmt.Errorf("trace: record %d: dep1 %d overflows", i, v)
-			}
-			in.Dep1 = int32(v)
-		}
-		if flags&flagDep2 != 0 {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: record %d dep2: %w", i, err)
-			}
-			if v > 1<<31 {
-				return nil, fmt.Errorf("trace: record %d: dep2 %d overflows", i, v)
-			}
-			in.Dep2 = int32(v)
-		}
-		if flags&flagAddr != 0 {
-			v, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: record %d addr: %w", i, err)
-			}
-			in.Addr = v
-		}
-	}
-	return instrs, nil
-}
-
 // RecoverStats reports what ReadRecover salvaged and lost.
 type RecoverStats struct {
 	FramesOK      uint64
@@ -467,23 +406,15 @@ func (s RecoverStats) Degraded() bool {
 	return s.FramesDropped > 0 || s.BytesSkipped > 0 || s.RecordsLost > 0
 }
 
-// ReadRecover loads a trace, skipping damaged v2 frames instead of
+// ReadRecover loads a trace, skipping damaged frames instead of
 // failing: on a checksum or structure error it scans forward for the
 // next sync marker and resumes there. It errors only when the header
-// is unreadable or no intact frame survives. Legacy v1 streams have
-// no frame structure to resync on, so they are read strictly.
+// is unreadable or no intact frame survives.
 func ReadRecover(r io.Reader) (Header, []isa.Instruction, RecoverStats, error) {
 	br := bufio.NewReader(r)
-	hdr, ver, err := readHeader(br)
+	hdr, err := readHeader(br)
 	if err != nil {
 		return Header{}, nil, RecoverStats{}, err
-	}
-	if ver == versionLegacy {
-		instrs, err := readBodyV1(br, hdr.Count)
-		if err != nil {
-			return Header{}, nil, RecoverStats{}, err
-		}
-		return hdr, instrs, RecoverStats{}, nil
 	}
 
 	body, err := io.ReadAll(br)

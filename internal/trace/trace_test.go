@@ -415,45 +415,3 @@ func TestLoadRecover(t *testing.T) {
 		t.Fatalf("Len %d", src.Len())
 	}
 }
-
-// writeV1 marshals instrs in the legacy unframed format.
-func writeV1(t *testing.T, name string, foot uint64, instrs []isa.Instruction) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	buf.WriteByte(1) // legacy version
-	buf.WriteByte(byte(len(name)))
-	buf.WriteString(name)
-	var tmp [10]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], foot)])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(instrs)))])
-	for i := range instrs {
-		buf.Write(appendRecord(nil, &instrs[i]))
-	}
-	return buf.Bytes()
-}
-
-func TestReadLegacyV1(t *testing.T) {
-	instrs := randomInstrs(9, 500)
-	raw := writeV1(t, "old", 128, instrs)
-	hdr, got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Name != "old" || hdr.Count != 500 {
-		t.Fatalf("v1 header: %+v", hdr)
-	}
-	for i := range instrs {
-		if instrs[i] != got[i] {
-			t.Fatalf("v1 record %d differs", i)
-		}
-	}
-	// ReadRecover on v1 behaves strictly (no frames to resync on).
-	if _, _, stats, err := ReadRecover(bytes.NewReader(raw)); err != nil || stats.Degraded() {
-		t.Fatalf("v1 ReadRecover: %v %+v", err, stats)
-	}
-	truncated := raw[:len(raw)-3]
-	if _, _, _, err := ReadRecover(bytes.NewReader(truncated)); err == nil {
-		t.Fatal("truncated v1 accepted by ReadRecover")
-	}
-}
