@@ -51,21 +51,21 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The microbenchmarks BENCH_micro.json pins, 34 rows in five packages:
+# The microbenchmarks BENCH_micro.json pins, 33 rows in four packages:
 # the simulation engines, the dual-core run loop (once more as ampserve
 # runs it: cancelable context, telemetry on) and the §V profiling
 # pass, one core's cycle and instruction synthesis (root package); the
-# pair store's key hashing and warm lookups; the queue round trip; the
-# N×M scheduler's off-quantum gate and epochs; the fleet's ring lookup,
-# routing key and peer result fetch. They run with the collector off:
+# pair store's key hashing and warm lookups; the N×M scheduler's
+# off-quantum gate and epochs; the fleet's ring lookup, routing key and
+# peer result fetch. They run with the collector off:
 # a collection clears sync.Pools (the runner pools its run state) and
 # refilling one allocates, so with it on allocs/op follow GC timing.
 # go test runs the packages' benchmarks one after another, each binary
 # peaking at up to about 0.5 GB RSS (pair store, cluster): garbage is
 # never collected, so the peak grows with the rows' iteration counts.
 MICROBENCH = GOGC=off $(GO) test -run NONE -benchmem \
-	-bench '^Benchmark(Engine|DualCoreSystem|ProfileCollect|CoreSimulation|WorkloadGenerator|ServerCache|QueueSubmitComplete|ManycoreTickGate|ManycoreEpoch|Cluster)' \
-	. ./internal/pairstore ./internal/jobqueue ./internal/manycore ./internal/cluster
+	-bench '^Benchmark(Engine|DualCoreSystem|ProfileCollect|CoreSimulation|WorkloadGenerator|ServerCache|ManycoreTickGate|ManycoreEpoch|Cluster)' \
+	. ./internal/pairstore ./internal/manycore ./internal/cluster
 
 # Re-record the committed baseline BENCH_micro.json.
 bench-snapshot:

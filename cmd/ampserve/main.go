@@ -1,7 +1,7 @@
 // Command ampserve runs the simulation-as-a-service daemon: an
-// HTTP/JSON API (internal/server) over the bounded priority job queue
-// (internal/jobqueue), with a content-addressed result cache and
-// NDJSON streaming of per-pair outcomes.
+// HTTP/JSON API (internal/server) over a bounded priority job queue
+// and worker pool, with a content-addressed result cache and NDJSON
+// streaming of per-pair outcomes.
 //
 // Usage:
 //
@@ -48,7 +48,6 @@ import (
 	"ampsched/internal/cluster"
 	"ampsched/internal/experiments"
 	"ampsched/internal/fault"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/server"
 	"ampsched/internal/telemetry"
@@ -65,7 +64,7 @@ func main() {
 		cacheDir     = flag.String("cachedir", "", "persist the result cache to this directory")
 		journalDir   = flag.String("journaldir", "", "journal job lifecycle to this directory and replay it on startup")
 		flushEvery   = flag.Duration("flushevery", 0, "background cache/journal flush cadence (0 = only on drain)")
-		faultRate    = flag.Float64("faultservice", 0, "chaos: inject service faults (disk errors, torn writes, stalls, panics) at this uniform rate")
+		faultRate    = flag.Float64("faultservice", 0, "chaos: inject disk errors, torn writes, slow I/O and worker stalls at this uniform rate, and job panics (each fails its job) at rate/4")
 		faultSeed    = flag.Uint64("faultseed", 1, "chaos: service fault-plan seed")
 		fidelity     = flag.String("fidelity", "", "default simulation engine: detailed | interval | sampled")
 		limit        = flag.Uint64("limit", 0, "default per-run instruction limit")
@@ -162,7 +161,7 @@ func main() {
 	srv, err := server.New(server.Config{
 		BaseOptions:    opt,
 		MaxPairsPerJob: *maxPairs,
-		Queue:          jobqueue.Config{Workers: *workers},
+		Workers:        *workers,
 		Cache:          pairstore.CacheConfig{ByteBudget: *cacheBytes, Dir: *cacheDir},
 		JournalDir:     *journalDir,
 		FlushEvery:     *flushEvery,

@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"ampsched/internal/experiments"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/server"
 )
 
@@ -129,7 +128,7 @@ func startInProcess() (addr string, stop func(), err error) {
 	opt.ProfileInstrLimit = 100_000
 	srv, err := server.New(server.Config{
 		BaseOptions: opt,
-		Queue:       jobqueue.Config{Workers: 4},
+		Workers:     4,
 	})
 	if err != nil {
 		return "", nil, err

@@ -19,7 +19,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDeterminismServiceScope(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.DeterminismAnalyzer, "determinism/internal/jobqueue")
+	analysistest.Run(t, "testdata", analysis.DeterminismAnalyzer, "determinism/internal/server")
 }
 
 func TestDeterminismWALScope(t *testing.T) {

@@ -19,7 +19,6 @@ var simCoreSuffixes = []string{
 	"internal/manycore",
 	"internal/experiments",
 	"internal/pairstore",
-	"internal/jobqueue",
 	"internal/server",
 	"internal/wal",
 	// The fleet layer routes by content address: placement must be a

@@ -7,7 +7,7 @@ import (
 )
 
 // LockCheckAnalyzer enforces mutex discipline in the concurrent
-// subsystems (server, jobqueue, wal, telemetry, experiments — though
+// subsystems (server, wal, telemetry, experiments — though
 // it runs everywhere locks appear):
 //
 //   - no lock held across a blocking operation: channel send/receive,

@@ -16,7 +16,7 @@ import (
 //	(*experiments.Runner).RunPair* / Sweep / SweepContext,
 //	telemetry and trace Close / Flush (sinks buffer; only Close
 //	reports the final write),
-//	the service layer: jobqueue Submit/Drain, server Submit/Drain,
+//	the service layer: server Submit/Drain,
 //	pairstore Cache Save/Load, and http.Server.Shutdown
 //	(a dropped error loses jobs, strands a drain, or forgets
 //	computed pairs),
@@ -57,8 +57,6 @@ var checkedAPIs = []checkedAPI{
 	// a drain (Shutdown/Drain), or silently forgets computed pairs
 	// (pair store persistence, which the server and sweeps share).
 	{"net/http", "Server", "Shutdown"},
-	{"internal/jobqueue", "Queue", "Submit"},
-	{"internal/jobqueue", "Queue", "Drain"},
 	{"internal/server", "Server", "Submit"},
 	{"internal/server", "Server", "Drain"},
 	{"internal/pairstore", "Cache", "Save"},

@@ -8,7 +8,6 @@ import (
 
 	"obserrcheck/internal/amp"
 	"obserrcheck/internal/cluster"
-	"obserrcheck/internal/jobqueue"
 	"obserrcheck/internal/pairstore"
 	"obserrcheck/internal/server"
 	"obserrcheck/internal/telemetry"
@@ -25,9 +24,7 @@ func Leak(tel *telemetry.Telemetry) {
 }
 
 // LeakService drops errors across the service layer.
-func LeakService(ctx context.Context, q *jobqueue.Queue, s *server.Server, c *pairstore.Cache, hs *http.Server) {
-	q.Submit(nil, nil)         // want `error from Queue\.Submit discarded`
-	q.Drain(ctx)               // want `error from Queue\.Drain discarded`
+func LeakService(ctx context.Context, s *server.Server, c *pairstore.Cache, hs *http.Server) {
 	s.Submit(server.JobSpec{}) // want `error from Server\.Submit discarded`
 	defer s.Drain(ctx)         // want `deferred Server\.Drain discards its error`
 	c.Save()                   // want `error from Cache\.Save discarded`
@@ -58,11 +55,11 @@ func HandledDurability(l *wal.Log, s *server.Server) error {
 }
 
 // HandledService checks every service-layer error: nothing to flag.
-func HandledService(ctx context.Context, q *jobqueue.Queue, c *pairstore.Cache, hs *http.Server) error {
-	if err := q.Submit([]jobqueue.BatchTask{{}}, make([]*jobqueue.Job, 1)); err != nil {
+func HandledService(ctx context.Context, s *server.Server, c *pairstore.Cache, hs *http.Server) error {
+	if _, err := s.Submit(server.JobSpec{}); err != nil {
 		return err
 	}
-	if err := q.Drain(ctx); err != nil {
+	if err := s.Drain(ctx); err != nil {
 		return err
 	}
 	if err := c.Save(); err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ampsched/internal/experiments"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/server"
 	"ampsched/internal/telemetry"
@@ -58,7 +57,7 @@ func startFleet(t testing.TB, n int, mutateSrv func(int, *server.Config)) []*tes
 		tel := telemetry.New()
 		scfg := server.Config{
 			BaseOptions: testOptions(),
-			Queue:       jobqueue.Config{Workers: 4},
+			Workers:     4,
 			MaxPending:  16,
 			Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 			Telemetry:   tel,
@@ -261,7 +260,7 @@ func TestForwardPropagatesRetryAfter(t *testing.T) {
 	fleet := startFleet(t, 2,
 		func(i int, cfg *server.Config) {
 			if i == 0 { // the owner: one worker, one pending slot
-				cfg.Queue = jobqueue.Config{Workers: 1}
+				cfg.Workers = 1
 				cfg.MaxPending = 1
 			}
 		})

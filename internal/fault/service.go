@@ -31,9 +31,9 @@ import (
 // from real disk failure in tests.
 var ErrInjectedDisk = errors.New("fault: injected disk error")
 
-// ErrInjectedPanic is the value an injected panic carries. The job
-// queue recovers worker panics into job errors; the server classifies
-// this one as retryable, so a chaos-panicked job re-runs.
+// ErrInjectedPanic is the value an injected panic carries. The server's
+// worker recovers it, like any panic, into its job's error, so the job
+// fails and the worker goes on.
 var ErrInjectedPanic = errors.New("fault: injected panic")
 
 // ServiceConfig describes a service-level fault plan. All rates are
@@ -60,8 +60,8 @@ type ServiceConfig struct {
 	StallRate float64
 	// StallDelay is the injected worker stall (0 = 20ms).
 	StallDelay time.Duration
-	// PanicRate is the probability that a job attempt panics at start
-	// (recovered by the queue into a retryable job error).
+	// PanicRate is the probability that a job panics at start
+	// (recovered by its worker; the job fails).
 	PanicRate float64
 }
 
@@ -95,8 +95,8 @@ func (c ServiceConfig) Enabled() bool {
 
 // UniformService is the one-knob plan used by the chaos harness:
 // disk errors, torn writes and slow I/O fire at the given rate, worker
-// stalls at rate and panics at rate/4 (a panic costs a whole retry, so
-// it is kept rarer than the recoverable faults).
+// stalls at rate and panics at rate/4 (a panic fails its whole job, so
+// it is kept rarer than the faults the service absorbs).
 func UniformService(rate float64, seed uint64) ServiceConfig {
 	return ServiceConfig{
 		Seed:          seed,

@@ -189,7 +189,8 @@ func (c *Cache) put(key string, data []byte) {
 // computation itself belongs to the caller that started it. A flight
 // that ends in a context error says only that its leader gave up, so a
 // joiner whose own ctx is live tries again: it joins a newer flight or
-// leads one.
+// leads one. A compute that panics still ends its flight: its joiners
+// get an error, and the next caller computes afresh.
 func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
 	for {
 		c.mu.Lock()
@@ -220,21 +221,29 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() ([]byte, erro
 			return nil, false, f.err
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), err: errComputePanicked}
 	c.flights[key] = f
 	c.misses.Inc()
 	c.mu.Unlock()
 
+	// The flight ends even when compute panics, with errComputePanicked
+	// for its joiners, so the key is not left waiting on it for good.
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.put(key, f.data)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
 	f.data, f.err = compute()
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.put(key, f.data)
-	}
-	c.mu.Unlock()
-	close(f.done)
 	return f.data, false, f.err
 }
+
+// errComputePanicked is what the joiners of a flight whose compute
+// panicked get; the leader's panic goes on up its own stack.
+var errComputePanicked = errors.New("pairstore: the flight's computation panicked")
 
 // Len returns the resident entry count.
 func (c *Cache) Len() int {

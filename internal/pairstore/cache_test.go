@@ -2,6 +2,7 @@ package pairstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -88,5 +89,47 @@ func TestConcurrentSaveNeverPromotesTornWrite(t *testing.T) {
 	}
 	if got, ok := reload.Peek("k"); !ok || !bytes.Equal(got, record) {
 		t.Fatalf("reloaded record = %q, %v; want %q", got, ok, record)
+	}
+}
+
+// TestPanickingComputeEndsItsFlight: a compute that panics still ends
+// its flight. Its joiner gets an error instead of waiting for good, and
+// the next caller for the key computes afresh.
+func TestPanickingComputeEndsItsFlight(t *testing.T) {
+	tel := telemetry.New()
+	c := mustCache(t, CacheConfig{Telemetry: tel})
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan any)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		c.Do(context.Background(), "k", func() ([]byte, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	joined := make(chan error)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _, err := c.Do(ctx, "k", func() ([]byte, error) {
+			return nil, errors.New("the joiner led a flight of its own")
+		})
+		joined <- err
+	}()
+	for tel.Counter("server.cache_joined").Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-leaderDone; r != "boom" {
+		t.Fatalf("leader recovered %v, want its own panic", r)
+	}
+	if err := <-joined; !errors.Is(err, errComputePanicked) {
+		t.Fatalf("joiner: err = %v, want errComputePanicked", err)
+	}
+	data, hit, err := c.Do(context.Background(), "k", func() ([]byte, error) { return []byte("v"), nil })
+	if err != nil || hit || string(data) != "v" {
+		t.Fatalf("next Do = %q, hit %v, err %v; want a fresh computation of \"v\"", data, hit, err)
 	}
 }

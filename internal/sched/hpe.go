@@ -75,7 +75,7 @@ func NewHPE(cfg HPEConfig, est Estimator, opts ...Option) *HPE {
 		panic("sched: hpe: nil estimator")
 	}
 	o := buildOptions(opts)
-	tel := newPolTel(o.tel, "sched.hpe-"+est.Name())
+	tel := newPolTel(o.tel, "sched.hpe-"+est.Name(), keepRequests)
 	return &HPE{cfg: cfg, est: est, name: tel.name, tel: tel}
 }
 

@@ -100,7 +100,7 @@ func NewProposed(cfg ProposedConfig, opts ...Option) *Proposed {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	return &Proposed{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "sched.proposed")}
+	return &Proposed{cfg: cfg, obsFactory: o.obsFactory, tel: newPolTel(o.tel, "sched.proposed", keepProposed)}
 }
 
 // Name implements amp.MoveScheduler.
@@ -247,7 +247,7 @@ func NewProposedExt(cfg ExtendedConfig, opts ...Option) *ProposedExt {
 	}
 	o := buildOptions(opts)
 	p := &ProposedExt{Proposed{cfg: cfg.Base, obsFactory: o.obsFactory,
-		tel: newPolTel(o.tel, "sched.proposed-ext")}}
+		tel: newPolTel(o.tel, "sched.proposed-ext", keepAll)}}
 	p.guard = &memGuard{l2MissRate: cfg.MemBoundL2MissRate, ipc: cfg.MemBoundIPC,
 		vetoes: &p.tel.n[cntVetoes]}
 	return p

@@ -25,7 +25,7 @@ func NewRoundRobinInterval(cycles uint64, opts ...Option) *RoundRobin {
 		panic("sched: roundrobin: zero interval")
 	}
 	o := buildOptions(opts)
-	return &RoundRobin{interval: cycles, tel: newPolTel(o.tel, "sched.roundrobin")}
+	return &RoundRobin{interval: cycles, tel: newPolTel(o.tel, "sched.roundrobin", keepRequests)}
 }
 
 // Name implements amp.MoveScheduler.

@@ -86,7 +86,7 @@ func NewSampling(cfg SamplingConfig, opts ...Option) *Sampling {
 		panic(err)
 	}
 	o := buildOptions(opts)
-	return &Sampling{cfg: cfg, tel: newPolTel(o.tel, "sched.sampling")}
+	return &Sampling{cfg: cfg, tel: newPolTel(o.tel, "sched.sampling", keepRequests)}
 }
 
 // Name implements amp.MoveScheduler.

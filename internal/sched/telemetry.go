@@ -30,8 +30,8 @@ func buildOptions(opts []Option) options {
 
 // WithTelemetry publishes the scheduler's decision-making into t:
 // per-policy counters (windows observed, decision points, votes,
-// majority fires, forced swaps, retry backoffs, vetoes) under
-// "sched.<policy>.*", and — when t has sinks — one "window" event per
+// majority fires, forced swaps, retry backoffs, vetoes; each policy
+// registers only the counts it keeps) under "sched.<policy>.*", and — when t has sinks — one "window" event per
 // closed commit window. The events are emitted as they happen; the
 // counts are added once per run, when the system's RunContext returns
 // (amp.CountPublisher). A nil t is ignored.
@@ -82,18 +82,31 @@ const (
 var countNames = [numCounts]string{"windows", "decisions", "votes_swap", "votes_stay",
 	"majority_fires", "forced_swaps", "swap_requests", "backoff_holdoffs", "retry_backoffs", "vetoes"}
 
-// newPolTel binds a policy to its counters, resolved once per Telemetry
-// (telemetry.Handles) and shared by every scheduler of the policy: key
-// is "sched.<policy>", and the policy's name, which window events
-// carry, is key without its "sched." prefix. Callers pass a constant
-// key, or build the name from the key, so a scheduler with telemetry
-// allocates no more than one without.
-func newPolTel(t *telemetry.Telemetry, key string) polTel {
+// The count sets the policies keep, one bit per count index. Round
+// Robin, HPE and Sampling count their decisions and swap requests;
+// Proposed keeps every count but vetoes, which only its §VII guard
+// makes.
+const (
+	keepRequests = 1<<cntDecisions | 1<<cntRequests
+	keepAll      = 1<<numCounts - 1
+	keepProposed = keepAll &^ (1 << cntVetoes)
+)
+
+// newPolTel binds a policy to the counters of the counts it keeps
+// (kept), resolved once per Telemetry (telemetry.Handles) and shared by
+// every scheduler of the policy, so /metrics lists no counter that can
+// only read 0. key is "sched.<policy>", and the policy's name, which
+// window events carry, is key without its "sched." prefix. Callers pass
+// a constant key, or build the name from the key, so a scheduler with
+// telemetry allocates no more than one without.
+func newPolTel(t *telemetry.Telemetry, key string, kept uint) polTel {
 	return polTel{t: t, name: strings.TrimPrefix(key, "sched."),
 		h: telemetry.Handles(t, key, func(t *telemetry.Telemetry) *[numCounts]*telemetry.Counter {
 			var h [numCounts]*telemetry.Counter
 			for i, name := range countNames {
-				h[i] = t.Counter(key + "." + name)
+				if kept&(1<<i) != 0 {
+					h[i] = t.Counter(key + "." + name)
+				}
 			}
 			return &h
 		})}
@@ -127,12 +140,14 @@ func (pt *polTel) window(cycle uint64, thread int, s monitor.Sample) {
 	}
 }
 
-// publish adds the counts since the last publish to the shared
+// publish adds the kept counts since the last publish to the shared
 // counters.
 func (pt *polTel) publish() {
 	if pt.h != nil {
 		for i, c := range pt.h {
-			c.Add(pt.n[i] - pt.pub[i])
+			if c != nil {
+				c.Add(pt.n[i] - pt.pub[i])
+			}
 		}
 	}
 	pt.pub = pt.n

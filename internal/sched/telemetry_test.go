@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,11 +67,25 @@ func schedCounters(tel *telemetry.Telemetry) map[string]uint64 {
 // wedged by its cycle budget: every total — the vetoes and the morph
 // decisions included — is the sum of what the runs count alone, and
 // decisions, swap requests and vetoes are the sums of the runs'
-// Result.Sched.
+// Result.Sched — and no policy registers a counter outside the counts
+// it keeps.
 func TestCountersSumConcurrentRuns(t *testing.T) {
 	const quantum = 200_000
 	base := DefaultProposedConfig()
 	base.ForceInterval = quantum
+	// kept is each counter prefix's count set: Round Robin and HPE count
+	// decisions and swap requests, Proposed everything but the §VII
+	// guard's vetoes, Morphing its morph decisions.
+	requests := []string{"decisions", "swap_requests"}
+	proposed := []string{"windows", "decisions", "votes_swap", "votes_stay", "majority_fires",
+		"forced_swaps", "swap_requests", "backoff_holdoffs", "retry_backoffs"}
+	kept := map[string][]string{
+		"proposed":     proposed,
+		"proposed-ext": append(proposed[:len(proposed):len(proposed)], "vetoes"),
+		"morphing":     {"morph_ons", "morph_offs"},
+		"hpe-biased":   requests,
+		"roundrobin":   requests,
+	}
 	// key is the counter prefix of a policy's Result.Sched: Morphing's
 	// swap rules are its embedded Proposed's.
 	policies := []struct {
@@ -151,6 +166,10 @@ func TestCountersSumConcurrentRuns(t *testing.T) {
 	for name := range got {
 		if _, ok := want[name]; !ok {
 			t.Errorf("%s appears only with the runs concurrent", name)
+		}
+		policy, count, _ := strings.Cut(strings.TrimPrefix(name, "sched."), ".")
+		if !slices.Contains(kept[policy], count) {
+			t.Errorf("%s is registered, but %s keeps only %v", name, policy, kept[policy])
 		}
 	}
 	for name, v := range fromResults {

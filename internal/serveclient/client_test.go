@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ampsched/internal/experiments"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/server"
 	"ampsched/internal/telemetry"
@@ -48,7 +47,7 @@ func newService(t *testing.T, mutate func(*server.Config)) (*server.Server, *tel
 	tel := telemetry.New()
 	cfg := server.Config{
 		BaseOptions: opt,
-		Queue:       jobqueue.Config{Workers: 2},
+		Workers:     2,
 		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
 	}
@@ -114,7 +113,7 @@ func TestRunResultsMatchCache(t *testing.T) {
 // next hinted wait would end.
 func TestSubmitShedUntilDeadline(t *testing.T) {
 	srv, tel, c := newService(t, func(cfg *server.Config) {
-		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Workers = 1
 		cfg.MaxPending = 1
 	})
 	// The first job parks the worker in the fleet lookup of its pair

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"ampsched/internal/jobqueue"
 )
 
 // TestRacingSubmittersNeverPassMaxPending: with both workers parked,
@@ -19,34 +16,18 @@ import (
 func TestRacingSubmittersNeverPassMaxPending(t *testing.T) {
 	const maxPending = 4
 	s := newTestService(t, func(cfg *Config) {
-		cfg.Queue = jobqueue.Config{Workers: 2}
+		cfg.Workers = 2
 		cfg.MaxPending = maxPending
 	})
-	// Each blocker job parks a worker in the fleet lookup of its pair
-	// until release; after that every lookup falls through to local
-	// compute.
-	release := make(chan struct{})
-	var entered sync.WaitGroup
-	entered.Add(2)
-	s.srv.SetCluster(func(ctx context.Context, key string) ([]byte, bool) {
-		select {
-		case <-release:
-		default:
-			entered.Done()
-			<-release
-		}
-		return nil, false
-	}, nil)
-	blockers, err := s.srv.Submit(
-		JobSpec{PairNames: [][2]string{{"gcc", "swim"}}},
-		JobSpec{PairNames: [][2]string{{"gcc", "art"}}},
-	)
+	// Each blocker job parks a worker in the fleet lookup of its pair.
+	park := parkLookups(s.srv, 2)
+	blockers, err := s.srv.Submit(pair("gcc", "swim"), pair("gcc", "art"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entered.Wait()
+	<-park.entered
 
-	spec := JobSpec{PairNames: [][2]string{{"gcc", "swim"}}}
+	spec := pair("gcc", "swim")
 	var mu sync.Mutex
 	var accepted []*jobEntry
 	var refused atomic.Int64
@@ -79,7 +60,7 @@ func TestRacingSubmittersNeverPassMaxPending(t *testing.T) {
 
 	// Parked workers pop nothing, so the backlog never shrank: its
 	// final size is its peak.
-	if got := s.srv.queue.Stats().Pending; got != maxPending {
+	if got := s.srv.pendingJobs(); got != maxPending {
 		t.Errorf("pending = %d, want exactly MaxPending = %d", got, maxPending)
 	}
 	if len(accepted) != maxPending {
@@ -88,7 +69,7 @@ func TestRacingSubmittersNeverPassMaxPending(t *testing.T) {
 	if got := s.tel.Counter("server.jobs_rejected").Value(); got != uint64(refused.Load()) {
 		t.Errorf("server.jobs_rejected = %d, want %d", got, refused.Load())
 	}
-	close(release)
+	close(park.release)
 	for _, j := range append(blockers, accepted...) {
 		if st := s.waitDone(t, j.id); st.State != "done" {
 			t.Fatalf("job %s ended %q (err %q), want done", j.id, st.State, st.Error)
@@ -96,48 +77,41 @@ func TestRacingSubmittersNeverPassMaxPending(t *testing.T) {
 	}
 }
 
-// TestSubmitManyOversizedGroup: with the only worker parked, a group
-// one larger than MaxPending bounces whole — nothing enqueued, every
-// member counted as rejected — and the bounce consumes no slot, so a
-// group of exactly MaxPending still fits afterwards.
+// TestSubmitManyOversizedGroup: with the only worker parked, an empty
+// group is refused, a group one larger than MaxPending bounces whole —
+// nothing enqueued, every member counted as rejected — and the bounce
+// consumes no slot, so a group of exactly MaxPending still fits
+// afterwards.
 func TestSubmitManyOversizedGroup(t *testing.T) {
 	const maxPending = 4
 	s := newTestService(t, func(cfg *Config) {
-		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Workers = 1
 		cfg.MaxPending = maxPending
 	})
 	// The blocker parks the worker in the fleet lookup of its pair, so
 	// admitted jobs stay pending and countable.
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	s.srv.SetCluster(func(ctx context.Context, key string) ([]byte, bool) {
-		select {
-		case <-release:
-		default:
-			once.Do(func() { close(entered) })
-			<-release
-		}
-		return nil, false
-	}, nil)
-	blocker, err := s.srv.Submit(JobSpec{PairNames: [][2]string{{"gcc", "swim"}}})
+	park := parkLookups(s.srv, 1)
+	blocker, err := s.srv.Submit(pair("gcc", "swim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-entered
+	<-park.entered
 
+	if _, err := s.srv.Submit(); err == nil {
+		t.Fatal("empty group accepted")
+	}
 	over := make([]JobSpec, maxPending+1)
 	for i := range over {
-		over[i] = JobSpec{PairNames: [][2]string{{"gcc", "art"}}}
+		over[i] = pair("gcc", "art")
 	}
 	if _, err := s.srv.Submit(over...); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized group on an empty backlog: err = %v, want ErrQueueFull", err)
 	}
-	if got := s.srv.queue.Stats().Pending; got != 0 {
+	if got := s.srv.pendingJobs(); got != 0 {
 		t.Fatalf("pending after oversized bounce = %d, want 0 (partial enqueue?)", got)
 	}
-	if got := s.tel.Counter("jobqueue.submitted").Value(); got != 1 {
-		t.Fatalf("jobqueue.submitted = %d, want 1 (the blocker only)", got)
+	if got := s.tel.Counter("server.jobs_submitted").Value(); got != 1 {
+		t.Fatalf("server.jobs_submitted = %d, want 1 (the blocker only)", got)
 	}
 	if got := s.tel.Counter("server.jobs_rejected").Value(); got != maxPending+1 {
 		t.Fatalf("server.jobs_rejected = %d, want %d (every member of the bounced group)", got, maxPending+1)
@@ -147,10 +121,10 @@ func TestSubmitManyOversizedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("group of exactly MaxPending after bounce: %v", err)
 	}
-	if got := s.srv.queue.Stats().Pending; got != maxPending {
+	if got := s.srv.pendingJobs(); got != maxPending {
 		t.Fatalf("pending = %d, want %d", got, maxPending)
 	}
-	close(release)
+	close(park.release)
 	for _, j := range append(blocker, full...) {
 		if st := s.waitDone(t, j.id); st.State != "done" {
 			t.Fatalf("job %s ended %q (err %q), want done", j.id, st.State, st.Error)
@@ -163,11 +137,16 @@ func TestSubmitManyOversizedGroup(t *testing.T) {
 // watchdog) fails alone. A pair record is a pure function of its spec,
 // so the wedge recurs for that spec and says nothing about the engine:
 // the next healthy job at the same fidelity is admitted and completes,
-// and /readyz stays plainly ready.
+// and /readyz stays plainly ready. The wedged job lists one pair 20
+// times, so only two benchmarks are calibrated.
 func TestWedgedJobRefusesNoOtherJob(t *testing.T) {
 	s := newTestService(t, nil)
 	const pairs = 20
-	wedged := s.waitDone(t, s.postJob(t, JobSpec{Pairs: pairs, SwapOverhead: 10_000_000}).ID)
+	names := make([][2]string, pairs)
+	for i := range names {
+		names[i] = [2]string{"gcc", "swim"}
+	}
+	wedged := s.waitDone(t, s.postJob(t, JobSpec{PairNames: names, SwapOverhead: 10_000_000}).ID)
 	if wedged.State != "failed" || wedged.Failed != pairs {
 		t.Fatalf("wedging job ended %q with %d of %d pairs failed (err %q), want failed with every pair",
 			wedged.State, wedged.Failed, pairs, wedged.Error)

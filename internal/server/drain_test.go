@@ -16,7 +16,7 @@ import (
 func TestDrainFinishesInFlightJobs(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestService(t, func(cfg *Config) {
-		cfg.Queue.Workers = 4
+		cfg.Workers = 4
 		cfg.MaxPending = 16
 		cfg.Cache.Dir = dir
 	})
@@ -77,7 +77,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 		opt.InstrLimit = 500_000_000
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
-		cfg.Queue.Workers = 1
+		cfg.Workers = 1
 		cfg.MaxPending = 8
 	})
 	id := s.postJob(t, JobSpec{Pairs: 4}).ID

@@ -1,12 +1,12 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"ampsched/internal/experiments"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/workload"
 )
 
@@ -139,34 +139,71 @@ type JobStatus struct {
 	Results   []PairResult `json:"results,omitempty"`
 }
 
-// jobEntry is the server-side record of one submitted job.
+// jobState is a job's lifecycle position: pending → running →
+// {done, failed}; canceled can follow pending or running.
+type jobState int32
+
+const (
+	statePending jobState = iota
+	stateRunning
+	stateDone
+	stateFailed
+	stateCanceled
+)
+
+// String renders the state for status APIs.
+func (s jobState) String() string {
+	switch s {
+	case statePending:
+		return "pending"
+	case stateRunning:
+		return "running"
+	case stateDone:
+		return "done"
+	case stateFailed:
+		return "failed"
+	case stateCanceled:
+		return "canceled"
+	}
+	return fmt.Sprintf("jobState(%d)", int32(s))
+}
+
+// terminal reports whether s is a final state.
+func (s jobState) terminal() bool { return s >= stateDone }
+
+// jobEntry is one submitted job: its place in the queue, its context,
+// and the state and results the API reports.
 type jobEntry struct {
-	id   string // set once, before the job is enqueued
+	id   string // set once, at admission
 	spec JobSpec
 
 	// recovered marks a job re-enqueued (or re-registered) from the
 	// journal after a restart.
 	recovered bool
 
+	// Queue position, set at admission and guarded by Server.qmu: seq
+	// orders equal priorities by arrival, index is the job's slot in
+	// the pending heap (-1 once popped, or never queued).
+	seq      uint64
+	index    int
+	enqueued time.Time
+	// ctx ends when the job settles or the server aborts its jobs;
+	// cancel, set with it at admission, ends it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu        sync.Mutex
-	state     jobqueue.State
+	state     jobState
+	plan      *jobPlan // what the job runs; dropped when it settles
 	results   []PairResult
 	cacheHits int
 	failed    int
 	errMsg    string
 	notify    chan struct{} // closed and replaced on every mutation
-
-	created time.Time
-	qjob    *jobqueue.Job
 }
 
 func newJobEntry(spec JobSpec) *jobEntry {
-	return &jobEntry{
-		spec:    spec,
-		state:   jobqueue.StatePending,
-		notify:  make(chan struct{}),
-		created: time.Now(), //ampvet:allow determinism job timestamps feed status APIs, never results
-	}
+	return &jobEntry{spec: spec, index: -1, notify: make(chan struct{})}
 }
 
 // wake closes the current notify channel so streamers re-check state.
@@ -188,28 +225,6 @@ func (j *jobEntry) appendResult(r PairResult) {
 		j.failed++
 	}
 	j.wake()
-}
-
-// setState transitions the job and wakes streamers. The first
-// terminal state wins: later transitions (a cancel racing completion,
-// or vice versa) are refused and reported false.
-func (j *jobEntry) setState(s jobqueue.State, errMsg string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if terminal(j.state) {
-		return false
-	}
-	j.state = s
-	if errMsg != "" {
-		j.errMsg = errMsg
-	}
-	j.wake()
-	return true
-}
-
-// terminal reports whether s is a final state.
-func terminal(s jobqueue.State) bool {
-	return s == jobqueue.StateDone || s == jobqueue.StateFailed || s == jobqueue.StateCanceled
 }
 
 // status snapshots the job for the API. includeResults controls the

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/wal"
 )
 
@@ -87,24 +86,6 @@ func (s *Server) appendJournal(typ byte, payload any) error {
 	}
 }
 
-// journalTerminal records a job's terminal state. Best-effort beyond
-// the retry loop: a lost terminal record only means the job re-runs
-// (idempotently) after a crash, never that work is lost.
-func (s *Server) journalTerminal(id string, state jobqueue.State, errMsg string) {
-	var err error
-	switch state {
-	case jobqueue.StateDone:
-		err = s.appendJournal(recDone, idRecord{ID: id})
-	case jobqueue.StateFailed:
-		err = s.appendJournal(recFail, failRecord{ID: id, Error: errMsg})
-	case jobqueue.StateCanceled:
-		err = s.appendJournal(recCancel, idRecord{ID: id})
-	}
-	if err != nil {
-		s.journalErrors.Inc()
-	}
-}
-
 // RecoveryStats summarizes one Recover pass.
 type RecoveryStats struct {
 	// Jobs is the number of distinct job ids seen in the journal.
@@ -122,7 +103,7 @@ type RecoveryStats struct {
 type recoveredJob struct {
 	spec     JobSpec
 	hasSpec  bool
-	state    jobqueue.State
+	state    jobState
 	terminal bool
 	errMsg   string
 	order    int
@@ -142,7 +123,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	get := func(id string) *recoveredJob {
 		rj, ok := jobs[id]
 		if !ok {
-			rj = &recoveredJob{state: jobqueue.StatePending, order: len(jobs)}
+			rj = &recoveredJob{state: statePending, order: len(jobs)}
 			jobs[id] = rj
 		}
 		return rj
@@ -162,7 +143,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				return nil
 			}
 			if rj := get(ir.ID); !rj.terminal {
-				rj.state = jobqueue.StateRunning
+				rj.state = stateRunning
 			}
 		case recDone:
 			var ir idRecord
@@ -170,21 +151,21 @@ func (s *Server) Recover() (RecoveryStats, error) {
 				return nil
 			}
 			rj := get(ir.ID)
-			rj.state, rj.terminal = jobqueue.StateDone, true
+			rj.state, rj.terminal = stateDone, true
 		case recFail:
 			var fr failRecord
 			if err := json.Unmarshal(r.Data, &fr); err != nil || fr.ID == "" {
 				return nil
 			}
 			rj := get(fr.ID)
-			rj.state, rj.terminal, rj.errMsg = jobqueue.StateFailed, true, fr.Error
+			rj.state, rj.terminal, rj.errMsg = stateFailed, true, fr.Error
 		case recCancel:
 			var ir idRecord
 			if err := json.Unmarshal(r.Data, &ir); err != nil || ir.ID == "" {
 				return nil
 			}
 			rj := get(ir.ID)
-			rj.state, rj.terminal = jobqueue.StateCanceled, true
+			rj.state, rj.terminal = stateCanceled, true
 		}
 		return nil
 	})
@@ -222,12 +203,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	for _, id := range ids {
 		rj := jobs[id]
 		if rj.terminal {
-			j := newJobEntry(rj.spec)
-			j.id, j.recovered = id, true
-			j.setState(rj.state, rj.errMsg)
-			s.mu.Lock()
-			s.jobs[id] = j
-			s.mu.Unlock()
+			s.registerTerminal(id, rj.spec, rj.state, rj.errMsg)
 			stats.Terminal++
 			continue
 		}
@@ -239,12 +215,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		if _, err := s.submit([]JobSpec{rj.spec}, []string{id}); err != nil {
 			// Spec no longer valid (options drifted): register the job
 			// failed rather than losing it silently.
-			j := newJobEntry(rj.spec)
-			j.id, j.recovered = id, true
-			j.setState(jobqueue.StateFailed, fmt.Sprintf("recovery resubmit: %v", err))
-			s.mu.Lock()
-			s.jobs[id] = j
-			s.mu.Unlock()
+			s.registerTerminal(id, rj.spec, stateFailed, fmt.Sprintf("recovery resubmit: %v", err))
 			stats.Terminal++
 			continue
 		}
@@ -252,6 +223,17 @@ func (s *Server) Recover() (RecoveryStats, error) {
 		s.jobsRecovered.Inc()
 	}
 	return stats, nil
+}
+
+// registerTerminal registers a recovered job in a terminal state. It
+// never enters the queue, so it has no context, and settle leaves it
+// as it is: a DELETE on it cancels nothing and journals nothing.
+func (s *Server) registerTerminal(id string, spec JobSpec, st jobState, errMsg string) {
+	j := newJobEntry(spec)
+	j.id, j.recovered, j.state, j.errMsg = id, true, st, errMsg
+	s.mu.Lock()
+	s.jobs[id] = j
+	s.mu.Unlock()
 }
 
 // sortByOrder sorts ids by their first appearance in the journal.

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 	"ampsched/internal/wal"
@@ -101,7 +100,7 @@ func TestRecoveryNeverRefusesForDepth(t *testing.T) {
 
 	s := newTestService(t, func(cfg *Config) {
 		cfg.JournalDir = jdir
-		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Workers = 1
 		cfg.MaxPending = 1
 	})
 	stats, err := s.srv.Recover()
@@ -119,7 +118,7 @@ func TestRecoveryNeverRefusesForDepth(t *testing.T) {
 }
 
 // TestCancelRecoveredTerminalJob: a DELETE on a job Recover
-// registered without a queue job — one the journal says finished, and
+// registered in a terminal state — one the journal says finished, and
 // one whose resubmit failed — answers 202 with the job's terminal
 // state unchanged, cancels nothing and journals nothing.
 func TestCancelRecoveredTerminalJob(t *testing.T) {
@@ -332,7 +331,7 @@ func TestCancelDuringDrainRacesJournalReplay(t *testing.T) {
 	jdir := t.TempDir()
 	s1 := newTestService(t, func(cfg *Config) {
 		cfg.JournalDir = jdir
-		cfg.Queue = jobqueue.Config{Workers: 2}
+		cfg.Workers = 2
 		cfg.MaxPending = 32
 	})
 	var entries []*jobEntry
@@ -351,10 +350,7 @@ func TestCancelDuringDrainRacesJournalReplay(t *testing.T) {
 		wg.Add(1)
 		go func(j *jobEntry) {
 			defer wg.Done()
-			j.qjob.Cancel()
-			if j.setState(jobqueue.StateCanceled, "canceled by client") {
-				s1.srv.journalTerminal(j.id, jobqueue.StateCanceled, "canceled by client")
-			}
+			s1.srv.cancelJob(j, "canceled by client")
 		}(j)
 	}
 	drainErr := make(chan error, 1)

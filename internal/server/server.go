@@ -1,9 +1,9 @@
 // Package server turns the simulator into a long-running
 // simulation-as-a-service daemon (cmd/ampserve): an HTTP/JSON API over
-// a bounded priority job queue (internal/jobqueue), a content-
-// addressed result cache with singleflight deduplication and optional
-// disk persistence, and NDJSON streaming of per-pair outcomes as they
-// complete.
+// a priority job queue run by a fixed worker pool (queue.go), a
+// content-addressed result cache with singleflight deduplication and
+// optional disk persistence, and NDJSON streaming of per-pair outcomes
+// as they complete.
 //
 // Endpoints:
 //
@@ -32,7 +32,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +41,6 @@ import (
 	"ampsched/internal/experiments"
 	"ampsched/internal/fault"
 	"ampsched/internal/interval"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/metrics"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
@@ -56,9 +54,8 @@ type Config struct {
 	BaseOptions experiments.Options
 	// MaxPairsPerJob rejects oversized sweeps (0 = 400).
 	MaxPairsPerJob int
-	// Queue sizes the worker pool (Telemetry and Retryable are wired by
-	// New; MaxRetries defaults to 2).
-	Queue jobqueue.Config
+	// Workers sizes the worker pool (0 = GOMAXPROCS).
+	Workers int
 	// Cache sizes the result cache (Telemetry is wired by New).
 	Cache pairstore.CacheConfig
 	// JournalDir, when non-empty, enables the durable job journal:
@@ -67,7 +64,7 @@ type Config struct {
 	JournalDir string
 	// MaxPending refuses a submitted group that would push the pending
 	// backlog past this many jobs (ErrQueueFull); 0 means 4x the
-	// queue's workers.
+	// workers.
 	MaxPending int
 	// Chaos, when non-nil, injects service-level faults (disk errors,
 	// torn writes, slow I/O, worker stalls, panics) into the journal,
@@ -95,7 +92,6 @@ type Server struct {
 	cfg     Config
 	tel     *telemetry.Telemetry
 	cache   *pairstore.Cache
-	queue   *jobqueue.Queue
 	journal *wal.Log
 	chaos   *fault.ServicePlan
 
@@ -106,9 +102,18 @@ type Server struct {
 	jobs    map[string]*jobEntry
 	runners map[string]*experiments.Runner
 
-	// admitMu makes the depth check and the enqueue of a submitted
-	// group one critical section.
-	admitMu sync.Mutex
+	// The job queue (queue.go). qmu guards the pending heap, the
+	// running count and each job's queue position; qcond wakes idle
+	// workers. Every job's context derives from root, which abortJobs
+	// ends.
+	qmu       sync.Mutex
+	qcond     *sync.Cond
+	pending   jobHeap
+	running   int
+	nextSeq   uint64
+	workers   sync.WaitGroup
+	root      context.Context
+	abortJobs context.CancelFunc
 
 	// remote / publish are the fleet hooks (SetCluster, fleet.go):
 	// consulted on pair cache misses and fed locally computed records.
@@ -119,6 +124,8 @@ type Server struct {
 
 	idPrefix string // from Config.JobIDSpace; "" in single-node mode
 	nextID   atomic.Uint64
+	// draining refuses new groups and lets idle workers exit; it is
+	// set under qmu and read without it.
 	draining atomic.Bool
 
 	flushStop chan struct{}
@@ -141,6 +148,13 @@ type Server struct {
 	pairsSimulated *telemetry.Counter
 	jobLatencyUS   *telemetry.Histogram
 	httpRequests   *telemetry.Counter
+	// The queue's metrics keep their "jobqueue." names.
+	depth    *telemetry.Gauge
+	runningG *telemetry.Gauge
+	batches  *telemetry.Counter
+	panics   *telemetry.Counter
+	waitUS   *telemetry.Histogram
+	runUS    *telemetry.Histogram
 }
 
 // New builds a Server and starts its worker pool.
@@ -162,30 +176,14 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxPairsPerJob = 400
 	}
 
-	qcfg := cfg.Queue
-	qcfg.Telemetry = cfg.Telemetry
-	if qcfg.Workers == 0 {
-		qcfg.Workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers < 0 || cfg.MaxPending < 0 {
+		return nil, fmt.Errorf("server: negative Workers or MaxPending")
 	}
-	if qcfg.MaxRetries == 0 {
-		qcfg.MaxRetries = 2
-	}
-	// An injected chaos panic is transient by construction. Everything
-	// else is a pure function of the job's spec — a wedge included: the
-	// same seeds wedge the same run again — so it is not worth
-	// re-running.
-	if qcfg.Retryable == nil {
-		qcfg.Retryable = func(err error) bool { return errors.Is(err, fault.ErrInjectedPanic) }
-	}
-	if cfg.MaxPending < 0 {
-		return nil, fmt.Errorf("server: negative MaxPending")
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxPending == 0 {
-		cfg.MaxPending = 4 * qcfg.Workers
-	}
-	queue, err := jobqueue.New(qcfg)
-	if err != nil {
-		return nil, err
+		cfg.MaxPending = 4 * cfg.Workers
 	}
 
 	ccfg := cfg.Cache
@@ -201,7 +199,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	cache, err := pairstore.NewCache(ccfg)
 	if err != nil {
-		queue.Close()
 		return nil, err
 	}
 
@@ -213,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		journal, err = wal.Open(cfg.JournalDir, wopts)
 		if err != nil {
-			queue.Close()
 			return nil, fmt.Errorf("server: opening job journal: %w", err)
 		}
 	}
@@ -223,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		tel:        tel,
 		cache:      cache,
-		queue:      queue,
 		journal:    journal,
 		chaos:      cfg.Chaos,
 		baseOpt:    baseOpt,
@@ -245,7 +240,16 @@ func New(cfg Config) (*Server, error) {
 		pairsSimulated:    tel.Counter("server.batched_pairs"),
 		jobLatencyUS:      tel.Histogram("server.job_latency_us"),
 		httpRequests:      tel.Counter("server.http_requests"),
+		depth:             tel.Gauge("jobqueue.depth"),
+		runningG:          tel.Gauge("jobqueue.running"),
+		batches:           tel.Counter("jobqueue.batches"),
+		panics:            tel.Counter("jobqueue.panics"),
+		waitUS:            tel.Histogram("jobqueue.wait_us"),
+		runUS:             tel.Histogram("jobqueue.run_us"),
 	}
+	s.qcond = sync.NewCond(&s.qmu)
+	//ampvet:allow ctxcheck jobs outlive the submitter's ctx; DELETE, timeout_ms, Close and a timed-out Drain end them
+	s.root, s.abortJobs = context.WithCancel(context.Background())
 	// The interval engine's process-global calibration ledger reports
 	// through the same registry ("interval.calibrations",
 	// "interval.cal_cache_hits"): its cross-run reuse saves every cold
@@ -258,6 +262,10 @@ func New(cfg Config) (*Server, error) {
 		s.flushStop = make(chan struct{})
 		s.flushDone = make(chan struct{})
 		go s.flushLoop(cfg.FlushEvery)
+	}
+	for w := 0; w < cfg.Workers; w++ {
+		s.workers.Add(1)
+		go s.worker()
 	}
 	return s, nil
 }
@@ -413,7 +421,7 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 	}
 	if s.draining.Load() {
 		s.jobsRejected.Add(uint64(len(specs)))
-		return nil, jobqueue.ErrClosed
+		return nil, ErrDraining
 	}
 	plans := make([]*jobPlan, len(specs))
 	for k, sp := range specs {
@@ -428,21 +436,13 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 	}
 
 	entries := make([]*jobEntry, len(specs))
-	tasks := make([]jobqueue.BatchTask, len(specs))
 	for k, p := range plans {
 		j := newJobEntry(specs[k])
 		j.recovered = recovered
+		j.plan = p
 		entries[k] = j
-		tasks[k] = jobqueue.BatchTask{
-			Task: func(ctx context.Context) error { return s.runJob(ctx, j, p) },
-			Opts: jobqueue.SubmitOptions{
-				Priority: specs[k].Priority,
-				Deadline: time.Duration(specs[k].TimeoutMS) * time.Millisecond,
-			},
-		}
 	}
-	qjobs := make([]*jobqueue.Job, len(specs))
-	if err := s.enqueue(entries, tasks, qjobs, ids); err != nil {
+	if err := s.enqueue(entries, ids); err != nil {
 		s.jobsRejected.Add(uint64(len(specs)))
 		return nil, err
 	}
@@ -450,37 +450,12 @@ func (s *Server) submit(specs []JobSpec, ids []string) ([]*jobEntry, error) {
 	// cancels) only the job whose record could not be written — the
 	// enqueue was atomic, durability is individual.
 	var firstErr error
-	for k, j := range entries {
-		if err := s.ackJob(j, qjobs[k]); err != nil && firstErr == nil {
+	for _, j := range entries {
+		if err := s.ackJob(j); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return entries, firstErr
-}
-
-// enqueue admits a group by the depth bound, names its jobs and
-// enqueues it. The check and the enqueue share one critical section,
-// so racing submitters cannot both pass against a backlog that only
-// one of them may grow. A recovered group (ids set) takes its
-// journaled ids and skips the check.
-func (s *Server) enqueue(entries []*jobEntry, tasks []jobqueue.BatchTask, qjobs []*jobqueue.Job, ids []string) error {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if ids == nil {
-		if pending := s.queue.Stats().Pending; pending+len(entries) > s.cfg.MaxPending {
-			return fmt.Errorf("%w: %d pending + %d submitted exceeds %d",
-				ErrQueueFull, pending, len(entries), s.cfg.MaxPending)
-		}
-	}
-	// Only an admitted group draws ids, so refusals leave no gaps.
-	for k, j := range entries {
-		if ids != nil {
-			j.id = ids[k]
-		} else {
-			j.id = s.idPrefix + strconv.FormatUint(s.nextID.Add(1), 10)
-		}
-	}
-	return s.queue.Submit(tasks, qjobs)
 }
 
 // jobPlan is a job resolved at submit time: its options and its units
@@ -577,39 +552,20 @@ func (s *Server) nxmUnit(opt experiments.Options, nxm experiments.NXMParams, i, 
 }
 
 // ackJob finishes a successful enqueue: journals the submission (a job
-// is only acknowledged once it is durable), installs the queue-state
-// backstop, and registers the entry. On a journal failure the queued
-// job is canceled and the submission refused.
-func (s *Server) ackJob(j *jobEntry, qjob *jobqueue.Job) error {
-	j.qjob = qjob
+// is only acknowledged once it is durable) and registers the entry. On
+// a journal failure the queued job is canceled and the submission
+// refused.
+func (s *Server) ackJob(j *jobEntry) error {
 	// Acknowledged implies journaled: the submit record is durable
 	// before the caller (and so the HTTP 202) sees the job. A journal
 	// that cannot be written refuses the job rather than accepting
 	// work it might forget.
 	if err := s.appendJournal(recSubmit, submitRecord{ID: j.id, Spec: j.spec}); err != nil {
-		qjob.Cancel()
+		s.cancelJob(j, abortMsg)
 		s.jobsRejected.Inc()
 		s.journalErrors.Inc()
 		return err
 	}
-	// A job the queue settles without ever running its task (canceled
-	// or aborted while pending) has nothing else to settle its entry —
-	// mirror the queue's terminal state as a backstop.
-	go func() {
-		<-qjob.Done()
-		switch qjob.State() {
-		case jobqueue.StateCanceled:
-			if j.setState(jobqueue.StateCanceled, "canceled before start") {
-				s.journalTerminal(j.id, jobqueue.StateCanceled, "canceled before start")
-				s.jobsCanceled.Inc()
-			}
-		case jobqueue.StateFailed:
-			if qerr := qjob.Err(); qerr != nil && j.setState(jobqueue.StateFailed, qerr.Error()) {
-				s.journalTerminal(j.id, jobqueue.StateFailed, qerr.Error())
-				s.jobsFailed.Inc()
-			}
-		}
-	}()
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.mu.Unlock()
@@ -626,16 +582,24 @@ func (s *Server) job(id string) (*jobEntry, bool) {
 }
 
 // runJob executes one job's units in order, serving each from the
-// cache when possible and appending outcomes as they complete. It is
-// the queue task; only a recovered panic in it is worth a retry.
-func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
-	start := time.Now() //ampvet:allow determinism job latency measurement is inherently wall-clock
-	if !j.setState(jobqueue.StateRunning, "") {
-		return nil // canceled before the worker picked it up
-	}
+// cache when possible and appending outcomes as they complete, and
+// returns the error the job settles by. A panic in it is recovered
+// into that error (counted on "jobqueue.panics"), so it fails its job
+// alone and the worker goes on.
+func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panics.Inc()
+			if rerr, ok := r.(error); ok {
+				err = fmt.Errorf("server: job panic: %w", rerr)
+			} else {
+				err = fmt.Errorf("server: job panic: %v", r)
+			}
+		}
+	}()
 	if s.chaos != nil {
 		s.chaos.MaybeStall()
-		s.chaos.MaybePanic() // recovered by the queue into a retryable job error
+		s.chaos.MaybePanic()
 	}
 	// Best-effort start record (no fsync urgency: a lost start only
 	// means recovery re-runs from the submit record, which it would
@@ -652,7 +616,6 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 		_, err = runner.Matrix()
 	}
 	if err != nil {
-		s.finishJob(j, start, err)
 		return err
 	}
 
@@ -662,13 +625,11 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 	for i := range p.units {
 		u := &p.units[i]
 		if cerr := ctx.Err(); cerr != nil {
-			s.finishJob(j, start, cerr)
 			return cerr
 		}
 		data, cached, err := s.cache.Do(ctx, u.key, func() ([]byte, error) { return u.compute(ctx, runner) })
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.finishJob(j, start, err)
 				return err
 			}
 			// Degraded unit: record and continue, like Sweep.
@@ -684,8 +645,7 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 		}
 		var r PairResult
 		if err := json.Unmarshal(data, &r); err != nil {
-			s.finishJob(j, start, fmt.Errorf("server: corrupt cache entry %s: %w", u.key, err))
-			return nil // corrupt entry is not retryable
+			return fmt.Errorf("server: corrupt cache entry %s: %w", u.key, err)
 		}
 		// A rung's key leaves out its position, so jobs listing the same
 		// core count share the record; the position is job-local.
@@ -698,16 +658,13 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, p *jobPlan) error {
 	// Mirror Sweep's contract: a job only fails when no unit finished.
 	st := j.status(false)
 	if st.Completed > 0 && st.Failed == st.Completed && firstWedge != nil {
-		err := fmt.Errorf("server: all %d units degraded: %w", st.Completed, firstWedge)
-		s.finishJob(j, start, err)
-		return err
+		return fmt.Errorf("server: all %d units degraded: %w", st.Completed, firstWedge)
 	}
 	if j.recovered && st.CacheHits > 0 {
 		// A re-enqueued job that found pre-crash units in the cache is a
 		// checkpointed resume: only the missing tail was re-simulated.
 		s.checkpointResumes.Inc()
 	}
-	s.finishJob(j, start, nil)
 	return nil
 }
 
@@ -772,34 +729,6 @@ func schedResult(res amp.Result) SchedResult {
 	}
 }
 
-// finishJob settles the job entry's terminal state and counters (the
-// first terminal transition wins, so a racing cancel is not counted
-// twice). A successful job's results are flushed to disk before its
-// done record is journaled — a job the journal calls done has durable
-// result bytes, so recovery never re-registers a done job whose
-// results a client could no longer fetch.
-func (s *Server) finishJob(j *jobEntry, start time.Time, err error) {
-	s.jobLatencyUS.Observe(uint64(time.Since(start).Microseconds())) //ampvet:allow determinism job latency measurement is inherently wall-clock
-	switch {
-	case err == nil:
-		if j.setState(jobqueue.StateDone, "") {
-			s.flushCacheRetry()
-			s.journalTerminal(j.id, jobqueue.StateDone, "")
-			s.jobsCompleted.Inc()
-		}
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		if j.setState(jobqueue.StateCanceled, err.Error()) {
-			s.journalTerminal(j.id, jobqueue.StateCanceled, err.Error())
-			s.jobsCanceled.Inc()
-		}
-	default:
-		if j.setState(jobqueue.StateFailed, err.Error()) {
-			s.journalTerminal(j.id, jobqueue.StateFailed, err.Error())
-			s.jobsFailed.Inc()
-		}
-	}
-}
-
 // flushCacheRetry persists dirty cache entries, retrying so injected
 // disk faults converge (each retry only rewrites what is still
 // dirty). Persistent failure is counted, not fatal: the entry stays
@@ -814,42 +743,6 @@ func (s *Server) flushCacheRetry() {
 	if err != nil {
 		s.journalErrors.Inc()
 	}
-}
-
-// Drain gracefully stops the service: refuse new jobs, let the queue
-// finish (or, past ctx, cancel) the backlog, then persist the cache.
-// Completed pair outcomes are never lost: they are already appended to
-// their job entries and resident in the cache, which Save flushes.
-func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	qerr := s.queue.Drain(ctx)
-	s.stopFlusher()
-	if err := s.cache.Save(); err != nil {
-		if qerr == nil {
-			qerr = err
-		}
-	}
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil && qerr == nil {
-			qerr = err
-		}
-	}
-	return qerr
-}
-
-// Close cancels everything immediately (still persists the cache and
-// closes the journal).
-func (s *Server) Close() error {
-	s.draining.Store(true)
-	s.queue.Close()
-	s.stopFlusher()
-	err := s.cache.Save()
-	if s.journal != nil {
-		if jerr := s.journal.Close(); jerr != nil && err == nil {
-			err = jerr
-		}
-	}
-	return err
 }
 
 // Handler returns the service mux, including the telemetry /metrics
@@ -920,7 +813,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		apiError(w, http.StatusTooManyRequests, err)
 		return
-	case errors.Is(err, jobqueue.ErrClosed):
+	case errors.Is(err, ErrDraining):
 		apiError(w, http.StatusServiceUnavailable, err)
 		return
 	default:
@@ -958,15 +851,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	// Recover registers journaled terminal jobs, and jobs whose
-	// resubmit failed, without a queue job; their state is final.
-	if j.qjob != nil {
-		j.qjob.Cancel()
-	}
-	if j.setState(jobqueue.StateCanceled, "canceled by client") {
-		s.journalTerminal(j.id, jobqueue.StateCanceled, "canceled by client")
-		s.jobsCanceled.Inc()
-	}
+	s.cancelJob(j, "canceled by client")
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(j.status(false))
@@ -1000,7 +885,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		j.mu.Lock()
-		for sent >= len(j.results) && !terminal(j.state) {
+		for sent >= len(j.results) && !j.state.terminal() {
 			ch := j.notify
 			j.mu.Unlock()
 			select {
@@ -1024,7 +909,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if terminal(state) {
+		if state.terminal() {
 			final := struct {
 				Done  bool   `json:"done"`
 				State string `json:"state"`

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ampsched/internal/experiments"
-	"ampsched/internal/jobqueue"
 	"ampsched/internal/pairstore"
 	"ampsched/internal/telemetry"
 )
@@ -40,7 +39,7 @@ func newTestService(t *testing.T, mutate func(*Config)) *testService {
 	tel := telemetry.New()
 	cfg := Config{
 		BaseOptions: testOptions(),
-		Queue:       jobqueue.Config{Workers: 4},
+		Workers:     4,
 		MaxPending:  16,
 		Cache:       pairstore.CacheConfig{ByteBudget: 1 << 20},
 		Telemetry:   tel,
@@ -282,7 +281,7 @@ func TestQueueFullReturns429(t *testing.T) {
 		opt.InstrLimit = 200_000_000
 		opt.Fidelity = "detailed"
 		cfg.BaseOptions = opt
-		cfg.Queue = jobqueue.Config{Workers: 1}
+		cfg.Workers = 1
 		cfg.MaxPending = 1
 	})
 	// One job occupies the worker (eventually), one fills the pending
@@ -308,7 +307,7 @@ func TestQueueFullReturns429(t *testing.T) {
 }
 
 // TestWedgedJobNotRetried: a wedge is a pure function of the job's
-// spec, so the queue runs a wedged job once and counts it failed.
+// spec, so the server runs a wedged job once and counts it failed.
 func TestWedgedJobNotRetried(t *testing.T) {
 	s := newTestService(t, func(cfg *Config) {
 		cfg.BaseOptions.CycleBudget = 5000
@@ -322,7 +321,7 @@ func TestWedgedJobNotRetried(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want uint64
-	}{{"jobqueue.retries", 0}, {"jobqueue.completed", 0}, {"jobqueue.failed", 1}} {
+	}{{"server.jobs_completed", 0}, {"server.jobs_failed", 1}} {
 		if got := s.tel.Counter(c.name).Value(); got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
